@@ -47,9 +47,8 @@ from .geometry import (
 from .quantum import (
     DegenerateAxisError,
     EntanglementParam,
-    aux_axis_alice,
+    aux_axis,
     aux_axis_alice_nl,
-    aux_axis_bob,
     epr2_flip_probability,
     in_slice,
     rotate_pi_about_x,
@@ -57,6 +56,7 @@ from .quantum import (
 
 __all__ = [
     "BatchOutcome",
+    "CHUNK",
     "FlipSpec",
     "PROTOCOL_IDS",
     "RoundRandomness",
@@ -70,6 +70,7 @@ __all__ = [
     "correlated_flip",
     "protocol1_round",
     "protocol2_round",
+    "round_uniform_block",
     "run_batch",
     "symmetrize",
     "tb_round",
@@ -81,6 +82,50 @@ PROTOCOL_IDS = ("p1", "p2", "tb")
 # 0,1 lambda1 | 2,3 lambda2 | 4..17 mu_1..mu_7 as (polar, azimuth) pairs |
 # 18 flip coupler | 19 box coin | 20,21 completion signs | 22,23 reserved.
 UNIFORMS_PER_ROUND = 24
+
+# Rows per derived stream key.  Part of the stream layout: changing it
+# changes which uniforms a given round sees, so it is fixed, not tunable.
+CHUNK = 65536
+
+
+def _chunk_key(seed: int, setting_index: int, chunk_index: int) -> np.ndarray:
+    """128-bit stream key, unique per (seed, setting, chunk).
+
+    A settings draw keyed by the bare seed has high word 0; setting_index + 1
+    keeps every round-stream key's high word nonzero, so the two can never
+    collide.
+    """
+    if not 0 <= setting_index < 2**32 - 1:
+        raise ValueError(f"setting_index out of range: {setting_index}")
+    if not 0 <= chunk_index < 2**32:
+        raise ValueError(f"chunk_index out of range: {chunk_index}")
+    hi = ((setting_index + 1) << 32) | chunk_index
+    return np.array([seed, hi], dtype=np.uint64)
+
+
+def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -> np.ndarray:
+    """Uniform rows for rounds [start, start + count) of one setting.
+
+    Every sampled round, in the runtime and in the verification suites,
+    draws its row here: a counter-style Philox stream keyed by (seed,
+    setting index, chunk index), with the round's offset inside its chunk
+    fixed by CHUNK.  Rows are addressed by absolute round index; any
+    contiguous request returns the same values regardless of how other
+    rounds were or will be generated.  Requests not aligned to the chunk
+    layout pay for the skipped prefix rows.
+    """
+    if start < 0 or count < 0:
+        raise ValueError("start and count must be nonnegative")
+    out = np.empty((count, UNIFORMS_PER_ROUND))
+    filled = 0
+    while filled < count:
+        chunk_index, offset = divmod(start + filled, CHUNK)
+        take = min(CHUNK - offset, count - filled)
+        g = np.random.Generator(np.random.Philox(key=_chunk_key(seed, setting_index, chunk_index)))
+        block = g.random((offset + take, UNIFORMS_PER_ROUND))
+        out[filled : filled + take] = block[offset:]
+        filled += take
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,16 +145,18 @@ class FlipSpec:
 class SharedRandomness:
     """One round's worth of shared randomness, plus the box's private coin.
 
-    lambda1, lambda2 and the seven rows of mu are independent uniform unit
-    vectors; flip_r couples the two parties' flips; extra_signs feed the
-    sign-randomized completion strategy and are ignored by the others.
-    box_u is not shared knowledge: it is the comparison box's own coin,
-    carried in this bundle only so a round is a pure function of one value.
+    lambda1 and lambda2 are independent uniform unit vectors.  The protocols
+    read the seven shared directions mu_i only through sgn(z . mu_i), so
+    mu_sign holds those seven fair signs and nothing else.  flip_r couples
+    the two parties' flips; extra_signs feed the sign-randomized completion
+    strategy and are ignored by the others.  box_u is not shared knowledge:
+    it is the comparison box's own coin, carried in this bundle only so a
+    round is a pure function of one value.
     """
 
     lambda1: np.ndarray
     lambda2: np.ndarray
-    mu: np.ndarray
+    mu_sign: tuple[int, ...]
     flip_r: float
     extra_signs: tuple[int, int]
     box_u: float
@@ -117,13 +164,10 @@ class SharedRandomness:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambda1", as_unit_vector(self.lambda1, tol=1e-6))
         object.__setattr__(self, "lambda2", as_unit_vector(self.lambda2, tol=1e-6))
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.shape != (7, 3):
-            raise ValueError(f"mu must have shape (7, 3), got {mu.shape}")
-        norms = np.linalg.norm(mu, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ValueError("mu rows must be unit vectors")
-        object.__setattr__(self, "mu", mu)
+        mu_sign = tuple(int(e) for e in self.mu_sign)
+        if len(mu_sign) != 7 or any(e not in (-1, 1) for e in mu_sign):
+            raise ValueError(f"mu_sign must be seven signs, got {self.mu_sign}")
+        object.__setattr__(self, "mu_sign", mu_sign)
         if not 0.0 <= self.flip_r < 1.0:
             raise ValueError(f"flip_r must lie in [0, 1), got {self.flip_r}")
         if not 0.0 <= self.box_u < 1.0:
@@ -139,13 +183,11 @@ class SharedRandomness:
         u = np.asarray(u, dtype=float)
         if u.shape != (UNIFORMS_PER_ROUND,):
             raise ValueError(f"expected {UNIFORMS_PER_ROUND} uniforms, got {u.shape}")
-        mu = np.stack(
-            [unit_vector_from_uniforms(u[4 + 2 * i], u[5 + 2 * i]) for i in range(7)]
-        )
         return cls(
             lambda1=unit_vector_from_uniforms(u[0], u[1]),
             lambda2=unit_vector_from_uniforms(u[2], u[3]),
-            mu=mu,
+            # same rule as RoundRandomness.from_uniform_block
+            mu_sign=tuple(1 if x <= 0.5 else -1 for x in u[4:18:2]),
             flip_r=float(u[18]),
             extra_signs=(
                 1 if u[20] <= 0.5 else -1,
@@ -226,7 +268,7 @@ class RoundRandomness:
         return cls(
             lam1=shared.lambda1.reshape(1, 3),
             lam2=shared.lambda2.reshape(1, 3),
-            mu_sign=sign_array(shared.mu[:, 2]).reshape(1, 7),
+            mu_sign=np.array([shared.mu_sign], dtype=np.int8),
             flip_r=np.array([shared.flip_r]),
             box_u=np.array([shared.box_u]),
             extra=np.array([shared.extra_signs], dtype=np.int8),
@@ -340,7 +382,7 @@ def alice_direction_rows(
     if protocol == "p2" and in_slice(param, a[2]):
         k = (mu_sign[:, 0] + mu_sign[:, 3] + mu_sign[:, 5]).astype(float)
         return complete_rows(k[:, None] * a[None, :], strategy, a, comp)
-    axis_fn = aux_axis_alice_nl if protocol == "p2" else aux_axis_alice
+    axis_fn = aux_axis_alice_nl if protocol == "p2" else aux_axis
     axis = _guarded(axis_fn, param, a)
     if axis is None:
         return np.tile(a, (mu_sign.shape[0], 1))
@@ -376,7 +418,7 @@ def bob_direction_rows(
         k = (mu_sign[:, 1] + mu_sign[:, 2] + mu_sign[:, 5]).astype(float)
         comp = mu_sign[:, 6].astype(float) * comp_extra
         return complete_rows(k[:, None] * b_dir[None, :], strategy, b_dir, comp)
-    axis = _guarded(aux_axis_bob, param, b)
+    axis = _guarded(aux_axis, param, b)
     comp = mu_sign[:, 4].astype(float) * comp_extra
     if axis is None:
         return np.tile(b_dir, (mu_sign.shape[0], 1))

@@ -25,17 +25,15 @@ __all__ = [
     "EntanglementParam",
     "Epr2Components",
     "JointDist",
-    "aux_axis_alice",
+    "aux_axis",
     "aux_axis_alice_nl",
-    "aux_axis_bob",
     "chsh_value",
     "correlation",
     "epr2_components",
     "epr2_correlation",
     "epr2_flip_probability",
     "epr2_local_bias",
-    "flip_exact_axis_alice",
-    "flip_exact_axis_bob",
+    "flip_exact_axis",
     "in_slice",
     "joint_local_from_decomposition",
     "joint_local_product",
@@ -163,26 +161,21 @@ def _guard_denominator(c: float, z: float) -> float:
     return den
 
 
-def aux_axis_alice(param: EntanglementParam, a) -> np.ndarray:
-    """Alice's alternate direction for protocol 1: (s ax, s ay, az - c)/(1 - c az)."""
-    a = as_unit_vector(a)
-    c, s = param.cos2g, param.sin2g
-    den = _guard_denominator(c, a[2])
-    return np.array([s * a[0], s * a[1], a[2] - c]) / den
+def aux_axis(param: EntanglementParam, v) -> np.ndarray:
+    """Alternate direction mixed into both parties' sums: (s vx, s vy, vz - c)/(1 - c vz).
 
-
-def aux_axis_bob(param: EntanglementParam, b) -> np.ndarray:
-    """Bob's alternate direction (both protocols): (s bx, s by, bz - c)/(1 - c bz)."""
-    b = as_unit_vector(b)
+    Alice applies it to a in protocol 1, Bob to b in both protocols.
+    """
+    v = as_unit_vector(v)
     c, s = param.cos2g, param.sin2g
-    den = _guard_denominator(c, b[2])
-    return np.array([s * b[0], s * b[1], b[2] - c]) / den
+    den = _guard_denominator(c, v[2])
+    return np.array([s * v[0], s * v[1], v[2] - c]) / den
 
 
 def aux_axis_alice_nl(param: EntanglementParam, a) -> np.ndarray:
     """Alice's alternate direction outside the slice in protocol 2.
 
-    Same as :func:`aux_axis_alice` with the z component negated before the
+    Same as :func:`aux_axis` with the z component negated before the
     shift: (s ax, s ay, c - az)/(1 - c az).
     """
     a = as_unit_vector(a)
@@ -191,26 +184,18 @@ def aux_axis_alice_nl(param: EntanglementParam, a) -> np.ndarray:
     return np.array([s * a[0], s * a[1], c - a[2]]) / den
 
 
-def flip_exact_axis_alice(param: EntanglementParam, a) -> np.ndarray:
-    """Variant of aux_axis_alice whose y sign makes the flip-step identity exact.
+def flip_exact_axis(param: EntanglementParam, v) -> np.ndarray:
+    """Variant of aux_axis whose y sign makes the flip-step identity exact.
 
     With f_a = c*a_z, f_b = c*b_z and pre-flip correlation A~.b, the correlated
     flip lands exactly on the quantum correlation; the construction actually
     used by the protocol differs in the sign of the y component, and the
     residual between the two is part of what the harness reports.
     """
-    a = as_unit_vector(a)
+    v = as_unit_vector(v)
     c, s = param.cos2g, param.sin2g
-    den = _guard_denominator(c, a[2])
-    return np.array([s * a[0], -s * a[1], a[2] - c]) / den
-
-
-def flip_exact_axis_bob(param: EntanglementParam, b) -> np.ndarray:
-    """Mirror of :func:`flip_exact_axis_alice` for Bob's side."""
-    b = as_unit_vector(b)
-    c, s = param.cos2g, param.sin2g
-    den = _guard_denominator(c, b[2])
-    return np.array([s * b[0], -s * b[1], b[2] - c]) / den
+    den = _guard_denominator(c, v[2])
+    return np.array([s * v[0], -s * v[1], v[2] - c]) / den
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +326,12 @@ def joint_local_from_decomposition(param: EntanglementParam, a, b) -> JointDist:
     return JointDist(*loc).validate()
 
 
+def _unit_dot(x: np.ndarray, y: np.ndarray) -> float:
+    # A dot product of unit vectors, clamped: rounding can carry it just
+    # past +-1, and the flip algebra rejects correlations outside [-1, 1].
+    return min(1.0, max(-1.0, float(x @ y)))
+
+
 def pre_flip_correlation_qm(param: EntanglementParam, a, b) -> float:
     """Pre-flip correlation that the (c a_z, c b_z) flip maps exactly onto C.
 
@@ -354,8 +345,8 @@ def pre_flip_correlation_qm(param: EntanglementParam, a, b) -> float:
     if a[2] < 0.0 or b[2] < 0.0:
         raise ValueError("settings must be symmetrized (a_z, b_z >= 0)")
     if a[2] <= b[2]:
-        return float(a @ flip_exact_axis_bob(param, b))
-    return float(flip_exact_axis_alice(param, a) @ b)
+        return _unit_dot(a, flip_exact_axis(param, b))
+    return _unit_dot(flip_exact_axis(param, a), b)
 
 
 def pre_flip_correlation_nl(param: EntanglementParam, a, b) -> float:
@@ -375,14 +366,14 @@ def pre_flip_correlation_nl(param: EntanglementParam, a, b) -> float:
     b_in = in_slice(param, b[2])
     bp = rotate_pi_about_x(b)
     if a_in and b_in:
-        return float(a @ bp)
+        return _unit_dot(a, bp)
     if a_in:
-        return float(a @ flip_exact_axis_bob(param, b))
+        return _unit_dot(a, flip_exact_axis(param, b))
     if b_in:
-        return float(aux_axis_alice_nl(param, a) @ bp)
+        return _unit_dot(aux_axis_alice_nl(param, a), bp)
     if a[2] <= b[2]:
-        return float(a @ flip_exact_axis_bob(param, b))
-    return float(aux_axis_alice_nl(param, a) @ bp)
+        return _unit_dot(a, flip_exact_axis(param, b))
+    return _unit_dot(aux_axis_alice_nl(param, a), bp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Batch execution: deterministic streams, settings sweeps, aggregation.
+"""Batch execution: settings sweeps over deterministic streams.
 
-Every round's randomness comes from a counter-style stream keyed by
-(seed, setting index, chunk index), with the round's offset inside its
-chunk fixed by the layout constant CHUNK.  A worker that is handed chunk k
-of setting i regenerates exactly those rows no matter which thread it runs
-on or how many peers it has, and per-setting aggregation happens on exact
-integer sums, so the report is a pure function of the config.
+Every round's randomness comes from protocols.round_uniform_block, a
+counter-style stream keyed by (seed, setting index, chunk index).  A worker
+that is handed chunk k of setting i regenerates exactly those rows no matter
+which thread it runs on or how many peers it has, and per-setting
+aggregation happens on exact integer sums (verify.ChunkStats), so the report
+is a pure function of the config.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +26,19 @@ from .geometry import (
     sample_unit_sphere,
 )
 from .protocols import (
+    CHUNK,
     PROTOCOL_IDS,
-    UNIFORMS_PER_ROUND,
     RoundRandomness,
+    round_uniform_block,
     run_batch,
 )
 from .quantum import EntanglementParam, JointDist, _joint_from_moments, joint_nl, joint_qm
 from .verify import (
     BranchStat,
+    ChunkStats,
     ComparisonReport,
     SettingComparison,
+    _stats_from_batch,
     compare,
     estimate_joint_from_counts,
     report_csv_rows,
@@ -44,19 +47,12 @@ from .verify import (
 )
 
 __all__ = [
-    "CHUNK",
-    "ChunkStats",
     "ExperimentConfig",
     "load_settings_csv",
     "resolve_settings",
-    "round_uniform_block",
     "run_experiment",
     "write_report",
 ]
-
-# Rows per derived stream key.  Part of the stream layout: changing it
-# changes which uniforms a given round sees, so it is fixed, not tunable.
-CHUNK = 65536
 
 SETTINGS_CSV_HEADER = ["ax", "ay", "az", "bx", "by", "bz"]
 
@@ -118,43 +114,6 @@ class ExperimentConfig:
         return CompletionStrategy(Completion(self.completion))
 
 
-def _chunk_key(seed: int, setting_index: int, chunk_index: int) -> np.ndarray:
-    """128-bit stream key, unique per (seed, setting, chunk).
-
-    The settings draw uses the bare seed (high word 0); setting_index + 1
-    keeps every round-stream key's high word nonzero, so the two can never
-    collide.
-    """
-    if not 0 <= setting_index < 2**32 - 1:
-        raise ValueError(f"setting_index out of range: {setting_index}")
-    if not 0 <= chunk_index < 2**32:
-        raise ValueError(f"chunk_index out of range: {chunk_index}")
-    hi = ((setting_index + 1) << 32) | chunk_index
-    return np.array([seed, hi], dtype=np.uint64)
-
-
-def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -> np.ndarray:
-    """Uniform rows for rounds [start, start + count) of one setting.
-
-    Rows are addressed by absolute round index; any contiguous request
-    returns the same values regardless of how other rounds were or will be
-    generated.  Requests not aligned to the chunk layout pay for the
-    skipped prefix rows.
-    """
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be nonnegative")
-    out = np.empty((count, UNIFORMS_PER_ROUND))
-    filled = 0
-    while filled < count:
-        chunk_index, offset = divmod(start + filled, CHUNK)
-        take = min(CHUNK - offset, count - filled)
-        g = np.random.Generator(np.random.Philox(key=_chunk_key(seed, setting_index, chunk_index)))
-        block = g.random((offset + take, UNIFORMS_PER_ROUND))
-        out[filled : filled + take] = block[offset:]
-        filled += take
-    return out
-
-
 def resolve_settings(config: ExperimentConfig) -> tuple:
     """Materialize the settings list as unit-vector pairs."""
     if config.random_settings:
@@ -203,54 +162,6 @@ def load_settings_csv(path) -> tuple:
     return tuple(pairs)
 
 
-@dataclass
-class ChunkStats:
-    """Exact integer aggregates of a batch; merging is order-independent."""
-
-    n: int = 0
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
-    alpha0_sum: int = 0
-    beta0_sum: int = 0
-    branch: dict = field(default_factory=dict)
-    budget_bad: int = 0
-
-    def add(self, other: "ChunkStats") -> "ChunkStats":
-        self.n += other.n
-        self.counts += other.counts
-        self.alpha0_sum += other.alpha0_sum
-        self.beta0_sum += other.beta0_sum
-        for key, (bn, bsum) in other.branch.items():
-            acc = self.branch.setdefault(key, [0, 0])
-            acc[0] += bn
-            acc[1] += bsum
-        self.budget_bad += other.budget_bad
-        return self
-
-
-def _stats_from_batch(out, expected: tuple[int, int, int]) -> ChunkStats:
-    idx = (out.alpha < 0).astype(np.int64) * 2 + (out.beta < 0)
-    stats = ChunkStats(
-        n=out.n,
-        counts=np.bincount(idx, minlength=4).astype(np.int64),
-        alpha0_sum=int(out.alpha0.sum(dtype=np.int64)),
-        beta0_sum=int(out.beta0.sum(dtype=np.int64)),
-    )
-    prod = out.alpha0.astype(np.int64) * out.beta0
-    for pv in (1, -1):
-        for qv in (1, -1):
-            mask = (out.p == pv) & (out.q == qv)
-            hits = int(np.count_nonzero(mask))
-            if hits:
-                stats.branch[(pv, qv)] = [hits, int(prod[mask].sum())]
-    ok = (
-        (out.cbits_a_to_b == expected[0])
-        & (out.cbits_b_to_a == expected[1])
-        & (out.mbox_calls == expected[2])
-    )
-    stats.budget_bad = int(out.n - np.count_nonzero(ok))
-    return stats
-
-
 def _target_joint(param: EntanglementParam, a, b, protocol: str) -> JointDist:
     if protocol == "p1":
         return joint_qm(param, a, b)
@@ -270,7 +181,6 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     param = config.param()
     strategy = config.strategy()
     settings = resolve_settings(config)
-    expected = (1, 0, 0) if config.protocol == "tb" else (1, 0, 1)
 
     tasks = []
     for si, (a, b) in enumerate(settings):
@@ -283,7 +193,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             round_uniform_block(config.seed, si, start, m)
         )
         out = run_batch(param, a, b, rr, strategy, config.protocol)
-        return si, _stats_from_batch(out, expected)
+        return si, _stats_from_batch(out, config.protocol)
 
     agg = [ChunkStats() for _ in settings]
     if config.workers == 1:

@@ -21,7 +21,7 @@ signs), so aggregation is exact and order-independent by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,16 +34,16 @@ from .geometry import (
     sample_unit_sphere,
     sign_array,
     spherical_grid,
-    unit_vector_from_uniforms,
 )
 from .protocols import (
-    UNIFORMS_PER_ROUND,
+    CHUNK,
     FlipSpec,
     RoundRandomness,
     _gated_extra,
     alice_direction_rows,
     bob_direction_rows,
     correlated_flip,
+    round_uniform_block,
     run_batch,
     symmetrize,
     tb_round,
@@ -51,9 +51,8 @@ from .protocols import (
 from .quantum import (
     EntanglementParam,
     JointDist,
-    aux_axis_alice,
+    aux_axis,
     aux_axis_alice_nl,
-    aux_axis_bob,
     epr2_correlation,
     epr2_flip_probability,
     in_slice,
@@ -68,6 +67,7 @@ from .quantum import (
 __all__ = [
     "BranchStat",
     "CheckResult",
+    "ChunkStats",
     "ComparisonReport",
     "ComparisonRow",
     "Epr2Report",
@@ -359,19 +359,19 @@ def branch_correlation_claim(
     _check_symmetrized(a, b)
     if protocol_id == "p1":
         if p == q:
-            return float(a @ aux_axis_bob(param, b))
-        return float(aux_axis_alice(param, a) @ b)
+            return float(a @ aux_axis(param, b))
+        return float(aux_axis(param, a) @ b)
     b_rot = rotate_pi_about_x(b)
     a_in = in_slice(param, a[2])
     b_in = in_slice(param, b[2])
     if a_in and b_in:
         return float(a @ b_rot)
     if a_in:
-        return float(a @ aux_axis_bob(param, b))
+        return float(a @ aux_axis(param, b))
     if b_in:
         return float(aux_axis_alice_nl(param, a) @ b_rot)
     if p == q:
-        return float(a @ aux_axis_bob(param, b))
+        return float(a @ aux_axis(param, b))
     return float(aux_axis_alice_nl(param, a) @ b_rot)
 
 
@@ -426,19 +426,90 @@ def flip_moments_claim(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo accumulators over the batch engine.
+# The Monte Carlo accumulator over the batch engine.
 # ---------------------------------------------------------------------------
 
-_MC_CHUNK = 1 << 18
+# Resource use every round must report: (cbits A->B, cbits B->A, box calls).
+_EXPECTED_BUDGET = {"p1": (1, 0, 1), "p2": (1, 0, 1), "tb": (1, 0, 0)}
 
 
-def _uniform_chunks(rounds: int, seed: int, chunk: int):
-    g = np.random.Generator(np.random.Philox(key=seed))
-    done = 0
-    while done < rounds:
-        m = min(chunk, rounds - done)
-        yield RoundRandomness.from_uniform_block(g.random((m, UNIFORMS_PER_ROUND)))
-        done += m
+@dataclass
+class ChunkStats:
+    """Exact integer aggregates of a batch; merging is order-independent.
+
+    counts follows JointDist's outcome order; branch maps each realized
+    (p, q) to [rounds, sum of alpha0 * beta0].
+    """
+
+    n: int = 0
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
+    alpha0_sum: int = 0
+    beta0_sum: int = 0
+    branch: dict = field(default_factory=dict)
+    budget_bad: int = 0
+
+    def add(self, other: "ChunkStats") -> "ChunkStats":
+        self.n += other.n
+        self.counts += other.counts
+        self.alpha0_sum += other.alpha0_sum
+        self.beta0_sum += other.beta0_sum
+        for key, (bn, bsum) in other.branch.items():
+            acc = self.branch.setdefault(key, [0, 0])
+            acc[0] += bn
+            acc[1] += bsum
+        self.budget_bad += other.budget_bad
+        return self
+
+
+def _stats_from_batch(out, protocol: str) -> ChunkStats:
+    idx = (out.alpha < 0).astype(np.int64) * 2 + (out.beta < 0)
+    stats = ChunkStats(
+        n=out.n,
+        counts=np.bincount(idx, minlength=4).astype(np.int64),
+        alpha0_sum=int(out.alpha0.sum(dtype=np.int64)),
+        beta0_sum=int(out.beta0.sum(dtype=np.int64)),
+    )
+    prod = out.alpha0.astype(np.int64) * out.beta0
+    for pv in (1, -1):
+        for qv in (1, -1):
+            mask = (out.p == pv) & (out.q == qv)
+            hits = int(np.count_nonzero(mask))
+            if hits:
+                stats.branch[(pv, qv)] = [hits, int(prod[mask].sum())]
+    expected = _EXPECTED_BUDGET[protocol]
+    ok = (
+        (out.cbits_a_to_b == expected[0])
+        & (out.cbits_b_to_a == expected[1])
+        & (out.mbox_calls == expected[2])
+    )
+    stats.budget_bad = int(out.n - np.count_nonzero(ok))
+    return stats
+
+
+def _sample_setting(
+    param: EntanglementParam,
+    a,
+    b,
+    strategy: CompletionStrategy,
+    protocol: str,
+    rounds: int,
+    seed: int,
+    setting_index: int = 0,
+) -> ChunkStats:
+    """Aggregate rounds [0, rounds) of one setting, chunk by chunk.
+
+    The rows come from the addressed stream of (seed, setting_index), so the
+    result equals, integer for integer, the aggregate of that setting in a
+    run_experiment report with the same seed.
+    """
+    stats = ChunkStats()
+    for start in range(0, rounds, CHUNK):
+        rr = RoundRandomness.from_uniform_block(
+            round_uniform_block(seed, setting_index, start, min(CHUNK, rounds - start))
+        )
+        out = run_batch(param, a, b, rr, strategy, protocol)
+        stats.add(_stats_from_batch(out, protocol))
+    return stats
 
 
 def mc_round_moments(
@@ -449,24 +520,18 @@ def mc_round_moments(
     protocol: str,
     rounds: int,
     seed: int,
-    chunk: int = _MC_CHUNK,
 ) -> dict:
-    """Chunked MC means of alpha0, beta0, alpha, beta plus budget violations."""
-    sums = {"alpha0": 0, "beta0": 0, "alpha": 0, "beta": 0}
-    expected = (1, 0, 0) if protocol == "tb" else (1, 0, 1)
-    budget_bad = 0
-    for rr in _uniform_chunks(rounds, seed, chunk):
-        out = run_batch(param, a, b, rr, strategy, protocol)
-        for key in sums:
-            sums[key] += int(getattr(out, key).sum(dtype=np.int64))
-        ok = (
-            (out.cbits_a_to_b == expected[0])
-            & (out.cbits_b_to_a == expected[1])
-            & (out.mbox_calls == expected[2])
-        )
-        budget_bad += int(out.n - np.count_nonzero(ok))
+    """MC means of alpha0, beta0, alpha, beta plus budget violations."""
+    stats = _sample_setting(param, a, b, strategy, protocol, rounds, seed)
+    pp, pm, mp, mm = stats.counts.tolist()
+    sums = {
+        "alpha0": stats.alpha0_sum,
+        "beta0": stats.beta0_sum,
+        "alpha": pp + pm - mp - mm,
+        "beta": pp - pm + mp - mm,
+    }
     result = {key: sign_mean_estimate(total, rounds) for key, total in sums.items()}
-    result["budget_violations"] = budget_bad
+    result["budget_violations"] = stats.budget_bad
     return result
 
 
@@ -478,7 +543,6 @@ def mc_branch_correlations(
     protocol: str,
     rounds: int,
     seed: int,
-    chunk: int = _MC_CHUNK,
 ) -> dict:
     """MC estimate of the pre-flip correlation conditioned on each branch.
 
@@ -486,20 +550,9 @@ def mc_branch_correlations(
     occurred; with the box-bit pairing only two of the four combinations can
     occur at a fixed setting pair.
     """
-    totals: dict[tuple[int, int], list[int]] = {}
-    for rr in _uniform_chunks(rounds, seed, chunk):
-        out = run_batch(param, a, b, rr, strategy, protocol)
-        prod = out.alpha0.astype(np.int64) * out.beta0
-        for pv in (1, -1):
-            for qv in (1, -1):
-                mask = (out.p == pv) & (out.q == qv)
-                hits = int(np.count_nonzero(mask))
-                if hits:
-                    acc = totals.setdefault((pv, qv), [0, 0])
-                    acc[0] += hits
-                    acc[1] += int(prod[mask].sum())
+    stats = _sample_setting(param, a, b, strategy, protocol, rounds, seed)
     return {
-        branch: sign_mean_estimate(total, n) for branch, (n, total) in totals.items()
+        branch: sign_mean_estimate(total, n) for branch, (n, total) in stats.branch.items()
     }
 
 
@@ -843,25 +896,18 @@ def suite_mbox(rounds: int = 1_000_000, seed: int = DEFAULT_SEED) -> list[CheckR
     return checks
 
 
-def _tb_randomness(g: np.random.Generator, n: int) -> RoundRandomness:
-    # Only the two shared unit vectors matter on the kernel path.
-    return RoundRandomness(
-        lam1=unit_vector_from_uniforms(g.random(n), g.random(n)),
-        lam2=unit_vector_from_uniforms(g.random(n), g.random(n)),
-        mu_sign=np.ones((n, 7), dtype=np.int8),
-        flip_r=np.zeros(n),
-        box_u=np.zeros(n),
-        extra=np.ones((n, 2), dtype=np.int8),
-    )
-
-
 def suite_kernel(
     n_pairs: int = 20,
     rounds: int = 1_000_000,
     n_nodes: int = 10_000,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
-    """Kernel triangle: MC, quadrature, and the analytic value u.v agree."""
+    """Kernel triangle: MC, quadrature, and the analytic value u.v agree.
+
+    The aligned check reads setting index 0 of the seed's round streams and
+    pair i reads index i + 1, so each pair's rounds are those a tb run of
+    run_experiment would sample there.
+    """
     g = np.random.Generator(np.random.Philox(key=seed))
     param = EntanglementParam(0.0)
     strategy = _ALL_STRATEGIES[0]
@@ -869,8 +915,9 @@ def suite_kernel(
     exact_one = quadrature_kernel([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], n_nodes=1000)
     pointwise = abs(exact_one - 1.0)
     u0 = sample_unit_sphere(g)
-    for _ in range(100):
-        alpha, beta, _ = tb_round(u0, u0, sample_unit_sphere(g), sample_unit_sphere(g))
+    aligned = RoundRandomness.from_uniform_block(round_uniform_block(seed, 0, 0, 100))
+    for lam1, lam2 in zip(aligned.lam1, aligned.lam2):
+        alpha, beta, _ = tb_round(u0, u0, lam1, lam2)
         if alpha * beta != 1:
             pointwise = math.inf
     checks = [
@@ -886,13 +933,9 @@ def suite_kernel(
     worst_z = 0.0
     worst_quad = 0.0
     for i, (u, v) in enumerate(pairs):
-        total = 0
-        done = 0
-        while done < rounds:
-            m = min(_MC_CHUNK, rounds - done)
-            out = run_batch(param, u, v, _tb_randomness(g, m), strategy, "tb")
-            total += int((out.alpha.astype(np.int64) * out.beta).sum())
-            done += m
+        stats = _sample_setting(param, u, v, strategy, "tb", rounds, seed, setting_index=i + 1)
+        pp, pm, mp, mm = stats.counts.tolist()
+        total = pp - pm - mp + mm
         est = sign_mean_estimate(total, rounds)
         analytic = float(u @ v)
         z = abs(est.mean - analytic) / _z_floor(est.stderr, rounds)

@@ -20,7 +20,7 @@ from mboxsim.protocols import (
     symmetrize,
     tb_round,
 )
-from mboxsim.quantum import EntanglementParam, aux_axis_bob
+from mboxsim.quantum import EntanglementParam, aux_axis
 
 PI8 = math.pi / 8
 PI4 = math.pi / 4
@@ -46,11 +46,16 @@ class TestSharedRandomness:
         shared = shared_from({})
         assert shared.lambda1 == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
         assert shared.lambda2 == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
-        assert shared.mu.shape == (7, 3)
-        assert np.allclose(shared.mu[:, 2], 1.0)
+        assert shared.mu_sign == (1,) * 7
         assert shared.flip_r == 0.0
         assert shared.box_u == 0.0
         assert shared.extra_signs == (1, 1)
+
+    def test_mu_sign_slots(self):
+        # polar slots 4, 6, ..., 16 carry the signs (u <= 1/2 means z >= 0);
+        # the azimuth slots between them are never read
+        shared = shared_from({4: 0.9, 5: 0.9, 10: 0.5, 16: 0.51})
+        assert shared.mu_sign == (-1, 1, 1, 1, 1, 1, -1)
 
     def test_slot_18_is_flip_and_19_is_box(self):
         shared = shared_from({18: 0.25, 19: 0.75})
@@ -68,24 +73,43 @@ class TestSharedRandomness:
         with pytest.raises(ValueError):
             dataclasses.replace(ok, flip_r=1.0)
         with pytest.raises(ValueError):
-            dataclasses.replace(ok, mu=np.zeros((7, 3)))
+            dataclasses.replace(ok, mu_sign=(0, 1, 1, 1, 1, 1, 1))
+        with pytest.raises(ValueError):
+            dataclasses.replace(ok, mu_sign=(1,) * 6)
         with pytest.raises(ValueError):
             dataclasses.replace(ok, extra_signs=(0, 1))
         with pytest.raises(ValueError):
             dataclasses.replace(ok, lambda1=np.array([0.0, 0.0, 2.0]))
+        assert dataclasses.replace(ok, mu_sign=np.array([-1] * 7)).mu_sign == (-1,) * 7
 
     def test_draw_is_deterministic_in_the_stream(self):
         a = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=5)))
         b = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=5)))
         assert np.array_equal(a.lambda1, b.lambda1)
-        assert np.array_equal(a.mu, b.mu)
+        assert a.mu_sign == b.mu_sign
         assert a.flip_r == b.flip_r
 
     def test_round_randomness_views_agree(self):
-        shared = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=6)))
-        rr = RoundRandomness.from_shared(shared)
-        assert rr.n == 1
-        assert np.array_equal(rr.mu_sign[0], np.sign(shared.mu[:, 2]).astype(np.int8))
+        # a scalar round is a batch of one: expanding each row on its own
+        # and expanding the block give bit-identical randomness and rounds
+        g = np.random.Generator(np.random.Philox(key=6))
+        u = g.random((40, UNIFORMS_PER_ROUND))
+        u[0, 4:22] = 0.5
+        block = RoundRandomness.from_uniform_block(u)
+        param = EntanglementParam(PI8)
+        a, b = [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]
+        for i, row in enumerate(u):
+            rr = RoundRandomness.from_shared(SharedRandomness.from_uniforms(row))
+            assert rr.n == 1
+            for name in ("lam1", "lam2", "mu_sign", "flip_r", "box_u", "extra"):
+                assert np.array_equal(getattr(rr, name)[0], getattr(block, name)[i]), name
+        for protocol in PROTOCOL_IDS:
+            whole = run_batch(param, a, b, block, ORTHO, protocol)
+            for i, row in enumerate(u):
+                rr = RoundRandomness.from_shared(SharedRandomness.from_uniforms(row))
+                one = run_batch(param, a, b, rr, ORTHO, protocol)
+                for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
+                    assert getattr(one, name)[0] == getattr(whole, name)[i], (protocol, name)
 
     def test_uniform_block_sign_slots(self):
         u = np.zeros((3, UNIFORMS_PER_ROUND))
@@ -196,7 +220,7 @@ class TestDirectionConstruction:
         b = X_HAT
         plus = build_v(param, b, 1, shared_from({4: 0.9}), ORTHO)
         minus = build_v(param, b, 1, shared_from({4: 0.9, 12: 0.9}), ORTHO)
-        w = b - aux_axis_bob(param, b)
+        w = b - aux_axis(param, b)
         assert np.linalg.norm(w) < 1.0
         assert plus + minus == pytest.approx((2.0 * w).tolist(), abs=1e-12)
         assert np.linalg.norm(plus) == pytest.approx(1.0, abs=1e-12)

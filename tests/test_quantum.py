@@ -8,16 +8,14 @@ from mboxsim.quantum import (
     DegenerateAxisError,
     EntanglementParam,
     JointDist,
-    aux_axis_alice,
+    aux_axis,
     aux_axis_alice_nl,
-    aux_axis_bob,
     chsh_value,
     correlation,
     epr2_correlation,
     epr2_flip_probability,
     epr2_local_bias,
-    flip_exact_axis_alice,
-    flip_exact_axis_bob,
+    flip_exact_axis,
     in_slice,
     joint_local_from_decomposition,
     joint_local_product,
@@ -131,17 +129,24 @@ class TestCorrelation:
 
 class TestAuxAxes:
     def test_bob_fixes_z(self):
-        v = aux_axis_bob(EntanglementParam(PI8), Z_HAT)
+        v = aux_axis(EntanglementParam(PI8), Z_HAT)
         assert v == pytest.approx([0.0, 0.0, 1.0])
 
     def test_alice_identity_at_pi_over_4(self):
         param = EntanglementParam(PI4)
         for a, _ in random_settings(10, key=23):
-            assert aux_axis_alice(param, a) == pytest.approx(a.tolist(), abs=1e-12)
+            assert aux_axis(param, a) == pytest.approx(a.tolist(), abs=1e-12)
 
     def test_alice_x_hat(self):
-        v = aux_axis_alice(EntanglementParam(PI8), X_HAT)
+        v = aux_axis(EntanglementParam(PI8), X_HAT)
         assert v == pytest.approx([0.7071068, 0.0, -0.7071068], abs=1e-7)
+
+    def test_flip_exact_axis_negates_y_only(self):
+        param = EntanglementParam(PI8)
+        for a, _ in random_settings(10, key=25):
+            want = aux_axis(param, a) * np.array([1.0, -1.0, 1.0])
+            assert flip_exact_axis(param, a) == pytest.approx(want.tolist(), abs=1e-15)
+        assert flip_exact_axis(param, Z_HAT) == pytest.approx([0.0, 0.0, 1.0])
 
     def test_alice_nl_z_hat(self):
         assert aux_axis_alice_nl(EntanglementParam(PI4), Z_HAT) == pytest.approx([0.0, 0.0, -1.0])
@@ -156,14 +161,14 @@ class TestAuxAxes:
             if 1.0 - param.cos2g * a[2] < 1e-6:
                 continue
             n_checked += 1
-            for axis in (aux_axis_alice, aux_axis_bob, aux_axis_alice_nl,
-                         flip_exact_axis_alice, flip_exact_axis_bob):
+            for axis in (aux_axis, aux_axis_alice_nl, flip_exact_axis):
                 assert np.linalg.norm(axis(param, a)) == pytest.approx(1.0, abs=1e-9)
         assert n_checked > 9000
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateAxisError):
-            aux_axis_alice(EntanglementParam(0.0), Z_HAT)
+        for axis in (aux_axis, aux_axis_alice_nl, flip_exact_axis):
+            with pytest.raises(DegenerateAxisError):
+                axis(EntanglementParam(0.0), Z_HAT)
 
 
 class TestRotatePiAboutX:
@@ -350,6 +355,14 @@ class TestPreFlipCorrelation:
                 got = min(fa, fb) + (1 - max(fa, fb)) * c0
                 want = epr2_correlation(param, a, b)
                 assert got == pytest.approx(want, abs=1e-12)
+
+    def test_rounding_is_clamped_to_unit_interval(self):
+        # Both settings sit inside the band at pi/8, so c0 = a . rot(b), which
+        # rounds to -1.0000000000000002 unless clamped.
+        param = EntanglementParam(PI8)
+        a = np.array([-0.9498845440455933, -0.312444417695568, 0.009891351483639507])
+        b = np.array([0.9498845440455933, -0.312444417695568, 0.009891351483639507])
+        assert pre_flip_correlation_nl(param, a, b) == -1.0
 
 
 class TestChsh:

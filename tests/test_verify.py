@@ -7,8 +7,18 @@ import pytest
 
 from mboxsim.boxes import ResourceLedger
 from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Y_HAT, Z_HAT
-from mboxsim.protocols import RoundRandomness, RoundTranscript, UNIFORMS_PER_ROUND, run_batch
-from mboxsim.quantum import EntanglementParam, JointDist, aux_axis_bob, joint_qm, rotate_pi_about_x
+from mboxsim.protocols import CHUNK, RoundRandomness, RoundTranscript, UNIFORMS_PER_ROUND, run_batch
+from mboxsim.quantum import (
+    EntanglementParam,
+    JointDist,
+    aux_axis,
+    epr2_correlation,
+    epr2_flip_probability,
+    joint_qm,
+    pre_flip_correlation_nl,
+    rotate_pi_about_x,
+)
+from mboxsim.runtime import ExperimentConfig, run_experiment
 from mboxsim.verify import (
     CheckResult,
     DEFAULT_SEED,
@@ -247,7 +257,7 @@ class TestBranchClaim:
         a = np.array([0.6, 0.0, 0.8])
         b = np.array([0.0, 0.6, 0.8])
         same = branch_correlation_claim(param, a, b, 1, 1, "p1")
-        assert same == pytest.approx(float(a @ aux_axis_bob(param, b)))
+        assert same == pytest.approx(float(a @ aux_axis(param, b)))
 
     def test_p2_in_band_form(self):
         param = EntanglementParam(PI8)
@@ -268,6 +278,17 @@ class TestFlipMoments:
     def test_corners(self):
         assert flip_moments_exact(0.25, 0.0, 0.0) == (0, 0, Fraction(0.25))
         assert flip_moments_exact(-0.5, 1.0, 1.0) == (1, 1, 1)
+
+    def test_pre_flip_rounding_regression(self):
+        # both settings inside the band at pi/8: a . rot(b) rounds past -1
+        param = EntanglementParam(PI8)
+        a = np.array([-0.9498845440455933, -0.312444417695568, 0.009891351483639507])
+        b = np.array([0.9498845440455933, -0.312444417695568, 0.009891351483639507])
+        c0 = pre_flip_correlation_nl(param, a, b)
+        f_a = epr2_flip_probability(param, a[2])
+        f_b = epr2_flip_probability(param, b[2])
+        _, _, m_ab = flip_moments_exact(c0, f_a, f_b)
+        assert float(m_ab) == pytest.approx(epr2_correlation(param, a, b), abs=1e-12)
 
     def test_returns_fractions(self):
         moments = flip_moments_exact(0.5, 0.25, 0.75)
@@ -290,6 +311,33 @@ class TestMcRoundMoments:
         band = 4.5 * max(result["alpha0"].stderr, 1.0 / 50_000)
         assert abs(result["alpha0"].mean) <= band
         assert abs(result["beta0"].mean) <= band
+
+
+class TestSharedStream:
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "tb"])
+    def test_mc_matches_run_experiment(self, protocol):
+        # verify's Monte Carlo samples the very rounds run_experiment does:
+        # same addressed chunks, same integer sums, across a chunk boundary
+        param = EntanglementParam(PI8)
+        a, b = [0.6, 0.0, 0.8], [0.0, 0.8, -0.6]
+        rounds, seed = CHUNK + 2048, 88
+        report = run_experiment(ExperimentConfig(
+            protocol=protocol, gamma=PI8, rounds=rounds, seed=seed,
+            completion="ortho-sign", settings=((a, b),),
+        ))
+        rec = report.records[0]
+        pp, pm, mp, mm = rec.row.empirical.counts
+        moments = mc_round_moments(param, a, b, ORTHO_SIGN, protocol, rounds, seed)
+        assert moments["alpha0"] == rec.alpha0
+        assert moments["beta0"] == rec.beta0
+        assert moments["alpha"] == sign_mean_estimate(pp + pm - mp - mm, rounds)
+        assert moments["beta"] == sign_mean_estimate(pp - pm + mp - mm, rounds)
+        assert moments["budget_violations"] == rec.budget_violations
+        branches = mc_branch_correlations(param, a, b, ORTHO_SIGN, protocol, rounds, seed)
+        assert {(p, q): (est.n, est.mean) for (p, q), est in branches.items()} == {
+            (br.p, br.q): (br.n, br.corr_mean) for br in rec.branches
+        }
+        assert len(branches) == (0 if protocol == "tb" else 2)
 
 
 class TestEpr2Suite:
