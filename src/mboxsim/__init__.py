@@ -8,14 +8,7 @@ local/nonlocal split, deterministic batch execution, and a verification
 layer whose oracles are independent of the sampling paths they check.
 """
 
-from .boxes import (
-    MBoxOutcome,
-    ResourceLedger,
-    compare_bit,
-    mbox_call,
-    outcome_from_uniform,
-    send_cbit,
-)
+from .boxes import MBoxOutcome, compare_bit, outcome_from_uniform
 from .geometry import (
     Completion,
     CompletionStrategy,
@@ -79,7 +72,7 @@ from .verify import (
     quadrature_kernel,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CheckResult",
@@ -94,7 +87,6 @@ __all__ = [
     "JointDist",
     "JointEstimate",
     "MBoxOutcome",
-    "ResourceLedger",
     "RoundTranscript",
     "SharedRandomness",
     "as_unit_vector",
@@ -123,7 +115,6 @@ __all__ = [
     "joint_nl",
     "joint_qm",
     "load_settings_csv",
-    "mbox_call",
     "outcome_from_uniform",
     "protocol1_round",
     "protocol2_round",
@@ -132,7 +123,6 @@ __all__ = [
     "run_batch",
     "run_experiment",
     "sample_unit_sphere",
-    "send_cbit",
     "sgn",
     "slice_threshold",
     "spherical_grid",

@@ -1,21 +1,23 @@
-"""Primitive round resources: the comparison box and a per-round usage ledger.
+"""The comparison box ("M box"), called once per round by protocols p1 and p2.
 
-The comparison box ("M box") takes one real input from each side, x and y in
-[0, 1], and hands back one bit to each side.  Alice's bit m is a fair coin
-drawn from the box's private randomness; Bob's bit is n = m XOR [x <= y], with
-the comparison counting equality as true.  Each output alone is an unbiased
-coin whatever the inputs, so neither side can signal through the box; only the
-pair (m, n) carries the comparison.
+The box takes one real input from each side, x and y in [0, 1], and hands
+back one bit to each side.  Alice's bit m is a fair coin drawn from the box's
+private randomness; Bob's bit is n = m XOR [x <= y], with the comparison
+counting equality as true.  Each output alone is an unbiased coin whatever the
+inputs, so neither side can signal through the box; only the pair (m, n)
+carries the comparison.
 
-The ledger enforces the per-round budget the protocols are allowed: one
-classical bit from Alice to Bob, nothing back, and one box call.
+The batch engine (protocols.run_batch) applies this contract row-wise
+instead of calling outcome_from_uniform.  Acceptance criterion 9 checks on
+every row that the two agree, and that Bob's outputs see Alice's setting only
+through the box and the one cbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["MBoxOutcome", "ResourceLedger", "compare_bit", "mbox_call", "send_cbit"]
+__all__ = ["MBoxOutcome", "compare_bit", "outcome_from_uniform"]
 
 
 @dataclass(frozen=True)
@@ -36,23 +38,6 @@ class MBoxOutcome:
         return 2 * self.n - 1
 
 
-@dataclass
-class ResourceLedger:
-    """Per-round usage counters with hard caps of one cbit and one box call.
-
-    There is deliberately no way to record communication from Bob to Alice;
-    cbits_b_to_a exists only so the budget can be reported as a triple and
-    asserted to stay at zero.
-    """
-
-    cbits_a_to_b: int = 0
-    cbits_b_to_a: int = 0
-    mbox_calls: int = 0
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.cbits_a_to_b, self.cbits_b_to_a, self.mbox_calls)
-
-
 def compare_bit(x: float, y: float) -> int:
     """The bit the box correlates on: 1 iff x <= y (equality counts)."""
     return 1 if x <= y else 0
@@ -71,30 +56,3 @@ def outcome_from_uniform(x: float, y: float, u: float) -> MBoxOutcome:
         raise ValueError(f"box uniform must lie in [0, 1), got {u}")
     m = 1 if u < 0.5 else 0
     return MBoxOutcome(m=m, n=m ^ compare_bit(x, y))
-
-
-def mbox_call(x: float, y: float, stream, ledger: ResourceLedger) -> MBoxOutcome:
-    """Invoke the comparison box once, counting it against the round budget.
-
-    ``stream`` supplies the box's private coin: either a numpy Generator
-    (drawn from) or a single pre-drawn uniform in [0, 1) when the caller keeps
-    all round randomness in one reproducible bundle.  Marginally each of m, n
-    is a fair coin in that uniform; jointly the bits disagree exactly when
-    x <= y, i.e. p*q = 1 - 2*[x <= y].
-    """
-    if ledger.mbox_calls >= 1:
-        raise RuntimeError("round budget exceeded: second box call")
-    u = float(stream) if isinstance(stream, (int, float)) else float(stream.random())
-    out = outcome_from_uniform(x, y, u)
-    ledger.mbox_calls += 1
-    return out
-
-
-def send_cbit(bit: int, ledger: ResourceLedger) -> int:
-    """Record Alice -> Bob communication of one bit (as a sign, +1 or -1)."""
-    if bit not in (-1, 1):
-        raise ValueError(f"cbit must be a sign, got {bit}")
-    if ledger.cbits_a_to_b >= 1:
-        raise RuntimeError("round budget exceeded: second classical bit")
-    ledger.cbits_a_to_b += 1
-    return bit

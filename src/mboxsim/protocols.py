@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import ResourceLedger, compare_bit, mbox_call, send_cbit
+from .boxes import compare_bit
 from .geometry import (
     Completion,
     CompletionStrategy,
@@ -183,17 +183,14 @@ class SharedRandomness:
         u = np.asarray(u, dtype=float)
         if u.shape != (UNIFORMS_PER_ROUND,):
             raise ValueError(f"expected {UNIFORMS_PER_ROUND} uniforms, got {u.shape}")
+        rr = RoundRandomness.from_uniform_block(u[None])
         return cls(
-            lambda1=unit_vector_from_uniforms(u[0], u[1]),
-            lambda2=unit_vector_from_uniforms(u[2], u[3]),
-            # same rule as RoundRandomness.from_uniform_block
-            mu_sign=tuple(1 if x <= 0.5 else -1 for x in u[4:18:2]),
-            flip_r=float(u[18]),
-            extra_signs=(
-                1 if u[20] <= 0.5 else -1,
-                1 if u[21] <= 0.5 else -1,
-            ),
-            box_u=float(u[19]),
+            lambda1=rr.lam1[0],
+            lambda2=rr.lam2[0],
+            mu_sign=tuple(rr.mu_sign[0].tolist()),
+            flip_r=float(rr.flip_r[0]),
+            extra_signs=tuple(rr.extra[0].tolist()),
+            box_u=float(rr.box_u[0]),
         )
 
     @classmethod
@@ -225,7 +222,6 @@ class RoundTranscript:
     flipped_beta: bool
     alpha: int
     beta: int
-    ledger: ResourceLedger
 
 
 @dataclass
@@ -288,9 +284,6 @@ class BatchOutcome:
     cbit: np.ndarray
     flipped_alpha: np.ndarray
     flipped_beta: np.ndarray
-    cbits_a_to_b: np.ndarray
-    cbits_b_to_a: np.ndarray
-    mbox_calls: np.ndarray
 
     @property
     def n(self) -> int:
@@ -495,8 +488,6 @@ def run_batch(
     a = as_unit_vector(a)
     b = as_unit_vector(b)
     n = rr.n
-    ones8 = np.ones(n, dtype=np.uint8)
-    zeros8 = np.zeros(n, dtype=np.uint8)
 
     if protocol == "tb":
         alpha = sign_array(rr.lam1 @ a)
@@ -508,7 +499,6 @@ def run_batch(
             alpha=alpha, beta=beta, alpha0=alpha, beta0=beta,
             p=zero_sign, q=zero_sign, cbit=cbit,
             flipped_alpha=no_flip, flipped_beta=no_flip,
-            cbits_a_to_b=ones8, cbits_b_to_a=zeros8, mbox_calls=zeros8,
         )
 
     if protocol == "p2" and param.sin2g <= 0.0:
@@ -547,7 +537,6 @@ def run_batch(
         alpha0=alpha0, beta0=beta0,
         p=p, q=q, cbit=cbit,
         flipped_alpha=flipped_a, flipped_beta=flipped_b,
-        cbits_a_to_b=ones8, cbits_b_to_a=zeros8, mbox_calls=ones8,
     )
 
 
@@ -555,24 +544,13 @@ def _scalar_round(param, a, b, shared, strategy, protocol) -> RoundTranscript:
     a = as_unit_vector(a)
     b = as_unit_vector(b)
     out = run_batch(param, a, b, RoundRandomness.from_shared(shared), strategy, protocol)
-
-    # Replay the resource stage through the boxes API so the budget caps are
-    # exercised for real, not just counted.
-    a1, b1, _, _ = symmetrize(a, b)
-    ledger = ResourceLedger()
-    box = mbox_call(a1[2], b1[2], shared.box_u, ledger)
-    cbit = send_cbit(int(out.cbit[0]), ledger)
-    if box.p != int(out.p[0]):
-        raise RuntimeError("engine and box disagree on p; stream misrouted")
-
     return RoundTranscript(
         a=a, b=b, gamma=param.gamma, protocol=protocol, strategy=strategy.tag.value,
-        p=int(out.p[0]), q=int(out.q[0]), cbit=cbit,
+        p=int(out.p[0]), q=int(out.q[0]), cbit=int(out.cbit[0]),
         alpha0=int(out.alpha0[0]), beta0=int(out.beta0[0]),
         flipped_alpha=bool(out.flipped_alpha[0]),
         flipped_beta=bool(out.flipped_beta[0]),
         alpha=int(out.alpha[0]), beta=int(out.beta[0]),
-        ledger=ledger,
     )
 
 

@@ -193,7 +193,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             round_uniform_block(config.seed, si, start, m)
         )
         out = run_batch(param, a, b, rr, strategy, config.protocol)
-        return si, _stats_from_batch(out, config.protocol)
+        return si, _stats_from_batch(out)
 
     agg = [ChunkStats() for _ in settings]
     if config.workers == 1:
@@ -218,8 +218,11 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             beta0 = None
         branches = []
         for (pv, qv), (bn, bsum) in sorted(stats.branch.items()):
-            mean = bsum / bn
-            stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / (bn - 1)) if bn > 1 else 0.0
+            if bn >= 2:
+                est = sign_mean_estimate(bsum, bn)
+                mean, stderr = est.mean, est.stderr
+            else:
+                mean, stderr = bsum / bn, 0.0
             branches.append(BranchStat(p=pv, q=qv, n=bn, corr_mean=mean, corr_stderr=stderr))
         records.append(
             SettingComparison(
@@ -229,7 +232,6 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
                 alpha0=alpha0,
                 beta0=beta0,
                 branches=tuple(branches),
-                budget_violations=stats.budget_bad,
             )
         )
 

@@ -429,10 +429,6 @@ def flip_moments_claim(
 # The Monte Carlo accumulator over the batch engine.
 # ---------------------------------------------------------------------------
 
-# Resource use every round must report: (cbits A->B, cbits B->A, box calls).
-_EXPECTED_BUDGET = {"p1": (1, 0, 1), "p2": (1, 0, 1), "tb": (1, 0, 0)}
-
-
 @dataclass
 class ChunkStats:
     """Exact integer aggregates of a batch; merging is order-independent.
@@ -446,7 +442,6 @@ class ChunkStats:
     alpha0_sum: int = 0
     beta0_sum: int = 0
     branch: dict = field(default_factory=dict)
-    budget_bad: int = 0
 
     def add(self, other: "ChunkStats") -> "ChunkStats":
         self.n += other.n
@@ -457,11 +452,10 @@ class ChunkStats:
             acc = self.branch.setdefault(key, [0, 0])
             acc[0] += bn
             acc[1] += bsum
-        self.budget_bad += other.budget_bad
         return self
 
 
-def _stats_from_batch(out, protocol: str) -> ChunkStats:
+def _stats_from_batch(out) -> ChunkStats:
     idx = (out.alpha < 0).astype(np.int64) * 2 + (out.beta < 0)
     stats = ChunkStats(
         n=out.n,
@@ -476,13 +470,6 @@ def _stats_from_batch(out, protocol: str) -> ChunkStats:
             hits = int(np.count_nonzero(mask))
             if hits:
                 stats.branch[(pv, qv)] = [hits, int(prod[mask].sum())]
-    expected = _EXPECTED_BUDGET[protocol]
-    ok = (
-        (out.cbits_a_to_b == expected[0])
-        & (out.cbits_b_to_a == expected[1])
-        & (out.mbox_calls == expected[2])
-    )
-    stats.budget_bad = int(out.n - np.count_nonzero(ok))
     return stats
 
 
@@ -508,7 +495,7 @@ def _sample_setting(
             round_uniform_block(seed, setting_index, start, min(CHUNK, rounds - start))
         )
         out = run_batch(param, a, b, rr, strategy, protocol)
-        stats.add(_stats_from_batch(out, protocol))
+        stats.add(_stats_from_batch(out))
     return stats
 
 
@@ -521,7 +508,7 @@ def mc_round_moments(
     rounds: int,
     seed: int,
 ) -> dict:
-    """MC means of alpha0, beta0, alpha, beta plus budget violations."""
+    """MC means of the pre-flip outputs alpha0, beta0 and the final alpha, beta."""
     stats = _sample_setting(param, a, b, strategy, protocol, rounds, seed)
     pp, pm, mp, mm = stats.counts.tolist()
     sums = {
@@ -530,9 +517,7 @@ def mc_round_moments(
         "alpha": pp + pm - mp - mm,
         "beta": pp - pm + mp - mm,
     }
-    result = {key: sign_mean_estimate(total, rounds) for key, total in sums.items()}
-    result["budget_violations"] = stats.budget_bad
-    return result
+    return {key: sign_mean_estimate(total, rounds) for key, total in sums.items()}
 
 
 def mc_branch_correlations(
@@ -746,7 +731,6 @@ class SettingComparison:
     alpha0: EstimateWithError | None
     beta0: EstimateWithError | None
     branches: tuple[BranchStat, ...]
-    budget_violations: int
 
 
 @dataclass(frozen=True)
@@ -768,10 +752,6 @@ class ComparisonReport:
     @property
     def max_abs_z(self) -> float:
         return max((r.row.max_abs_z for r in self.records), default=0.0)
-
-    @property
-    def budget_violations(self) -> int:
-        return sum(r.budget_violations for r in self.records)
 
 
 def report_to_json_dict(report: ComparisonReport) -> dict:
@@ -808,7 +788,6 @@ def report_to_json_dict(report: ComparisonReport) -> dict:
                     }
                     for br in rec.branches
                 ],
-                "budget_violations": rec.budget_violations,
             }
         )
     return {
@@ -824,7 +803,6 @@ def report_to_json_dict(report: ComparisonReport) -> dict:
             "n_settings": len(report.records),
             "max_tv": report.max_tv,
             "max_abs_z": report.max_abs_z,
-            "budget_violations": report.budget_violations,
         },
         "records": records,
     }
@@ -835,7 +813,7 @@ _CSV_HEADER = [
     "n", "tv", "max_abs_z",
     "target_pp", "target_pm", "target_mp", "target_mm",
     "emp_pp", "emp_pm", "emp_mp", "emp_mm",
-    "alpha0_mean", "beta0_mean", "budget_violations",
+    "alpha0_mean", "beta0_mean",
 ]
 
 
@@ -854,7 +832,6 @@ def report_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
             + target
             + emp
             + pre
-            + [rec.budget_violations]
         )
     return list(_CSV_HEADER), rows
 

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from mboxsim import __version__
 from mboxsim.cli import main, report_schema
-from mboxsim.runtime import SETTINGS_CSV_HEADER
+from mboxsim.runtime import CHUNK, SETTINGS_CSV_HEADER
 
 PI8 = math.pi / 8
 
@@ -79,6 +83,42 @@ class TestSimulate:
         argv = simulate_args(tmp_path, **{"--settings": str(tmp_path / "nope.csv")})
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestGoldenReports:
+    # SHA-256 of the JSON and CSV reports of a small run that crosses a chunk
+    # boundary.  A change to these bytes is a report format or stream break:
+    # bump the package version and pin the new digests.
+    GOLDEN = {
+        ("p1", "ortho-sign"): (
+            "ab33cc849224fb950fb2e0f3a473e93b63aac984911857fedf5302fe8b0140d0",
+            "18a6448645db664a4aa1730fa5019b0a829e5c8d94824c4e10e83ecb01853d55",
+        ),
+        ("p2", "ortho"): (
+            "e89fbf972101de8230d09a9319d3d124e937969559ed8be4260c6d591b70ea2d",
+            "549460180d6108776a25ed6a4d2321ee5c77d4634e20b1bbfcba7347feb948cd",
+        ),
+        ("tb", "normalize"): (
+            "0f5d8ac80f700b12b74b391c49080fa1a5cd4d56aee82ef8321f3831caf7ab0d",
+            "de340353a078f997f62d5f587e4cb76a0a489dd7c51af312ef69894db24d09be",
+        ),
+    }
+
+    def test_version_matches_pyproject(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == __version__
+
+    @pytest.mark.parametrize("protocol,completion", sorted(GOLDEN))
+    def test_report_digests(self, tmp_path, protocol, completion):
+        out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+        argv = simulate_args(tmp_path, **{
+            "--protocol": protocol, "--gamma": repr(PI8), "--settings": "random:3",
+            "--rounds": str(CHUNK + 2048), "--seed": "20260816",
+            "--completion": completion, "--out": str(out), "--csv": str(csv_path),
+        })
+        assert main(argv) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, csv_path))
+        assert digests == self.GOLDEN[(protocol, completion)]
 
 
 class TestVerify:

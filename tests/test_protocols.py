@@ -261,16 +261,6 @@ class TestRunBatch:
         assert not np.any(out.flipped_alpha & (out.alpha0 == 1))
         assert not np.any(out.flipped_beta & (out.beta0 == 1))
 
-    def test_budget_columns(self):
-        rr = random_rr(1000, key=64)
-        out = run_batch(EntanglementParam(PI8), Z_HAT, X_HAT, rr, NORMALIZE, "p1")
-        assert np.all(out.cbits_a_to_b == 1)
-        assert np.all(out.cbits_b_to_a == 0)
-        assert np.all(out.mbox_calls == 1)
-        tb = run_batch(EntanglementParam(PI8), Z_HAT, X_HAT, rr, NORMALIZE, "tb")
-        assert np.all(tb.mbox_calls == 0)
-        assert np.all(tb.cbits_a_to_b == 1)
-
     def test_branch_sign_tracks_comparison(self):
         rr = random_rr(200, key=65)
         param = EntanglementParam(PI8)
@@ -316,10 +306,9 @@ class TestRunBatch:
 
 
 class TestScalarRounds:
-    def test_transcript_budget_and_fields(self):
+    def test_transcript_fields(self):
         shared = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=71)))
         t = protocol1_round(EntanglementParam(PI8), [0.6, 0.0, 0.8], Z_HAT, shared, NORMALIZE)
-        assert t.ledger.as_tuple() == (1, 0, 1)
         assert t.protocol == "p1"
         assert t.strategy == "normalize"
         assert t.alpha in (-1, 1) and t.beta in (-1, 1)

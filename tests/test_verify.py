@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mboxsim.boxes import ResourceLedger
 from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Y_HAT, Z_HAT
 from mboxsim.protocols import CHUNK, RoundRandomness, RoundTranscript, UNIFORMS_PER_ROUND, run_batch
 from mboxsim.quantum import (
@@ -68,7 +67,6 @@ def fake_transcript(a, b, alpha, beta):
         flipped_beta=False,
         alpha=alpha,
         beta=beta,
-        ledger=ResourceLedger(1, 0, 1),
     )
 
 
@@ -298,12 +296,12 @@ class TestFlipMoments:
 
 
 class TestMcRoundMoments:
-    def test_shape_and_budget(self):
+    def test_shape(self):
         result = mc_round_moments(
             EntanglementParam(PI8), [0.6, 0.0, 0.8], Z_HAT, NORMALIZE, "p1",
             rounds=50_000, seed=86,
         )
-        assert result["budget_violations"] == 0
+        assert set(result) == {"alpha0", "beta0", "alpha", "beta"}
         for key in ("alpha0", "beta0", "alpha", "beta"):
             est = result[key]
             assert est.n == 50_000
@@ -317,27 +315,28 @@ class TestSharedStream:
     @pytest.mark.parametrize("protocol", ["p1", "p2", "tb"])
     def test_mc_matches_run_experiment(self, protocol):
         # verify's Monte Carlo samples the very rounds run_experiment does:
-        # same addressed chunks, same integer sums, across a chunk boundary
+        # same addressed chunks, same integer sums, across a chunk boundary,
+        # and the report's branch estimates use the same stderr formula
         param = EntanglementParam(PI8)
         a, b = [0.6, 0.0, 0.8], [0.0, 0.8, -0.6]
         rounds, seed = CHUNK + 2048, 88
-        report = run_experiment(ExperimentConfig(
-            protocol=protocol, gamma=PI8, rounds=rounds, seed=seed,
-            completion="ortho-sign", settings=((a, b),),
-        ))
-        rec = report.records[0]
-        pp, pm, mp, mm = rec.row.empirical.counts
-        moments = mc_round_moments(param, a, b, ORTHO_SIGN, protocol, rounds, seed)
-        assert moments["alpha0"] == rec.alpha0
-        assert moments["beta0"] == rec.beta0
-        assert moments["alpha"] == sign_mean_estimate(pp + pm - mp - mm, rounds)
-        assert moments["beta"] == sign_mean_estimate(pp - pm + mp - mm, rounds)
-        assert moments["budget_violations"] == rec.budget_violations
-        branches = mc_branch_correlations(param, a, b, ORTHO_SIGN, protocol, rounds, seed)
-        assert {(p, q): (est.n, est.mean) for (p, q), est in branches.items()} == {
-            (br.p, br.q): (br.n, br.corr_mean) for br in rec.branches
-        }
-        assert len(branches) == (0 if protocol == "tb" else 2)
+        for strategy in (NORMALIZE, ORTHO_SIGN):
+            report = run_experiment(ExperimentConfig(
+                protocol=protocol, gamma=PI8, rounds=rounds, seed=seed,
+                completion=strategy.tag.value, settings=((a, b),),
+            ))
+            rec = report.records[0]
+            pp, pm, mp, mm = rec.row.empirical.counts
+            moments = mc_round_moments(param, a, b, strategy, protocol, rounds, seed)
+            assert moments["alpha0"] == rec.alpha0
+            assert moments["beta0"] == rec.beta0
+            assert moments["alpha"] == sign_mean_estimate(pp + pm - mp - mm, rounds)
+            assert moments["beta"] == sign_mean_estimate(pp - pm + mp - mm, rounds)
+            branches = mc_branch_correlations(param, a, b, strategy, protocol, rounds, seed)
+            assert {
+                (p, q): (est.n, est.mean, est.stderr) for (p, q), est in branches.items()
+            } == {(br.p, br.q): (br.n, br.corr_mean, br.corr_stderr) for br in rec.branches}
+            assert len(branches) == (0 if protocol == "tb" else 2)
 
 
 class TestEpr2Suite:
