@@ -13,7 +13,6 @@ from .geometry import (
     Completion,
     CompletionStrategy,
     as_unit_vector,
-    complete_to_unit,
     sample_unit_sphere,
     sgn,
     spherical_grid,
@@ -21,13 +20,7 @@ from .geometry import (
 )
 from .protocols import (
     FlipSpec,
-    RoundTranscript,
-    SharedRandomness,
-    build_u,
-    build_v,
     correlated_flip,
-    protocol1_round,
-    protocol2_round,
     round_uniform_block,
     run_batch,
     symmetrize,
@@ -64,7 +57,6 @@ from .verify import (
     claim_residual_report,
     compare,
     epr2_suite,
-    estimate_joint,
     estimate_mean,
     exact_mu_average,
     flip_moments_claim,
@@ -72,7 +64,7 @@ from .verify import (
     quadrature_kernel,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CheckResult",
@@ -87,17 +79,12 @@ __all__ = [
     "JointDist",
     "JointEstimate",
     "MBoxOutcome",
-    "RoundTranscript",
-    "SharedRandomness",
     "as_unit_vector",
     "branch_correlation_claim",
-    "build_u",
-    "build_v",
     "chsh_value",
     "claim_residual_report",
     "compare",
     "compare_bit",
-    "complete_to_unit",
     "correlated_flip",
     "correlation",
     "epr2_components",
@@ -105,7 +92,6 @@ __all__ = [
     "epr2_flip_probability",
     "epr2_local_bias",
     "epr2_suite",
-    "estimate_joint",
     "estimate_mean",
     "exact_mu_average",
     "flip_moments_claim",
@@ -116,8 +102,6 @@ __all__ = [
     "joint_qm",
     "load_settings_csv",
     "outcome_from_uniform",
-    "protocol1_round",
-    "protocol2_round",
     "quadrature_kernel",
     "round_uniform_block",
     "run_batch",

@@ -121,8 +121,6 @@ def cmd_simulate(args, parser) -> int:
             rounds=args.rounds,
             seed=args.seed,
             completion=args.completion,
-            out_path=args.out,
-            csv_path=args.csv,
             **source,
         )
     except ValueError as exc:

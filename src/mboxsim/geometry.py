@@ -1,9 +1,7 @@
 """Unit-sphere primitives shared by the protocols and their verification oracles.
 
-Vectors are plain numpy arrays.  Scalar entry points accept shape (3,), the
-batch helpers used by the round engine accept row-stacked (n, 3) arrays; both
-go through the same arithmetic so a one-row batch reproduces the scalar result
-bit for bit.
+Vectors are plain numpy arrays: single vectors have shape (3,), and the
+completion rule used by the round engine works on row-stacked (n, 3) arrays.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -31,7 +29,6 @@ __all__ = [
     "Y_HAT",
     "Z_HAT",
     "as_unit_vector",
-    "complete_to_unit",
     "complete_rows",
     "sample_unit_sphere",
     "sgn",
@@ -67,14 +64,14 @@ class Completion(Enum):
 
 @dataclass(frozen=True)
 class CompletionStrategy:
-    """Completion rule plus the tolerance used for degenerate norms."""
+    """The completion rule the round engine and the oracles apply."""
 
     tag: Completion
-    epsilon: float = 1e-9
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1e-6:
-            raise ValueError(f"epsilon must be in (0, 1e-6), got {self.epsilon}")
+
+# Norms below this count as zero: NORMALIZE falls back, ORTHO treats w as
+# parallel to z-hat.
+_EPS = 1e-9
 
 
 def sgn(x: float) -> int:
@@ -140,9 +137,9 @@ def spherical_grid(n: int, phase: float = 0.0) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
-def _normalize_rows(w: np.ndarray, fallback: np.ndarray, eps: float) -> np.ndarray:
+def _normalize_rows(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     norm = np.sqrt(np.einsum("ij,ij->i", w, w))
-    degenerate = norm < eps
+    degenerate = norm < _EPS
     safe = np.where(degenerate, 1.0, norm)
     out = w / safe[:, None]
     if np.any(degenerate):
@@ -150,7 +147,7 @@ def _normalize_rows(w: np.ndarray, fallback: np.ndarray, eps: float) -> np.ndarr
     return out
 
 
-def _ortho_rows(w: np.ndarray, comp_sign: np.ndarray, eps: float) -> np.ndarray:
+def _ortho_rows(w: np.ndarray, comp_sign: np.ndarray) -> np.ndarray:
     n2 = np.einsum("ij,ij->i", w, w)
     # |w| > 1 has no orthogonal completion; fall back to rescaling.
     over = n2 > 1.0
@@ -164,7 +161,7 @@ def _ortho_rows(w: np.ndarray, comp_sign: np.ndarray, eps: float) -> np.ndarray:
         # ndir = z*|w|^2 - w_z*w, |ndir|^2 = |w|^2 (w_x^2 + w_y^2).
         ndir = Z_HAT[None, :] * n2[:, None] - w[:, 2][:, None] * w
         perp2 = w[:, 0] ** 2 + w[:, 1] ** 2
-        parallel = (n2 == 0.0) | (perp2 <= (eps * eps) * n2)
+        parallel = (n2 == 0.0) | (perp2 <= (_EPS * _EPS) * n2)
         nnorm = np.sqrt(np.einsum("ij,ij->i", ndir, ndir))
         nhat = ndir / np.where(parallel | (nnorm == 0.0), 1.0, nnorm)[:, None]
         if np.any(parallel):
@@ -187,25 +184,6 @@ def complete_rows(
     NORMALIZE has no sign freedom and ignores it.
     """
     if strategy.tag is Completion.NORMALIZE:
-        return _normalize_rows(w, fallback, strategy.epsilon)
-    return _ortho_rows(w, np.asarray(comp_sign, dtype=float), strategy.epsilon)
+        return _normalize_rows(w, fallback)
+    return _ortho_rows(w, np.asarray(comp_sign, dtype=float))
 
-
-def complete_to_unit(
-    w,
-    strategy: CompletionStrategy,
-    fallback,
-    comp_sign: int = 1,
-) -> np.ndarray:
-    """Complete a single partial sum ``w`` to a unit vector.
-
-    ``comp_sign`` multiplies the orthogonal part under the ORTHO-family
-    strategies; the caller composes it from whatever shared random signs
-    apply (Bob's fifth direction sign, the per-party completion sign).
-    NORMALIZE rescales and has no sign freedom.
-    """
-    arr = np.asarray(w, dtype=float).reshape(1, 3)
-    fb = np.asarray(fallback, dtype=float)
-    if comp_sign not in (1, -1):
-        raise ValueError(f"comp_sign must be +1 or -1, got {comp_sign!r}")
-    return complete_rows(arr, strategy, fb, np.array([comp_sign], dtype=float))[0]

@@ -24,8 +24,10 @@ b replaced by its half-turn about x on Bob's side; flips use the band-aware
 weight F.  The calibration baseline "tb" is the bare kernel of step 4 with no
 box and no flips.
 
-The scalar round functions and the batch engine share every formula: a scalar
-round is a batch of one.
+run_batch is the one round engine: every sampled round, in the runtime and in
+the verification suites, is a row of a batch, and a single round is a batch
+of one.  The flip rule (correlated_flip) is the one the exact flip algebra in
+verify enumerates.
 """
 
 from __future__ import annotations
@@ -60,16 +62,10 @@ __all__ = [
     "FlipSpec",
     "PROTOCOL_IDS",
     "RoundRandomness",
-    "RoundTranscript",
-    "SharedRandomness",
     "UNIFORMS_PER_ROUND",
     "alice_direction_rows",
     "bob_direction_rows",
-    "build_u",
-    "build_v",
     "correlated_flip",
-    "protocol1_round",
-    "protocol2_round",
     "round_uniform_block",
     "run_batch",
     "symmetrize",
@@ -116,16 +112,20 @@ def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
-    out = np.empty((count, UNIFORMS_PER_ROUND))
-    filled = 0
-    while filled < count:
-        chunk_index, offset = divmod(start + filled, CHUNK)
-        take = min(CHUNK - offset, count - filled)
+    blocks = []
+    pos, end = start, start + count
+    while pos < end:
+        chunk_index, offset = divmod(pos, CHUNK)
+        take = min(CHUNK - offset, end - pos)
         g = np.random.Generator(np.random.Philox(key=_chunk_key(seed, setting_index, chunk_index)))
-        block = g.random((offset + take, UNIFORMS_PER_ROUND))
-        out[filled : filled + take] = block[offset:]
-        filled += take
-    return out
+        blocks.append(g.random((offset + take, UNIFORMS_PER_ROUND))[offset:])
+        pos += take
+    if len(blocks) == 1:
+        # the common case, one request inside one chunk: no copy
+        return blocks[0]
+    if not blocks:
+        return np.empty((0, UNIFORMS_PER_ROUND))
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -139,89 +139,6 @@ class FlipSpec:
         for name, f in (("f_a", self.f_a), ("f_b", self.f_b)):
             if not 0.0 <= f <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {f}")
-
-
-@dataclass(frozen=True)
-class SharedRandomness:
-    """One round's worth of shared randomness, plus the box's private coin.
-
-    lambda1 and lambda2 are independent uniform unit vectors.  The protocols
-    read the seven shared directions mu_i only through sgn(z . mu_i), so
-    mu_sign holds those seven fair signs and nothing else.  flip_r couples
-    the two parties' flips; extra_signs feed the sign-randomized completion
-    strategy and are ignored by the others.  box_u is not shared knowledge:
-    it is the comparison box's own coin, carried in this bundle only so a
-    round is a pure function of one value.
-    """
-
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    mu_sign: tuple[int, ...]
-    flip_r: float
-    extra_signs: tuple[int, int]
-    box_u: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda1", as_unit_vector(self.lambda1, tol=1e-6))
-        object.__setattr__(self, "lambda2", as_unit_vector(self.lambda2, tol=1e-6))
-        mu_sign = tuple(int(e) for e in self.mu_sign)
-        if len(mu_sign) != 7 or any(e not in (-1, 1) for e in mu_sign):
-            raise ValueError(f"mu_sign must be seven signs, got {self.mu_sign}")
-        object.__setattr__(self, "mu_sign", mu_sign)
-        if not 0.0 <= self.flip_r < 1.0:
-            raise ValueError(f"flip_r must lie in [0, 1), got {self.flip_r}")
-        if not 0.0 <= self.box_u < 1.0:
-            raise ValueError(f"box_u must lie in [0, 1), got {self.box_u}")
-        signs = tuple(int(e) for e in self.extra_signs)
-        if len(signs) != 2 or any(e not in (-1, 1) for e in signs):
-            raise ValueError(f"extra_signs must be two signs, got {self.extra_signs}")
-        object.__setattr__(self, "extra_signs", signs)
-
-    @classmethod
-    def from_uniforms(cls, u) -> "SharedRandomness":
-        """Expand one 24-slot uniform row into the round bundle."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (UNIFORMS_PER_ROUND,):
-            raise ValueError(f"expected {UNIFORMS_PER_ROUND} uniforms, got {u.shape}")
-        rr = RoundRandomness.from_uniform_block(u[None])
-        return cls(
-            lambda1=rr.lam1[0],
-            lambda2=rr.lam2[0],
-            mu_sign=tuple(rr.mu_sign[0].tolist()),
-            flip_r=float(rr.flip_r[0]),
-            extra_signs=tuple(rr.extra[0].tolist()),
-            box_u=float(rr.box_u[0]),
-        )
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator) -> "SharedRandomness":
-        return cls.from_uniforms(rng.random(UNIFORMS_PER_ROUND))
-
-
-@dataclass(frozen=True)
-class RoundTranscript:
-    """Everything one executed round produced.
-
-    alpha0/beta0 are the pre-flip stage outputs in the symmetrized frame
-    (where the protocol's math lives); alpha/beta are the final outputs in
-    the caller's frame.  q is Bob's branch sign, i.e. his box bit read
-    inverted, so p == q exactly when a_z <= b_z.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    gamma: float
-    protocol: str
-    strategy: str
-    p: int
-    q: int
-    cbit: int
-    alpha0: int
-    beta0: int
-    flipped_alpha: bool
-    flipped_beta: bool
-    alpha: int
-    beta: int
 
 
 @dataclass
@@ -259,17 +176,6 @@ class RoundRandomness:
             extra=np.where(u[:, 20:22] <= 0.5, 1, -1).astype(np.int8),
         )
 
-    @classmethod
-    def from_shared(cls, shared: SharedRandomness) -> "RoundRandomness":
-        return cls(
-            lam1=shared.lambda1.reshape(1, 3),
-            lam2=shared.lambda2.reshape(1, 3),
-            mu_sign=np.array([shared.mu_sign], dtype=np.int8),
-            flip_r=np.array([shared.flip_r]),
-            box_u=np.array([shared.box_u]),
-            extra=np.array([shared.extra_signs], dtype=np.int8),
-        )
-
 
 @dataclass
 class BatchOutcome:
@@ -304,19 +210,24 @@ def symmetrize(a, b):
     return sign_a * a, sign_b * b, sign_a, sign_b
 
 
-def correlated_flip(alpha0: int, beta0: int, spec: FlipSpec, r: float):
+def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
     """Apply the coupled -1 -> +1 flips driven by one shared uniform r.
 
     Alice flips a -1 when r < f_a, Bob when r < f_b; sharing r makes the two
     events nested rather than independent, which is what turns a zero-marginal
-    correlation C0 into moments (f_a, f_b, f_min + (1 - f_max) C0).
+    correlation C0 into moments (f_a, f_b, f_min + (1 - f_max) C0).  Works
+    elementwise on sign arrays and uniforms of one shape and returns the
+    flipped (alpha, beta) arrays; run_batch applies it to whole batches.
     """
-    if alpha0 not in (-1, 1) or beta0 not in (-1, 1):
-        raise ValueError(f"outputs must be signs, got ({alpha0}, {beta0})")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"r must lie in [0, 1), got {r}")
-    alpha = 1 if (alpha0 == -1 and r < spec.f_a) else alpha0
-    beta = 1 if (beta0 == -1 and r < spec.f_b) else beta0
+    alpha0 = np.asarray(alpha0)
+    beta0 = np.asarray(beta0)
+    r = np.asarray(r)
+    if not (np.all((alpha0 == 1) | (alpha0 == -1)) and np.all((beta0 == 1) | (beta0 == -1))):
+        raise ValueError("outputs must be signs")
+    if not np.all((r >= 0.0) & (r < 1.0)):
+        raise ValueError("r must lie in [0, 1)")
+    alpha = np.where((alpha0 == -1) & (r < spec.f_a), np.int8(1), alpha0)
+    beta = np.where((beta0 == -1) & (r < spec.f_b), np.int8(1), beta0)
     return alpha, beta
 
 
@@ -421,57 +332,25 @@ def bob_direction_rows(
     return complete_rows(w, strategy, b_dir, comp)
 
 
-def build_u(
-    param: EntanglementParam,
-    a,
-    p: int,
-    shared: SharedRandomness,
-    strategy: CompletionStrategy,
-    *,
-    nonlocal_form: bool = False,
-) -> np.ndarray:
-    """Alice's direction for one round; a must be symmetrized (a_z >= 0)."""
-    if p not in (-1, 1):
-        raise ValueError(f"p must be a sign, got {p}")
-    a = as_unit_vector(a)
-    rr = RoundRandomness.from_shared(shared)
-    extra, _ = _gated_extra(rr.extra, strategy)
-    protocol = "p2" if nonlocal_form else "p1"
-    rows = alice_direction_rows(
-        param, a, np.array([p], dtype=np.int8), rr.mu_sign, extra, strategy, protocol
-    )
-    return rows[0]
-
-
-def build_v(
-    param: EntanglementParam,
-    b,
-    q: int,
-    shared: SharedRandomness,
-    strategy: CompletionStrategy,
-    *,
-    nonlocal_form: bool = False,
-) -> np.ndarray:
-    """Bob's direction for one round; b must be symmetrized (b_z >= 0)."""
-    if q not in (-1, 1):
-        raise ValueError(f"q must be a sign, got {q}")
-    b = as_unit_vector(b)
-    rr = RoundRandomness.from_shared(shared)
-    _, extra = _gated_extra(rr.extra, strategy)
-    protocol = "p2" if nonlocal_form else "p1"
-    rows = bob_direction_rows(
-        param, b, np.array([q], dtype=np.int8), rr.mu_sign, extra, strategy, protocol
-    )
-    return rows[0]
-
-
 # ---------------------------------------------------------------------------
-# Batch engine and the scalar rounds on top of it.
+# Batch engine.
 # ---------------------------------------------------------------------------
 
 
 def _rowdot(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, other)
+
+
+def _kernel(u_lam1, u_lam2, v_lam1, v_lam2):
+    """The one-bit kernel on the dot products of u and v with lambda1, lambda2.
+
+    Returns (alpha0, cbit, beta0): alpha0 = sgn(u.l1), cbit = alpha0 sgn(u.l2),
+    beta0 = sgn(v.l1 + cbit v.l2).
+    """
+    alpha0 = sign_array(u_lam1)
+    cbit = (alpha0 * sign_array(u_lam2)).astype(np.int8)
+    beta0 = sign_array(v_lam1 + cbit * v_lam2)
+    return alpha0, cbit, beta0
 
 
 def run_batch(
@@ -490,9 +369,9 @@ def run_batch(
     n = rr.n
 
     if protocol == "tb":
-        alpha = sign_array(rr.lam1 @ a)
-        cbit = (alpha * sign_array(rr.lam2 @ a)).astype(np.int8)
-        beta = sign_array(rr.lam1 @ b + cbit * (rr.lam2 @ b))
+        # lam @ a, not the row-wise einsum: the two round differently in the
+        # last bits, and tb's report bytes are pinned to this form.
+        alpha, cbit, beta = _kernel(rr.lam1 @ a, rr.lam2 @ a, rr.lam1 @ b, rr.lam2 @ b)
         zero_sign = np.zeros(n, dtype=np.int8)
         no_flip = np.zeros(n, dtype=bool)
         return BatchOutcome(
@@ -514,10 +393,11 @@ def run_batch(
 
     extra_a, extra_b = _gated_extra(rr.extra, strategy)
     u_rows = alice_direction_rows(param, a1, p, rr.mu_sign, extra_a, strategy, protocol)
-    alpha0 = sign_array(_rowdot(u_rows, rr.lam1))
-    cbit = (alpha0 * sign_array(_rowdot(u_rows, rr.lam2))).astype(np.int8)
     v_rows = bob_direction_rows(param, b1, q, rr.mu_sign, extra_b, strategy, protocol)
-    beta0 = sign_array(_rowdot(v_rows, rr.lam1) + cbit * _rowdot(v_rows, rr.lam2))
+    alpha0, cbit, beta0 = _kernel(
+        _rowdot(u_rows, rr.lam1), _rowdot(u_rows, rr.lam2),
+        _rowdot(v_rows, rr.lam1), _rowdot(v_rows, rr.lam2),
+    )
 
     if protocol == "p1":
         spec = FlipSpec(param.cos2g * a1[2], param.cos2g * b1[2])
@@ -526,51 +406,13 @@ def run_batch(
             epr2_flip_probability(param, a1[2]),
             epr2_flip_probability(param, b1[2]),
         )
-    flipped_a = (alpha0 == -1) & (rr.flip_r < spec.f_a)
-    flipped_b = (beta0 == -1) & (rr.flip_r < spec.f_b)
-    alpha_sym = np.where(flipped_a, np.int8(1), alpha0)
-    beta_sym = np.where(flipped_b, np.int8(1), beta0)
+    alpha_sym, beta_sym = correlated_flip(alpha0, beta0, spec, rr.flip_r)
 
     return BatchOutcome(
         alpha=(sign_a * alpha_sym).astype(np.int8),
         beta=(sign_b * beta_sym).astype(np.int8),
         alpha0=alpha0, beta0=beta0,
         p=p, q=q, cbit=cbit,
-        flipped_alpha=flipped_a, flipped_beta=flipped_b,
+        # a flip only ever turns -1 into +1
+        flipped_alpha=alpha_sym != alpha0, flipped_beta=beta_sym != beta0,
     )
-
-
-def _scalar_round(param, a, b, shared, strategy, protocol) -> RoundTranscript:
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    out = run_batch(param, a, b, RoundRandomness.from_shared(shared), strategy, protocol)
-    return RoundTranscript(
-        a=a, b=b, gamma=param.gamma, protocol=protocol, strategy=strategy.tag.value,
-        p=int(out.p[0]), q=int(out.q[0]), cbit=int(out.cbit[0]),
-        alpha0=int(out.alpha0[0]), beta0=int(out.beta0[0]),
-        flipped_alpha=bool(out.flipped_alpha[0]),
-        flipped_beta=bool(out.flipped_beta[0]),
-        alpha=int(out.alpha[0]), beta=int(out.beta[0]),
-    )
-
-
-def protocol1_round(
-    param: EntanglementParam,
-    a,
-    b,
-    shared: SharedRandomness,
-    strategy: CompletionStrategy,
-) -> RoundTranscript:
-    """One full-distribution round: box, directions, cbit, flips (c a_z, c b_z)."""
-    return _scalar_round(param, a, b, shared, strategy, "p1")
-
-
-def protocol2_round(
-    param: EntanglementParam,
-    a,
-    b,
-    shared: SharedRandomness,
-    strategy: CompletionStrategy,
-) -> RoundTranscript:
-    """One nonlocal-part round: band-dispatched directions, flips F(a_z), F(b_z)."""
-    return _scalar_round(param, a, b, shared, strategy, "p2")

@@ -75,8 +75,6 @@ class ExperimentConfig:
     settings: tuple = ()
     random_settings: int = 0
     workers: int = 1
-    out_path: str | None = None
-    csv_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOL_IDS:

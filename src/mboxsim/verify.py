@@ -46,7 +46,6 @@ from .protocols import (
     round_uniform_block,
     run_batch,
     symmetrize,
-    tb_round,
 )
 from .quantum import (
     EntanglementParam,
@@ -78,7 +77,6 @@ __all__ = [
     "claim_residual_report",
     "compare",
     "epr2_suite",
-    "estimate_joint",
     "estimate_joint_from_counts",
     "estimate_joint_from_outputs",
     "estimate_mean",
@@ -205,21 +203,6 @@ def estimate_joint_from_outputs(alpha, beta, min_rounds: int = 1) -> JointEstima
         int(np.count_nonzero(~ap & ~bp)),
     )
     return estimate_joint_from_counts(counts, min_rounds=min_rounds)
-
-
-def estimate_joint(transcripts, min_rounds: int = 1000) -> JointEstimate:
-    """Empirical joint from scalar round transcripts at one fixed setting."""
-    transcripts = list(transcripts)
-    if len(transcripts) < min_rounds:
-        raise ValueError(f"need at least {min_rounds} transcripts, got {len(transcripts)}")
-    a0 = transcripts[0].a
-    b0 = transcripts[0].b
-    for t in transcripts:
-        if not (np.array_equal(t.a, a0) and np.array_equal(t.b, b0)):
-            raise ValueError("transcripts mix settings; estimate per setting pair")
-    alpha = np.array([t.alpha for t in transcripts])
-    beta = np.array([t.beta for t in transcripts])
-    return estimate_joint_from_outputs(alpha, beta, min_rounds=min_rounds)
 
 
 @dataclass(frozen=True)
@@ -383,34 +366,39 @@ def flip_moments_exact(
     Computed with no sampling and no tolerance: the shared uniform r only
     matters through which of the bands [0, f_min), [f_min, f_max), [f_max, 1)
     it falls in, so each band is evaluated once at a representative point by
-    calling the production flip rule, then weighted by its exact width.  The
-    pre-flip signs carry the zero-marginal weights (1 + a*b*c0)/4.
+    correlated_flip, the flip rule run_batch applies to every sampled round,
+    then weighted by its exact width.  The pre-flip signs carry the
+    zero-marginal weights (1 + a*b*c0)/4.
     """
     if not -1.0 <= c0 <= 1.0:
         raise ValueError(f"pre-flip correlation must lie in [-1, 1], got {c0}")
     spec = FlipSpec(f_a, f_b)
     lo = min(f_a, f_b)
     hi = max(f_a, f_b)
-    bands = (
-        (Fraction(lo), 0.0),
-        (Fraction(hi) - Fraction(lo), lo),
-        (1 - Fraction(hi), hi),
-    )
+    bands = [
+        (width, rep)
+        for width, rep in (
+            (Fraction(lo), 0.0),
+            (Fraction(hi) - Fraction(lo), lo),
+            (1 - Fraction(hi), hi),
+        )
+        if width != 0
+    ]
+    # the four (alpha0, beta0) cells of every band through the flip rule at once
+    a0 = np.tile([-1, -1, 1, 1], len(bands))
+    b0 = np.tile([-1, 1, -1, 1], len(bands))
+    alpha, beta = correlated_flip(a0, b0, spec, np.repeat([rep for _, rep in bands], 4))
+    # A band's cells weigh width * (1 + a0*b0*c0) / 4, so each moment gains
+    # width/4 * (sum x + c0 * sum a0*b0*x) over exact integer cell sums.
     c0_frac = Fraction(c0)
-    m_a = Fraction(0)
-    m_b = Fraction(0)
-    m_ab = Fraction(0)
-    for width, rep in bands:
-        if width == 0:
-            continue
-        for a0 in (-1, 1):
-            for b0 in (-1, 1):
-                weight = width * (1 + a0 * b0 * c0_frac) / 4
-                alpha, beta = correlated_flip(a0, b0, spec, rep)
-                m_a += weight * alpha
-                m_b += weight * beta
-                m_ab += weight * alpha * beta
-    return m_a, m_b, m_ab
+    moments = [Fraction(0)] * 3
+    for k, (width, _) in enumerate(bands):
+        cell = slice(4 * k, 4 * k + 4)
+        for j, x in enumerate((alpha[cell], beta[cell], alpha[cell] * beta[cell])):
+            s = int(x.sum())
+            t = int((a0[cell] * b0[cell] * x).sum())
+            moments[j] += width * (s + t * c0_frac) / 4
+    return tuple(moments)
 
 
 def flip_moments_claim(
@@ -558,16 +546,6 @@ class Epr2Report:
     max_flip_in_band: float
     min_flip_outside: float
     max_four_case_residual: float
-
-    @property
-    def ok(self) -> bool:
-        checks = [
-            self.max_reconstruction_residual <= 1e-9,
-            self.min_nl_entry >= -1e-9,
-            self.max_flip_in_band == 0.0,
-            self.max_four_case_residual <= 1e-9,
-        ]
-        return all(checks)
 
 
 def epr2_suite(param: EntanglementParam, grid_n: int = 20) -> Epr2Report:
@@ -893,10 +871,9 @@ def suite_kernel(
     pointwise = abs(exact_one - 1.0)
     u0 = sample_unit_sphere(g)
     aligned = RoundRandomness.from_uniform_block(round_uniform_block(seed, 0, 0, 100))
-    for lam1, lam2 in zip(aligned.lam1, aligned.lam2):
-        alpha, beta, _ = tb_round(u0, u0, lam1, lam2)
-        if alpha * beta != 1:
-            pointwise = math.inf
+    out = run_batch(param, u0, u0, aligned, strategy, "tb")
+    if np.any(out.alpha * out.beta != 1):
+        pointwise = math.inf
     checks = [
         CheckResult(
             "kernel-aligned-exact",

@@ -10,7 +10,6 @@ from mboxsim.geometry import (
     Z_HAT,
     as_unit_vector,
     complete_rows,
-    complete_to_unit,
     sample_unit_sphere,
     sgn,
     sign_array,
@@ -99,44 +98,44 @@ class TestSphericalGrid:
 
 
 class TestCompletionStrategy:
-    def test_epsilon_bounds(self):
-        with pytest.raises(ValueError):
-            CompletionStrategy(Completion.ORTHO, epsilon=0.0)
-        with pytest.raises(ValueError):
-            CompletionStrategy(Completion.ORTHO, epsilon=1e-5)
+    def test_built_from_tag_value(self):
+        for tag in Completion:
+            assert CompletionStrategy(Completion(tag.value)).tag is tag
 
-    def test_comp_sign_validated(self):
-        with pytest.raises(ValueError):
-            complete_to_unit([0.5, 0, 0], ALL_STRATEGIES[0], X_HAT, comp_sign=0)
+
+def complete_one(w, strategy, comp_sign=1.0):
+    """complete_rows on a batch of one row, with fallback x-hat."""
+    rows = np.asarray(w, dtype=float).reshape(1, 3)
+    return complete_rows(rows, strategy, X_HAT, np.array([comp_sign]))[0]
 
 
 class TestCompleteToUnit:
     def test_normalize_rescales(self):
-        out = complete_to_unit([0.0, 0.0, 2.0], CompletionStrategy(Completion.NORMALIZE), X_HAT)
+        out = complete_one([0.0, 0.0, 2.0], CompletionStrategy(Completion.NORMALIZE))
         assert out == pytest.approx([0.0, 0.0, 1.0])
 
     def test_ortho_adds_z_deficit(self):
-        out = complete_to_unit([0.5, 0.0, 0.0], CompletionStrategy(Completion.ORTHO), X_HAT)
+        out = complete_one([0.5, 0.0, 0.0], CompletionStrategy(Completion.ORTHO))
         assert out == pytest.approx([0.5, 0.0, 0.8660254], abs=1e-7)
 
     def test_ortho_parallel_to_z_uses_x(self):
-        out = complete_to_unit([0.0, 0.0, 0.5], CompletionStrategy(Completion.ORTHO), X_HAT)
+        out = complete_one([0.0, 0.0, 0.5], CompletionStrategy(Completion.ORTHO))
         assert out == pytest.approx([0.8660254, 0.0, 0.5], abs=1e-7)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.tag.value)
     def test_zero_input_falls_back(self, strategy):
-        out = complete_to_unit([0.0, 0.0, 0.0], strategy, X_HAT)
+        out = complete_one([0.0, 0.0, 0.0], strategy)
         assert out == pytest.approx([1.0, 0.0, 0.0])
 
     def test_ortho_over_unit_normalizes(self):
-        out = complete_to_unit([0.0, 3.0, 4.0], CompletionStrategy(Completion.ORTHO), X_HAT)
+        out = complete_one([0.0, 3.0, 4.0], CompletionStrategy(Completion.ORTHO))
         assert out == pytest.approx([0.0, 0.6, 0.8])
 
     def test_ortho_sign_reflects_orthogonal_part(self):
         strategy = CompletionStrategy(Completion.ORTHO_SIGN)
         w = np.array([0.3, -0.2, 0.4])
-        plus = complete_to_unit(w, strategy, X_HAT, comp_sign=1)
-        minus = complete_to_unit(w, strategy, X_HAT, comp_sign=-1)
+        plus = complete_one(w, strategy, comp_sign=1)
+        minus = complete_one(w, strategy, comp_sign=-1)
         assert plus + minus == pytest.approx(2.0 * w)
         assert np.linalg.norm(plus) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(minus) == pytest.approx(1.0, abs=1e-12)
@@ -152,6 +151,6 @@ class TestCompleteToUnit:
     def test_deterministic(self):
         strategy = CompletionStrategy(Completion.ORTHO)
         w = [0.2, 0.1, -0.3]
-        a = complete_to_unit(w, strategy, X_HAT)
-        b = complete_to_unit(w, strategy, X_HAT)
+        a = complete_one(w, strategy)
+        b = complete_one(w, strategy)
         assert np.array_equal(a, b)

