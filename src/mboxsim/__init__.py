@@ -62,9 +62,10 @@ from .verify import (
     flip_moments_claim,
     flip_moments_exact,
     quadrature_kernel,
+    realized_joint,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CheckResult",
@@ -103,6 +104,7 @@ __all__ = [
     "load_settings_csv",
     "outcome_from_uniform",
     "quadrature_kernel",
+    "realized_joint",
     "round_uniform_block",
     "run_batch",
     "run_experiment",

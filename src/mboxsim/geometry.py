@@ -83,7 +83,7 @@ def sgn(x: float) -> int:
 
 def sign_array(x: np.ndarray) -> np.ndarray:
     """Vectorized non-strict sign as int8 (same convention as :func:`sgn`)."""
-    return np.where(np.asarray(x) >= 0.0, 1, -1).astype(np.int8)
+    return (np.asarray(x) >= 0.0).astype(np.int8) * np.int8(2) - np.int8(1)
 
 
 def as_unit_vector(v, tol: float = 1e-9) -> np.ndarray:
@@ -108,11 +108,18 @@ def unit_vector_from_uniforms(u1, u2):
     """Map two U[0,1) draws to a uniform point on the unit sphere.
 
     Works elementwise: scalars give a (3,) array, length-n arrays give (n, 3).
+    The components are computed straight into the output's columns.
     """
-    z = 1.0 - 2.0 * np.asarray(u1, dtype=float)
-    phi = 2.0 * np.pi * np.asarray(u2, dtype=float)
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    out = np.empty(np.broadcast_shapes(u1.shape, u2.shape) + (3,))
+    z = out[..., 2]
+    np.subtract(1.0, 2.0 * u1, out=z)
+    phi = 2.0 * np.pi * u2
     rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
+    np.multiply(rho, np.cos(phi), out=out[..., 0])
+    np.multiply(rho, np.sin(phi), out=out[..., 1])
+    return out
 
 
 def sample_unit_sphere(rng: np.random.Generator) -> np.ndarray:

@@ -8,8 +8,13 @@ Both entangled-state protocols follow the same skeleton per round:
    his bit inverted into a branch sign q so that p == q exactly when
    a_z <= b_z;
 3. each party builds a direction vector from sign-weighted sums of its
-   setting, an alternate axis, and a completion vector, the signs coming from
-   shared random directions mu_1..mu_7 through sgn(z . mu_i);
+   setting, an alternate axis, and a completion vector.  The protocols read
+   the shared random directions mu_1..mu_7 only through the signs
+   sgn(z . mu_i), which are fair and independent, so the stream draws those
+   signs directly as bits and never builds a mu vector.  At fixed settings a
+   party's direction is a function of its branch sign and the sign tuple, so
+   direction_table computes it once per batch for every tuple and each round
+   looks its direction up;
 4. Alice outputs sgn(u . lambda_1) and sends the one-bit product
    sgn(u . lambda_1) sgn(u . lambda_2); Bob outputs
    sgn(v . (lambda_1 + cbit lambda_2));
@@ -27,7 +32,8 @@ box and no flips.
 run_batch is the one round engine: every sampled round, in the runtime and in
 the verification suites, is a row of a batch, and a single round is a batch
 of one.  The flip rule (correlated_flip) is the one the exact flip algebra in
-verify enumerates.
+verify enumerates, and direction_table is the one the exact direction
+average in verify enumerates.
 """
 
 from __future__ import annotations
@@ -62,26 +68,36 @@ __all__ = [
     "FlipSpec",
     "PROTOCOL_IDS",
     "RoundRandomness",
+    "STREAM",
     "UNIFORMS_PER_ROUND",
     "alice_direction_rows",
     "bob_direction_rows",
     "correlated_flip",
+    "direction_table",
+    "flip_spec",
+    "round_directions",
     "round_uniform_block",
     "run_batch",
+    "sign_bits",
     "symmetrize",
     "tb_round",
 ]
 
 PROTOCOL_IDS = ("p1", "p2", "tb")
 
-# Fixed per-round layout of the uniform stream (one row of 24 doubles):
-# 0,1 lambda1 | 2,3 lambda2 | 4..17 mu_1..mu_7 as (polar, azimuth) pairs |
-# 18 flip coupler | 19 box coin | 20,21 completion signs | 22,23 reserved.
-UNIFORMS_PER_ROUND = 24
+# Fixed per-round layout of the uniform stream (one row of 7 doubles):
+# 0,1 lambda1 | 2,3 lambda2 | 4 flip coupler | 5 box coin | 6 sign word.
+# The sign word's top k bits, floor(u * 2^k), index the round's shared signs
+# (see sign_bits and direction_table).
+UNIFORMS_PER_ROUND = 7
 
 # Rows per derived stream key.  Part of the stream layout: changing it
 # changes which uniforms a given round sees, so it is fixed, not tunable.
 CHUNK = 65536
+
+# The stream layout's name, echoed in every report: Philox keyed per
+# (seed, setting, chunk), CHUNK rows per key, UNIFORMS_PER_ROUND per row.
+STREAM = f"philox/chunk{CHUNK}/row{UNIFORMS_PER_ROUND}"
 
 
 def _chunk_key(seed: int, setting_index: int, chunk_index: int) -> np.ndarray:
@@ -145,17 +161,15 @@ class FlipSpec:
 class RoundRandomness:
     """Array form of per-round randomness, one row per round.
 
-    The protocols consume the mu directions only through sgn(z . mu_i), so
-    only those signs are stored; the uniform-block path never materializes
-    the direction vectors at all.
+    sign_word is the uniform whose top bits hold the round's shared signs;
+    run_batch reads as many bits as the protocol and completion use.
     """
 
     lam1: np.ndarray
     lam2: np.ndarray
-    mu_sign: np.ndarray
     flip_r: np.ndarray
     box_u: np.ndarray
-    extra: np.ndarray
+    sign_word: np.ndarray
 
     @property
     def n(self) -> int:
@@ -166,14 +180,15 @@ class RoundRandomness:
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != UNIFORMS_PER_ROUND:
             raise ValueError(f"expected (n, {UNIFORMS_PER_ROUND}) uniforms, got {u.shape}")
+        # one contiguous copy of the three scalar columns, so the row block
+        # is freed before the batch runs
+        flip_r, box_u, sign_word = u[:, 4:].T.copy()
         return cls(
             lam1=unit_vector_from_uniforms(u[:, 0], u[:, 1]),
             lam2=unit_vector_from_uniforms(u[:, 2], u[:, 3]),
-            # polar slot u <= 1/2 means z = 1 - 2u >= 0, matching sgn(0) = +1
-            mu_sign=np.where(u[:, 4:18:2] <= 0.5, 1, -1).astype(np.int8),
-            flip_r=u[:, 18].copy(),
-            box_u=u[:, 19].copy(),
-            extra=np.where(u[:, 20:22] <= 0.5, 1, -1).astype(np.int8),
+            flip_r=flip_r,
+            box_u=box_u,
+            sign_word=sign_word,
         )
 
 
@@ -188,8 +203,6 @@ class BatchOutcome:
     p: np.ndarray
     q: np.ndarray
     cbit: np.ndarray
-    flipped_alpha: np.ndarray
-    flipped_beta: np.ndarray
 
     @property
     def n(self) -> int:
@@ -208,6 +221,13 @@ def symmetrize(a, b):
     sign_a = sgn(a[2])
     sign_b = sgn(b[2])
     return sign_a * a, sign_b * b, sign_a, sign_b
+
+
+def flip_spec(param: EntanglementParam, a1: np.ndarray, b1: np.ndarray, protocol: str) -> FlipSpec:
+    """Flip weights at symmetrized settings: c*a_z, c*b_z for p1, F(a_z), F(b_z) for p2."""
+    if protocol == "p1":
+        return FlipSpec(param.cos2g * a1[2], param.cos2g * b1[2])
+    return FlipSpec(epr2_flip_probability(param, a1[2]), epr2_flip_probability(param, b1[2]))
 
 
 def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
@@ -246,14 +266,6 @@ def tb_round(u, v, lambda1, lambda2):
 # ---------------------------------------------------------------------------
 # Direction construction. One row per round; settings are fixed scalars.
 # ---------------------------------------------------------------------------
-
-
-def _gated_extra(rr_extra: np.ndarray, strategy: CompletionStrategy):
-    """Completion signs per party: live under ORTHO_SIGN, +1 otherwise."""
-    if strategy.tag is Completion.ORTHO_SIGN:
-        return rr_extra[:, 0].astype(float), rr_extra[:, 1].astype(float)
-    ones = np.ones(rr_extra.shape[0])
-    return ones, ones
 
 
 def _guarded(axis_fn, param, vec):
@@ -332,6 +344,74 @@ def bob_direction_rows(
     return complete_rows(w, strategy, b_dir, comp)
 
 
+# The mu signs each protocol reads: sgn(z . mu_1..mu_5) for p1, all seven for p2.
+_MU_SIGNS = {"p1": 5, "p2": 7}
+
+
+def sign_bits(strategy: CompletionStrategy, protocol: str) -> int:
+    """How many shared signs a round of p1 or p2 reads: its mu signs, plus
+    one completion sign per party under ortho-sign."""
+    return _MU_SIGNS[protocol] + (2 if strategy.tag is Completion.ORTHO_SIGN else 0)
+
+
+def direction_table(
+    param: EntanglementParam,
+    a: np.ndarray,
+    b: np.ndarray,
+    p,
+    q,
+    strategy: CompletionStrategy,
+    protocol: str,
+):
+    """Alice's u and Bob's v at symmetrized settings for every sign tuple.
+
+    p and q are equal-length sequences of branch signs, one per table block.
+
+    With k = sign_bits(strategy, protocol), sign tuple i sets sign j to -1
+    exactly when bit j of i is 1.  Signs 0..n_mu-1 are sgn(z . mu_1..), and
+    under ortho-sign the next two are Alice's and Bob's completion signs;
+    unread mu signs are +1.  Row j * 2^k + i of u holds branch p[j] under
+    tuple i, and the same row of v holds branch q[j].  run_batch gathers
+    each round's rows from this table, and exact_mu_average averages u.v
+    over it, so sampler and oracle share one construction.
+    """
+    n_mu, k = _MU_SIGNS[protocol], sign_bits(strategy, protocol)
+    tuples = np.arange(len(p) << k) % (1 << k)
+    signs = (1 - 2 * ((tuples[:, None] >> np.arange(k)) & 1)).astype(np.int8)
+    mu_sign = np.ones((tuples.size, 7), dtype=np.int8)
+    mu_sign[:, :n_mu] = signs[:, :n_mu]
+    comp = signs[:, n_mu:].astype(float) if k > n_mu else np.ones((tuples.size, 2))
+    p_rows = np.repeat(np.asarray(p, dtype=np.int8), 1 << k)
+    q_rows = np.repeat(np.asarray(q, dtype=np.int8), 1 << k)
+    u = alice_direction_rows(param, a, p_rows, mu_sign, comp[:, 0], strategy, protocol)
+    v = bob_direction_rows(param, b, q_rows, mu_sign, comp[:, 1], strategy, protocol)
+    return u, v
+
+
+def round_directions(
+    param: EntanglementParam,
+    a: np.ndarray,
+    b: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    sign_word: np.ndarray,
+    strategy: CompletionStrategy,
+    protocol: str,
+):
+    """Each round's u and v at symmetrized settings, looked up in direction_table.
+
+    A round's sign tuple is floor(sign_word * 2^k), the word's top k bits.
+    Alice's row is picked by her branch sign p and Bob's by his q: block 0
+    of the table is branch +1, block 1 is -1.
+    """
+    k = sign_bits(strategy, protocol)
+    u_tab, v_tab = direction_table(param, a, b, (1, -1), (1, -1), strategy, protocol)
+    tuple_idx = (sign_word * (1 << k)).astype(np.intp)
+    u = u_tab.take(tuple_idx + ((p < 0) << k), axis=0)
+    v = v_tab.take(tuple_idx + ((q < 0) << k), axis=0)
+    return u, v
+
+
 # ---------------------------------------------------------------------------
 # Batch engine.
 # ---------------------------------------------------------------------------
@@ -373,11 +453,9 @@ def run_batch(
         # last bits, and tb's report bytes are pinned to this form.
         alpha, cbit, beta = _kernel(rr.lam1 @ a, rr.lam2 @ a, rr.lam1 @ b, rr.lam2 @ b)
         zero_sign = np.zeros(n, dtype=np.int8)
-        no_flip = np.zeros(n, dtype=bool)
         return BatchOutcome(
             alpha=alpha, beta=beta, alpha0=alpha, beta0=beta,
             p=zero_sign, q=zero_sign, cbit=cbit,
-            flipped_alpha=no_flip, flipped_beta=no_flip,
         )
 
     if protocol == "p2" and param.sin2g <= 0.0:
@@ -388,31 +466,20 @@ def run_batch(
     # Box stage: one call per round on (a_z, b_z). Bob inverts his bit into a
     # branch sign, so p == q exactly when a_z <= b_z (ties land there too).
     bit = compare_bit(a1[2], b1[2])
-    p = np.where(rr.box_u < 0.5, 1, -1).astype(np.int8)
+    p = np.int8(1) - (rr.box_u >= 0.5).astype(np.int8) * np.int8(2)
     q = (p * (2 * bit - 1)).astype(np.int8)
 
-    extra_a, extra_b = _gated_extra(rr.extra, strategy)
-    u_rows = alice_direction_rows(param, a1, p, rr.mu_sign, extra_a, strategy, protocol)
-    v_rows = bob_direction_rows(param, b1, q, rr.mu_sign, extra_b, strategy, protocol)
+    u_rows, v_rows = round_directions(param, a1, b1, p, q, rr.sign_word, strategy, protocol)
     alpha0, cbit, beta0 = _kernel(
         _rowdot(u_rows, rr.lam1), _rowdot(u_rows, rr.lam2),
         _rowdot(v_rows, rr.lam1), _rowdot(v_rows, rr.lam2),
     )
 
-    if protocol == "p1":
-        spec = FlipSpec(param.cos2g * a1[2], param.cos2g * b1[2])
-    else:
-        spec = FlipSpec(
-            epr2_flip_probability(param, a1[2]),
-            epr2_flip_probability(param, b1[2]),
-        )
-    alpha_sym, beta_sym = correlated_flip(alpha0, beta0, spec, rr.flip_r)
+    alpha_sym, beta_sym = correlated_flip(alpha0, beta0, flip_spec(param, a1, b1, protocol), rr.flip_r)
 
     return BatchOutcome(
         alpha=(sign_a * alpha_sym).astype(np.int8),
         beta=(sign_b * beta_sym).astype(np.int8),
         alpha0=alpha0, beta0=beta0,
         p=p, q=q, cbit=cbit,
-        # a flip only ever turns -1 into +1
-        flipped_alpha=alpha_sym != alpha0, flipped_beta=beta_sym != beta0,
     )

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import outcome_from_uniform
+from .boxes import compare_bit, outcome_from_uniform
 from .geometry import (
     Completion,
     CompletionStrategy,
@@ -35,14 +35,19 @@ from .geometry import (
     sign_array,
     spherical_grid,
 )
-from .protocols import (
+# alice_direction_rows and bob_direction_rows are not called here (the oracle
+# reaches them through direction_table), but stay importable from this module:
+# perfbench/tracing.py wraps them under verify as well as under protocols.
+from .protocols import (  # noqa: F401
     CHUNK,
+    STREAM,
     FlipSpec,
     RoundRandomness,
-    _gated_extra,
     alice_direction_rows,
     bob_direction_rows,
     correlated_flip,
+    direction_table,
+    flip_spec,
     round_uniform_block,
     run_batch,
     symmetrize,
@@ -50,6 +55,7 @@ from .protocols import (
 from .quantum import (
     EntanglementParam,
     JointDist,
+    _joint_from_moments,
     aux_axis,
     aux_axis_alice_nl,
     epr2_correlation,
@@ -86,6 +92,7 @@ __all__ = [
     "mc_branch_correlations",
     "mc_round_moments",
     "quadrature_kernel",
+    "realized_joint",
     "report_csv_rows",
     "report_to_json_dict",
     "sign_mean_estimate",
@@ -273,12 +280,6 @@ def _check_symmetrized(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError("settings must be symmetrized (z >= 0); reflect first")
 
 
-def _sign_grid(n_bits: int) -> np.ndarray:
-    idx = np.arange(1 << n_bits, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n_bits)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int8)
-
-
 def exact_mu_average(
     param: EntanglementParam,
     a,
@@ -291,11 +292,14 @@ def exact_mu_average(
     """Exact per-branch pre-flip correlation by brute-force sign enumeration.
 
     The kernel stage contributes E[alpha0 beta0 | u, v] = u.v, and the
-    directions depend on the mu bundle only through independent fair signs.
-    Enumerating every sign tuple and averaging u.v is therefore exact: 2^5
+    directions depend on the shared randomness only through independent fair
+    signs.  Averaging u.v over every sign tuple is therefore exact: 2^5
     tuples for the full-distribution protocol (which reads five of the seven
-    signs), 2^7 for the nonlocal-part protocol, times 2^2 completion signs
-    under the ortho-sign strategy.
+    mu signs), 2^7 for the nonlocal-part protocol, times 2^2 completion signs
+    under the ortho-sign strategy.  The tuples are the rows of
+    protocols.direction_table for branch (p, q), the very table run_batch
+    looks each sampled round's directions up in, so the oracle and the
+    sampler share one direction construction.
     """
     if protocol_id not in ("p1", "p2"):
         raise ValueError(f"protocol must be 'p1' or 'p2', got {protocol_id!r}")
@@ -304,18 +308,7 @@ def exact_mu_average(
     a = as_unit_vector(a)
     b = as_unit_vector(b)
     _check_symmetrized(a, b)
-    n_mu = 5 if protocol_id == "p1" else 7
-    n_extra = 2 if strategy.tag is Completion.ORTHO_SIGN else 0
-    signs = _sign_grid(n_mu + n_extra)
-    rows = signs.shape[0]
-    mu_sign = np.ones((rows, 7), dtype=np.int8)
-    mu_sign[:, :n_mu] = signs[:, :n_mu]
-    extra = signs[:, n_mu:] if n_extra else np.ones((rows, 2), dtype=np.int8)
-    extra_a, extra_b = _gated_extra(extra, strategy)
-    p_arr = np.full(rows, p, dtype=np.int8)
-    q_arr = np.full(rows, q, dtype=np.int8)
-    u_rows = alice_direction_rows(param, a, p_arr, mu_sign, extra_a, strategy, protocol_id)
-    v_rows = bob_direction_rows(param, b, q_arr, mu_sign, extra_b, strategy, protocol_id)
+    u_rows, v_rows = direction_table(param, a, b, (p,), (q,), strategy, protocol_id)
     return float(np.einsum("ij,ij->i", u_rows, v_rows).mean())
 
 
@@ -411,6 +404,38 @@ def flip_moments_claim(
     lo = Fraction(min(f_a, f_b))
     hi = Fraction(max(f_a, f_b))
     return Fraction(f_a), Fraction(f_b), lo + (1 - hi) * Fraction(c0)
+
+
+def realized_joint(
+    param: EntanglementParam,
+    a,
+    b,
+    strategy: CompletionStrategy,
+    protocol: str,
+) -> JointDist:
+    """Exact law of the final outputs (alpha, beta) of p1 or p2 at one setting.
+
+    The box coin p is fair and q = p (2[a_z <= b_z] - 1) on the symmetrized
+    settings.  Given the branch, the kernel's outputs have zero marginals and
+    correlation c_pq = exact_mu_average(p, q), so each branch's pre-flip law
+    is (1 + alpha0 beta0 c_pq)/4.  flip_moments_exact passes it through
+    correlated_flip, sign_a and sign_b reflect it back, and the two branches
+    weigh 1/2 each.  No rounds are sampled.
+    """
+    if protocol not in ("p1", "p2"):
+        raise ValueError(f"protocol must be 'p1' or 'p2', got {protocol!r}")
+    a1, b1, sign_a, sign_b = symmetrize(a, b)
+    spec = flip_spec(param, a1, b1, protocol)
+    q_per_p = 2 * compare_bit(a1[2], b1[2]) - 1
+    moments = [0.0, 0.0, 0.0]
+    for p in (1, -1):
+        c = exact_mu_average(param, a1, b1, strategy, p, p * q_per_p, protocol)
+        # a mean of unit-vector dot products can round past +-1
+        c = min(1.0, max(-1.0, c))
+        for k, m in enumerate(flip_moments_exact(c, spec.f_a, spec.f_b)):
+            moments[k] += 0.5 * float(m)
+    mean_a, mean_b, corr = moments
+    return _joint_from_moments(sign_a * mean_a, sign_b * mean_b, sign_a * sign_b * corr)
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +795,7 @@ def report_to_json_dict(report: ComparisonReport) -> dict:
         )
     return {
         "config": {
+            "stream": STREAM,
             "protocol": report.protocol,
             "gamma": report.gamma,
             "completion": report.completion,

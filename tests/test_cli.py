@@ -9,6 +9,7 @@ import pytest
 
 from mboxsim import __version__
 from mboxsim.cli import main, report_schema
+from mboxsim.protocols import STREAM
 from mboxsim.runtime import CHUNK, SETTINGS_CSV_HEADER
 
 PI8 = math.pi / 8
@@ -41,6 +42,11 @@ class TestSimulate:
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, report_schema())
         assert payload["config"]["settings_source"] == "random:2"
+        # the stream layout is echoed, and the schema admits only this one
+        assert payload["config"]["stream"] == STREAM
+        payload["config"]["stream"] = "philox/chunk65536/row24"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, report_schema())
         assert csv_path.read_text().startswith("ax,")
         assert "wrote" in capsys.readouterr().out
 
@@ -91,16 +97,16 @@ class TestGoldenReports:
     # bump the package version and pin the new digests.
     GOLDEN = {
         ("p1", "ortho-sign"): (
-            "ab33cc849224fb950fb2e0f3a473e93b63aac984911857fedf5302fe8b0140d0",
-            "18a6448645db664a4aa1730fa5019b0a829e5c8d94824c4e10e83ecb01853d55",
+            "8265938ab6329a520f573a858b492158b08e7ea36ec2fb749299c25e78d8dfa1",
+            "cb59533be1a479b2e09b799a72d6538aad031dafc09cee94d130e0651b50737d",
         ),
         ("p2", "ortho"): (
-            "e89fbf972101de8230d09a9319d3d124e937969559ed8be4260c6d591b70ea2d",
-            "549460180d6108776a25ed6a4d2321ee5c77d4634e20b1bbfcba7347feb948cd",
+            "fbea4d381352239a00ddbe2280977bb4243c63563cbb69eda3619289d212e3b4",
+            "d70fcc9960ed4301baec1bf17234fa2010c431012bef475f8ef388fd9832ceb0",
         ),
         ("tb", "normalize"): (
-            "0f5d8ac80f700b12b74b391c49080fa1a5cd4d56aee82ef8321f3831caf7ab0d",
-            "de340353a078f997f62d5f587e4cb76a0a489dd7c51af312ef69894db24d09be",
+            "c09691787eee531b0646e66f928cc3c48eb2b9f0e2709a1d3b19fa92d05a44b7",
+            "a798860d266b1af419d785895d4423c2f444e2f5235b69c276b788a1066002c5",
         ),
     }
 

@@ -62,6 +62,23 @@ class TestUnitVectors:
         assert block.shape == (50, 3)
         assert np.allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-12)
 
+    def test_from_uniforms_matches_reference_formula(self):
+        # the columns are written in place; the values are those of the plain
+        # formula, bit for bit, for blocks, strided columns and scalars
+        def reference(u1, u2):
+            z = 1.0 - 2.0 * np.asarray(u1, dtype=float)
+            phi = 2.0 * np.pi * np.asarray(u2, dtype=float)
+            rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+            return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
+
+        g = np.random.Generator(np.random.Philox(key=9))
+        u = g.random((1000, 7))
+        u[:3, :2] = [[0.0, 0.0], [0.5, 0.5], [1.0 - 2.0**-53, 0.25]]
+        assert np.array_equal(unit_vector_from_uniforms(u[:, 0], u[:, 1]), reference(u[:, 0], u[:, 1]))
+        for u1, u2 in ((0.0, 0.0), (0.3, 0.9), (1.0, 0.5)):
+            got = unit_vector_from_uniforms(u1, u2)
+            assert got.shape == (3,) and np.array_equal(got, reference(u1, u2))
+
     def test_sample_unit_sphere_norm_and_mean(self):
         g = np.random.Generator(np.random.Philox(key=7))
         draws = np.array([sample_unit_sphere(g) for _ in range(100_000)])

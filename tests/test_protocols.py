@@ -12,7 +12,9 @@ from mboxsim.protocols import (
     alice_direction_rows,
     bob_direction_rows,
     correlated_flip,
+    round_directions,
     run_batch,
+    sign_bits,
     symmetrize,
     tb_round,
 )
@@ -22,6 +24,7 @@ PI8 = math.pi / 8
 PI4 = math.pi / 4
 NORMALIZE = CompletionStrategy(Completion.NORMALIZE)
 ORTHO = CompletionStrategy(Completion.ORTHO)
+ORTHO_SIGN = CompletionStrategy(Completion.ORTHO_SIGN)
 ONE = np.ones(1)
 
 
@@ -38,41 +41,81 @@ def random_rr(n: int, key: int) -> RoundRandomness:
     return RoundRandomness.from_uniform_block(g.random((n, UNIFORMS_PER_ROUND)))
 
 
-def alice_u(param, a, p, slots, strategy, protocol="p1"):
-    rr = rr_from(slots)
-    return alice_direction_rows(param, a, np.array([p]), rr.mu_sign, ONE, strategy, protocol)[0]
+def mu_signs(down=()) -> np.ndarray:
+    """One row of the seven mu signs, with sgn(z . mu_i) = -1 for i in down."""
+    row = np.ones((1, 7), dtype=np.int8)
+    for i in down:
+        row[0, i - 1] = -1
+    return row
 
 
-def bob_v(param, b, q, slots, strategy, protocol="p1"):
-    rr = rr_from(slots)
-    return bob_direction_rows(param, b, np.array([q]), rr.mu_sign, ONE, strategy, protocol)[0]
+def alice_u(param, a, p, down, strategy, protocol="p1", comp=ONE):
+    return alice_direction_rows(param, a, np.array([p]), mu_signs(down), comp, strategy, protocol)[0]
+
+
+def bob_v(param, b, q, down, strategy, protocol="p1", comp=ONE):
+    return bob_direction_rows(param, b, np.array([q]), mu_signs(down), comp, strategy, protocol)[0]
+
+
+def looked_up(param, a1, b1, p, q, word, strategy, protocol):
+    """The (u, v) run_batch gathers for one round with the given sign word."""
+    u, v = round_directions(
+        param, np.asarray(a1, dtype=float), np.asarray(b1, dtype=float),
+        np.array([p], dtype=np.int8), np.array([q], dtype=np.int8),
+        np.array([word]), strategy, protocol,
+    )
+    return u[0], v[0]
 
 
 class TestRoundRandomness:
     def test_from_uniforms_layout(self):
+        assert UNIFORMS_PER_ROUND == 7
         rr = rr_from({})
         assert rr.n == 1
         assert rr.lam1[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
         assert rr.lam2[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
-        assert rr.mu_sign[0].tolist() == [1] * 7
         assert rr.flip_r[0] == 0.0
         assert rr.box_u[0] == 0.0
-        assert rr.extra[0].tolist() == [1, 1]
+        assert rr.sign_word[0] == 0.0
+        rr = rr_from({0: 0.5, 1: 0.25, 2: 1.0, 3: 0.0})
+        assert rr.lam1[0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+        assert rr.lam2[0] == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
 
     def test_mu_sign_slots(self):
-        # polar slots 4, 6, ..., 16 carry the signs (u <= 1/2 means z >= 0);
-        # the azimuth slots between them are never read
-        rr = rr_from({4: 0.9, 5: 0.9, 10: 0.5, 16: 0.51})
-        assert rr.mu_sign[0].tolist() == [-1, 1, 1, 1, 1, 1, -1]
+        # slot 6 is the sign word: its top k bits, floor(word * 2^k), hold
+        # the round's signs, bit j (from the bottom of those k) being sign j
+        param = EntanglementParam(PI8)
+        a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
+        assert (sign_bits(NORMALIZE, "p1"), sign_bits(ORTHO, "p2")) == (5, 7)
+        rr = rr_from({6: 0.5 + 1 / 32})  # p1: index 17 = bits 0 and 4
+        u, v = looked_up(param, a, b, 1, 1, rr.sign_word[0], NORMALIZE, "p1")
+        assert np.array_equal(u, alice_u(param, a, 1, {1, 5}, NORMALIZE))
+        assert np.array_equal(v, bob_v(param, b, 1, {1, 5}, NORMALIZE))
+        # p2 reads seven bits of the same word: index 17 * 4 = bits 2 and 6
+        u, v = looked_up(param, a, b, -1, 1, rr.sign_word[0], NORMALIZE, "p2")
+        assert np.array_equal(u, alice_u(param, a, -1, {3, 7}, NORMALIZE, "p2"))
+        assert np.array_equal(v, bob_v(param, b, 1, {3, 7}, NORMALIZE, "p2"))
 
-    def test_slot_18_is_flip_and_19_is_box(self):
-        rr = rr_from({18: 0.25, 19: 0.75})
+    def test_slot_4_is_flip_and_5_is_box(self):
+        rr = rr_from({4: 0.25, 5: 0.75})
         assert rr.flip_r[0] == 0.25
         assert rr.box_u[0] == 0.75
+        assert rr.sign_word[0] == 0.0
 
     def test_extra_sign_slots(self):
-        rr = rr_from({20: 0.9, 21: 0.1})
-        assert rr.extra[0].tolist() == [-1, 1]
+        # under ortho-sign the two bits above the mu signs are Alice's and
+        # Bob's completion signs: for p1, bits 5 and 6 of floor(word * 128)
+        param = EntanglementParam(PI8)
+        a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
+        minus = -ONE
+        assert sign_bits(ORTHO_SIGN, "p1") == 7
+        for word, comp_a, comp_b in ((0.25, minus, ONE), (0.5, ONE, minus), (0.75, minus, minus)):
+            u, v = looked_up(param, a, b, 1, 1, word, ORTHO_SIGN, "p1")
+            assert np.array_equal(u, alice_u(param, a, 1, (), ORTHO_SIGN, comp=comp_a))
+            assert np.array_equal(v, bob_v(param, b, 1, (), ORTHO_SIGN, comp=comp_b))
+        # the same word carries no completion sign under ortho
+        u, v = looked_up(param, a, b, 1, 1, 0.75, ORTHO, "p1")
+        assert np.array_equal(u, alice_u(param, a, 1, {4, 5}, ORTHO))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -85,31 +128,35 @@ class TestRoundRandomness:
         # and expanding the block give bit-identical randomness and rounds
         g = np.random.Generator(np.random.Philox(key=6))
         u = g.random((40, UNIFORMS_PER_ROUND))
-        u[0, 4:22] = 0.5
+        u[0, 4:] = 0.5
         block = RoundRandomness.from_uniform_block(u)
         param = EntanglementParam(PI8)
         a, b = [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]
         rows = [RoundRandomness.from_uniform_block(u[i : i + 1]) for i in range(u.shape[0])]
         for i, rr in enumerate(rows):
             assert rr.n == 1
-            for name in ("lam1", "lam2", "mu_sign", "flip_r", "box_u", "extra"):
+            for name in ("lam1", "lam2", "flip_r", "box_u", "sign_word"):
                 assert np.array_equal(getattr(rr, name)[0], getattr(block, name)[i]), name
         for protocol in PROTOCOL_IDS:
             whole = run_batch(param, a, b, block, ORTHO, protocol)
             for i, rr in enumerate(rows):
                 one = run_batch(param, a, b, rr, ORTHO, protocol)
-                for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit",
-                             "flipped_alpha", "flipped_beta"):
+                for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
                     assert getattr(one, name)[0] == getattr(whole, name)[i], (protocol, name)
 
     def test_uniform_block_sign_slots(self):
+        # each row of a block decodes its own sign word
+        param = EntanglementParam(PI8)
+        a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
         u = np.zeros((3, UNIFORMS_PER_ROUND))
-        u[1, 4] = 0.9
-        u[2, 16] = 0.9
+        u[1, 6] = 1 / 128  # p2: index 1, mu_1 down
+        u[2, 6] = 1 - 1 / 128  # p2: index 127, every mu down
         rr = RoundRandomness.from_uniform_block(u)
-        assert rr.mu_sign[0].tolist() == [1] * 7
-        assert rr.mu_sign[1].tolist() == [-1, 1, 1, 1, 1, 1, 1]
-        assert rr.mu_sign[2].tolist() == [1, 1, 1, 1, 1, 1, -1]
+        p = np.ones(3, dtype=np.int8)
+        got_u, got_v = round_directions(param, a, b, p, p, rr.sign_word, NORMALIZE, "p2")
+        for i, down in enumerate(((), {1}, set(range(1, 8)))):
+            assert np.array_equal(got_u[i], alice_u(param, a, 1, down, NORMALIZE, "p2"))
+            assert np.array_equal(got_v[i], bob_v(param, b, 1, down, NORMALIZE, "p2"))
 
 
 class TestSymmetrize:
@@ -208,24 +255,24 @@ class TestDirectionConstruction:
     def test_alice_worked_example(self):
         # a = x, both mu signs up, p = +1: u = normalize(a + A) with
         # A = (s, 0, -c)/1 at gamma = pi/8
-        u = alice_u(EntanglementParam(PI8), X_HAT, 1, {}, NORMALIZE)
+        u = alice_u(EntanglementParam(PI8), X_HAT, 1, (), NORMALIZE)
         assert u == pytest.approx([0.9238795, 0.0, -0.3826834], abs=1e-7)
 
     def test_alice_branch_chooses_other_mu_pair(self):
-        # flip mu_4 (slot 10) down: only the p = -1 branch sees it
+        # flip mu_4 down: only the p = -1 branch sees it
         param = EntanglementParam(PI8)
-        same = alice_u(param, X_HAT, 1, {10: 0.9}, NORMALIZE)
-        assert same == pytest.approx(alice_u(param, X_HAT, 1, {}, NORMALIZE).tolist())
-        other = alice_u(param, X_HAT, -1, {10: 0.9}, NORMALIZE)
-        assert not np.allclose(other, alice_u(param, X_HAT, -1, {}, NORMALIZE))
+        same = alice_u(param, X_HAT, 1, {4}, NORMALIZE)
+        assert same == pytest.approx(alice_u(param, X_HAT, 1, (), NORMALIZE).tolist())
+        other = alice_u(param, X_HAT, -1, {4}, NORMALIZE)
+        assert not np.allclose(other, alice_u(param, X_HAT, -1, (), NORMALIZE))
 
     def test_bob_completion_sign_reflects(self):
         # under ORTHO the mu_5 sign mirrors the completion: the two choices
         # average back to the in-plane part
         param = EntanglementParam(PI8)
         b = X_HAT
-        plus = bob_v(param, b, 1, {4: 0.9}, ORTHO)
-        minus = bob_v(param, b, 1, {4: 0.9, 12: 0.9}, ORTHO)
+        plus = bob_v(param, b, 1, {1}, ORTHO)
+        minus = bob_v(param, b, 1, {1, 5}, ORTHO)
         w = b - aux_axis(param, b)
         assert np.linalg.norm(w) < 1.0
         assert plus + minus == pytest.approx((2.0 * w).tolist(), abs=1e-12)
@@ -234,10 +281,49 @@ class TestDirectionConstruction:
     def test_nonlocal_form_in_band_majority(self):
         # gamma = pi/8 puts z = 0 inside the band: direction is +/- a
         param = EntanglementParam(PI8)
-        u = alice_u(param, X_HAT, 1, {}, NORMALIZE, protocol="p2")
+        u = alice_u(param, X_HAT, 1, (), NORMALIZE, protocol="p2")
         assert u == pytest.approx([1.0, 0.0, 0.0])
-        u = alice_u(param, X_HAT, 1, {4: 0.9, 10: 0.9, 14: 0.9}, NORMALIZE, protocol="p2")
+        u = alice_u(param, X_HAT, 1, {1, 4, 6}, NORMALIZE, protocol="p2")
         assert u == pytest.approx([-1.0, 0.0, 0.0])
+
+
+class TestDirectionTable:
+    # (gamma, a, b, protocols): generic settings, a p2 setting inside the
+    # equatorial band, a tie a_z == b_z, and Alice's degenerate alternate axis
+    CASES = (
+        (PI8, [0.6, 0.0, 0.8], [0.0, 0.6, -0.8], ("p1", "p2")),
+        (PI8, [0.995, 0.0, 0.0998749217771909], [0.36, 0.48, 0.8], ("p1", "p2")),
+        (PI8, [0.6, 0.0, 0.8], [0.0, 0.6, 0.8], ("p1", "p2")),
+        (0.0, [0.0, 0.0, 1.0], [0.6, 0.0, 0.8], ("p1",)),
+    )
+
+    @pytest.mark.parametrize("strategy", [NORMALIZE, ORTHO, ORTHO_SIGN], ids=lambda s: s.tag.value)
+    def test_gathered_rows_match_per_round_calls(self, strategy):
+        # every round's looked-up u and v equal, bit for bit, the direction
+        # builders called on that round alone with the signs its word holds
+        g = np.random.Generator(np.random.Philox(key=7))
+        for gamma, a, b, protocols in self.CASES:
+            param = EntanglementParam(gamma)
+            a1, b1, _, _ = symmetrize(a, b)
+            for protocol in protocols:
+                n_mu = 5 if protocol == "p1" else 7
+                k = n_mu + (2 if strategy is ORTHO_SIGN else 0)
+                n = 300
+                words = g.random(n)
+                p = np.where(g.random(n) < 0.5, 1, -1).astype(np.int8)
+                q = np.where(g.random(n) < 0.5, 1, -1).astype(np.int8)
+                u, v = round_directions(param, a1, b1, p, q, words, strategy, protocol)
+                for i in range(n):
+                    index = math.floor(words[i] * 2**k)
+                    signs = [-1 if index >> j & 1 else 1 for j in range(k)]
+                    mu = np.array([signs[:n_mu] + [1] * (7 - n_mu)], dtype=np.int8)
+                    comp_a, comp_b = (signs[n_mu:] if k > n_mu else [1, 1])
+                    want_u = alice_direction_rows(
+                        param, a1, p[i : i + 1], mu, np.array([comp_a], dtype=float), strategy, protocol)
+                    want_v = bob_direction_rows(
+                        param, b1, q[i : i + 1], mu, np.array([comp_b], dtype=float), strategy, protocol)
+                    assert np.array_equal(u[i], want_u[0]), (gamma, a, protocol, i)
+                    assert np.array_equal(v[i], want_v[0]), (gamma, b, protocol, i)
 
 
 class TestRunBatch:
@@ -259,9 +345,11 @@ class TestRunBatch:
         for col in (out.alpha, out.beta, out.alpha0, out.beta0, out.p, out.q):
             assert set(np.unique(col).tolist()) <= {-1, 1}
         assert out.alpha.dtype == np.int8
-        # flips only ever promote a -1
-        assert not np.any(out.flipped_alpha & (out.alpha0 == 1))
-        assert not np.any(out.flipped_beta & (out.beta0 == 1))
+        # flips only ever promote a -1, and b_z < 0 reflects Bob's outputs
+        alpha_sym, beta_sym = out.alpha, -out.beta
+        assert np.all(alpha_sym[out.alpha0 == 1] == 1)
+        assert np.all(beta_sym[out.beta0 == 1] == 1)
+        assert np.any(alpha_sym != out.alpha0) and np.any(beta_sym != out.beta0)
 
     def test_branch_sign_tracks_comparison(self):
         rr = random_rr(200, key=65)

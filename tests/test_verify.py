@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Y_HAT, Z_HAT
+from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Y_HAT, Z_HAT, sample_unit_sphere
 from mboxsim.protocols import CHUNK, RoundRandomness, UNIFORMS_PER_ROUND, run_batch
 from mboxsim.quantum import (
     EntanglementParam,
@@ -35,6 +35,7 @@ from mboxsim.verify import (
     mc_branch_correlations,
     mc_round_moments,
     quadrature_kernel,
+    realized_joint,
     sign_mean_estimate,
     suite_epr2,
     suite_flip,
@@ -305,6 +306,52 @@ class TestSharedStream:
                 (p, q): (est.n, est.mean, est.stderr) for (p, q), est in branches.items()
             } == {(br.p, br.q): (br.n, br.corr_mean, br.corr_stderr) for br in rec.branches}
             assert len(branches) == (0 if protocol == "tb" else 2)
+
+
+class TestRealizedJoint:
+    @staticmethod
+    def settings():
+        g = np.random.Generator(np.random.Philox(key=DEFAULT_SEED + 47))
+        pairs = [(sample_unit_sphere(g), sample_unit_sphere(g)) for _ in range(3)]
+        a = pairs[0][0]
+        pairs.append((a, np.array([-a[1], a[0], -a[2]])))  # |a_z| == |b_z|
+        # a_z > b_z, where p1's two branch correlations differ in sign
+        pairs.append((np.array([0.6, 0.0, 0.8]), np.array([0.96, 0.0, 0.28])))
+        return tuple((tuple(a), tuple(b)) for a, b in pairs)
+
+    def test_is_a_distribution(self):
+        for gamma in (PI8, PI4):
+            param = EntanglementParam(gamma)
+            for a, b in self.settings():
+                for strategy in (NORMALIZE, ORTHO, ORTHO_SIGN):
+                    for protocol in ("p1", "p2"):
+                        joint = realized_joint(param, a, b, strategy, protocol)
+                        joint.validate(tol=1e-12)
+                        if protocol == "p1":
+                            # the flip alone sets the marginals
+                            assert joint.mean_alpha == pytest.approx(param.cos2g * a[2], abs=1e-12)
+                            assert joint.mean_beta == pytest.approx(param.cos2g * b[2], abs=1e-12)
+
+    def test_matches_run_experiment(self):
+        # every cell of the sampled full joint against the exact one, 4 sigma
+        param = EntanglementParam(PI8)
+        settings = self.settings()
+        rounds = 150_000
+        worst = 0.0
+        for protocol in ("p1", "p2"):
+            for strategy in (NORMALIZE, ORTHO, ORTHO_SIGN):
+                report = run_experiment(ExperimentConfig(
+                    protocol=protocol, gamma=PI8, rounds=rounds, seed=DEFAULT_SEED + 48,
+                    completion=strategy.tag.value, settings=settings,
+                ))
+                for (a, b), rec in zip(settings, report.records):
+                    exact = realized_joint(param, a, b, strategy, protocol).as_array()
+                    freq = np.array(rec.row.empirical.counts) / rounds
+                    sigma = np.maximum(np.sqrt(exact * (1.0 - exact) / rounds), 1.0 / rounds)
+                    z = np.abs(freq - exact) / sigma
+                    worst = max(worst, float(z.max()))
+                    assert z.max() <= 4.0, (protocol, strategy.tag.value, a, b, z)
+        print(f"full joint: max |z| = {worst:.2f}")
 
 
 class TestEpr2Suite:
