@@ -10,8 +10,8 @@ Both entangled-state protocols follow the same skeleton per round:
 3. each party builds a direction vector from sign-weighted sums of its
    setting, an alternate axis, and a completion vector.  The protocols read
    the shared random directions mu_1..mu_7 only through the signs
-   sgn(z . mu_i), which are fair and independent, so the stream draws those
-   signs directly as bits and never builds a mu vector.  At fixed settings a
+   sgn(z . mu_i), which are fair and independent, so a round keeps only
+   those signs, as bits, and never builds a mu vector.  At fixed settings a
    party's direction is a function of its branch sign and the sign tuple, so
    direction_table computes it once per batch for every tuple and each round
    looks its direction up;
@@ -85,11 +85,18 @@ __all__ = [
 
 PROTOCOL_IDS = ("p1", "p2", "tb")
 
-# Fixed per-round layout of the uniform stream (one row of 7 doubles):
-# 0,1 lambda1 | 2,3 lambda2 | 4 flip coupler | 5 box coin | 6 sign word.
-# The sign word's top k bits, floor(u * 2^k), index the round's shared signs
-# (see sign_bits and direction_table).
-UNIFORMS_PER_ROUND = 7
+# Fixed per-round layout of the uniform stream (one row of 24 doubles):
+# 0,1 lambda1 | 2,3 lambda2 | 4..17 mu_1..mu_7 as (polar, azimuth) pairs |
+# 18 flip coupler | 19 box coin | 20,21 completion signs | 22,23 reserved.
+# The protocols read mu_i only through sgn(z . mu_i), which is the sign of
+# its polar slot's z = 1 - 2u, so the azimuth slots are never read.
+UNIFORMS_PER_ROUND = 24
+
+# The slots whose signs a round reads: the seven mu polar slots, then the
+# two completion-sign slots.  Sign j is -1 exactly when slot _SIGN_SLOTS[j]
+# holds u > 1/2 (z = 1 - 2u < 0; sgn(0) = +1).
+_SIGN_SLOTS = np.array([4, 6, 8, 10, 12, 14, 16, 20, 21])
+_SIGN_BITS = (1 << np.arange(_SIGN_SLOTS.size)).astype(np.uint16)
 
 # Rows per derived stream key.  Part of the stream layout: changing it
 # changes which uniforms a given round sees, so it is fixed, not tunable.
@@ -161,15 +168,16 @@ class FlipSpec:
 class RoundRandomness:
     """Array form of per-round randomness, one row per round.
 
-    sign_word is the uniform whose top bits hold the round's shared signs;
-    run_batch reads as many bits as the protocol and completion use.
+    signs packs the round's nine shared signs into one integer: bit j is 1
+    exactly when sign j is -1, bits 0..6 being sgn(z . mu_1..mu_7) and bits
+    7 and 8 Alice's and Bob's completion signs.  No mu vector is built.
     """
 
     lam1: np.ndarray
     lam2: np.ndarray
     flip_r: np.ndarray
     box_u: np.ndarray
-    sign_word: np.ndarray
+    signs: np.ndarray
 
     @property
     def n(self) -> int:
@@ -180,15 +188,15 @@ class RoundRandomness:
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != UNIFORMS_PER_ROUND:
             raise ValueError(f"expected (n, {UNIFORMS_PER_ROUND}) uniforms, got {u.shape}")
-        # one contiguous copy of the three scalar columns, so the row block
-        # is freed before the batch runs
-        flip_r, box_u, sign_word = u[:, 4:].T.copy()
+        # compare the contiguous slots 4..21, then pick the sign slots
+        down = (u[:, 4:22] > 0.5)[:, _SIGN_SLOTS - 4]
+        # copies, so no view keeps the row block alive while the batch runs
         return cls(
             lam1=unit_vector_from_uniforms(u[:, 0], u[:, 1]),
             lam2=unit_vector_from_uniforms(u[:, 2], u[:, 3]),
-            flip_r=flip_r,
-            box_u=box_u,
-            sign_word=sign_word,
+            flip_r=u[:, 18].copy(),
+            box_u=u[:, 19].copy(),
+            signs=(down * _SIGN_BITS).sum(axis=1, dtype=np.uint16),
         )
 
 
@@ -394,19 +402,22 @@ def round_directions(
     b: np.ndarray,
     p: np.ndarray,
     q: np.ndarray,
-    sign_word: np.ndarray,
+    signs: np.ndarray,
     strategy: CompletionStrategy,
     protocol: str,
 ):
     """Each round's u and v at symmetrized settings, looked up in direction_table.
 
-    A round's sign tuple is floor(sign_word * 2^k), the word's top k bits.
-    Alice's row is picked by her branch sign p and Bob's by his q: block 0
-    of the table is branch +1, block 1 is -1.
+    signs are RoundRandomness.signs.  A round's table index keeps the mu
+    bits the protocol reads and, under ortho-sign, puts the two completion
+    bits right above them.  Alice's row is picked by her branch sign p and
+    Bob's by his q: block 0 of the table is branch +1, block 1 is -1.
     """
-    k = sign_bits(strategy, protocol)
+    n_mu, k = _MU_SIGNS[protocol], sign_bits(strategy, protocol)
     u_tab, v_tab = direction_table(param, a, b, (1, -1), (1, -1), strategy, protocol)
-    tuple_idx = (sign_word * (1 << k)).astype(np.intp)
+    tuple_idx = (signs & ((1 << n_mu) - 1)).astype(np.intp)
+    if k > n_mu:
+        tuple_idx |= (signs >> 7).astype(np.intp) << n_mu
     u = u_tab.take(tuple_idx + ((p < 0) << k), axis=0)
     v = v_tab.take(tuple_idx + ((q < 0) << k), axis=0)
     return u, v
@@ -469,7 +480,7 @@ def run_batch(
     p = np.int8(1) - (rr.box_u >= 0.5).astype(np.int8) * np.int8(2)
     q = (p * (2 * bit - 1)).astype(np.int8)
 
-    u_rows, v_rows = round_directions(param, a1, b1, p, q, rr.sign_word, strategy, protocol)
+    u_rows, v_rows = round_directions(param, a1, b1, p, q, rr.signs, strategy, protocol)
     alpha0, cbit, beta0 = _kernel(
         _rowdot(u_rows, rr.lam1), _rowdot(u_rows, rr.lam2),
         _rowdot(v_rows, rr.lam1), _rowdot(v_rows, rr.lam2),

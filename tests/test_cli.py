@@ -44,7 +44,7 @@ class TestSimulate:
         assert payload["config"]["settings_source"] == "random:2"
         # the stream layout is echoed, and the schema admits only this one
         assert payload["config"]["stream"] == STREAM
-        payload["config"]["stream"] = "philox/chunk65536/row24"
+        payload["config"]["stream"] = "philox/chunk65536/row7"
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, report_schema())
         assert csv_path.read_text().startswith("ax,")
@@ -97,16 +97,16 @@ class TestGoldenReports:
     # bump the package version and pin the new digests.
     GOLDEN = {
         ("p1", "ortho-sign"): (
-            "8265938ab6329a520f573a858b492158b08e7ea36ec2fb749299c25e78d8dfa1",
-            "cb59533be1a479b2e09b799a72d6538aad031dafc09cee94d130e0651b50737d",
+            "38f94ebe5c18dbb05eecebd44291ac17fe6872fe35c0a448037a837f15fea3b3",
+            "18a6448645db664a4aa1730fa5019b0a829e5c8d94824c4e10e83ecb01853d55",
         ),
         ("p2", "ortho"): (
-            "fbea4d381352239a00ddbe2280977bb4243c63563cbb69eda3619289d212e3b4",
-            "d70fcc9960ed4301baec1bf17234fa2010c431012bef475f8ef388fd9832ceb0",
+            "efa8faed7cbe623445531a592858afde3b2835065c2774e9419e9e07b76915d6",
+            "549460180d6108776a25ed6a4d2321ee5c77d4634e20b1bbfcba7347feb948cd",
         ),
         ("tb", "normalize"): (
-            "c09691787eee531b0646e66f928cc3c48eb2b9f0e2709a1d3b19fa92d05a44b7",
-            "a798860d266b1af419d785895d4423c2f444e2f5235b69c276b788a1066002c5",
+            "6e35763fada45b8215e8b73bed1749e0f2bcfd738cb9df1a934d48fb414fa895",
+            "de340353a078f997f62d5f587e4cb76a0a489dd7c51af312ef69894db24d09be",
         ),
     }
 

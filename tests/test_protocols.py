@@ -57,65 +57,71 @@ def bob_v(param, b, q, down, strategy, protocol="p1", comp=ONE):
     return bob_direction_rows(param, b, np.array([q]), mu_signs(down), comp, strategy, protocol)[0]
 
 
-def looked_up(param, a1, b1, p, q, word, strategy, protocol):
-    """The (u, v) run_batch gathers for one round with the given sign word."""
+def looked_up(param, a1, b1, p, q, signs, strategy, protocol):
+    """The (u, v) run_batch gathers for one round with the given packed signs."""
     u, v = round_directions(
         param, np.asarray(a1, dtype=float), np.asarray(b1, dtype=float),
         np.array([p], dtype=np.int8), np.array([q], dtype=np.int8),
-        np.array([word]), strategy, protocol,
+        np.array([signs], dtype=np.uint16), strategy, protocol,
     )
     return u[0], v[0]
 
 
 class TestRoundRandomness:
     def test_from_uniforms_layout(self):
-        assert UNIFORMS_PER_ROUND == 7
+        assert UNIFORMS_PER_ROUND == 24
         rr = rr_from({})
         assert rr.n == 1
         assert rr.lam1[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
         assert rr.lam2[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
         assert rr.flip_r[0] == 0.0
         assert rr.box_u[0] == 0.0
-        assert rr.sign_word[0] == 0.0
+        assert rr.signs[0] == 0
         rr = rr_from({0: 0.5, 1: 0.25, 2: 1.0, 3: 0.0})
         assert rr.lam1[0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
         assert rr.lam2[0] == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
 
     def test_mu_sign_slots(self):
-        # slot 6 is the sign word: its top k bits, floor(word * 2^k), hold
-        # the round's signs, bit j (from the bottom of those k) being sign j
+        # polar slots 4, 6, ..., 16 carry the signs (u <= 1/2 means z >= 0)
+        # as bits 0..6; the azimuth slots between them are never read
+        rr = rr_from({4: 0.9, 5: 0.9, 10: 0.5, 16: 0.51})
+        assert rr.signs[0] == 0b1000001
         param = EntanglementParam(PI8)
         a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
         assert (sign_bits(NORMALIZE, "p1"), sign_bits(ORTHO, "p2")) == (5, 7)
-        rr = rr_from({6: 0.5 + 1 / 32})  # p1: index 17 = bits 0 and 4
-        u, v = looked_up(param, a, b, 1, 1, rr.sign_word[0], NORMALIZE, "p1")
-        assert np.array_equal(u, alice_u(param, a, 1, {1, 5}, NORMALIZE))
-        assert np.array_equal(v, bob_v(param, b, 1, {1, 5}, NORMALIZE))
-        # p2 reads seven bits of the same word: index 17 * 4 = bits 2 and 6
-        u, v = looked_up(param, a, b, -1, 1, rr.sign_word[0], NORMALIZE, "p2")
-        assert np.array_equal(u, alice_u(param, a, -1, {3, 7}, NORMALIZE, "p2"))
-        assert np.array_equal(v, bob_v(param, b, 1, {3, 7}, NORMALIZE, "p2"))
+        # p2 reads all seven mu signs, p1 the first five
+        u, v = looked_up(param, a, b, -1, 1, rr.signs[0], NORMALIZE, "p2")
+        assert np.array_equal(u, alice_u(param, a, -1, {1, 7}, NORMALIZE, "p2"))
+        assert np.array_equal(v, bob_v(param, b, 1, {1, 7}, NORMALIZE, "p2"))
+        u, v = looked_up(param, a, b, 1, 1, rr.signs[0], NORMALIZE, "p1")
+        assert np.array_equal(u, alice_u(param, a, 1, {1}, NORMALIZE))
+        assert np.array_equal(v, bob_v(param, b, 1, {1}, NORMALIZE))
 
-    def test_slot_4_is_flip_and_5_is_box(self):
-        rr = rr_from({4: 0.25, 5: 0.75})
+    def test_slot_18_is_flip_and_19_is_box(self):
+        rr = rr_from({18: 0.25, 19: 0.75})
         assert rr.flip_r[0] == 0.25
         assert rr.box_u[0] == 0.75
-        assert rr.sign_word[0] == 0.0
+        assert rr.signs[0] == 0
 
     def test_extra_sign_slots(self):
-        # under ortho-sign the two bits above the mu signs are Alice's and
-        # Bob's completion signs: for p1, bits 5 and 6 of floor(word * 128)
+        # slots 20 and 21 are Alice's and Bob's completion signs, bits 7 and 8
+        rr = rr_from({20: 0.9, 21: 0.1})
+        assert rr.signs[0] == 1 << 7
         param = EntanglementParam(PI8)
         a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
         minus = -ONE
         assert sign_bits(ORTHO_SIGN, "p1") == 7
-        for word, comp_a, comp_b in ((0.25, minus, ONE), (0.5, ONE, minus), (0.75, minus, minus)):
-            u, v = looked_up(param, a, b, 1, 1, word, ORTHO_SIGN, "p1")
-            assert np.array_equal(u, alice_u(param, a, 1, (), ORTHO_SIGN, comp=comp_a))
-            assert np.array_equal(v, bob_v(param, b, 1, (), ORTHO_SIGN, comp=comp_b))
-        # the same word carries no completion sign under ortho
-        u, v = looked_up(param, a, b, 1, 1, 0.75, ORTHO, "p1")
-        assert np.array_equal(u, alice_u(param, a, 1, {4, 5}, ORTHO))
+        for slots, comp_a, comp_b in (({20: 0.9}, minus, ONE), ({21: 0.9}, ONE, minus),
+                                      ({20: 0.9, 21: 0.9, 6: 0.9}, minus, minus)):
+            signs = rr_from(slots).signs[0]
+            down = {2} if 6 in slots else ()
+            u, v = looked_up(param, a, b, 1, 1, signs, ORTHO_SIGN, "p1")
+            assert np.array_equal(u, alice_u(param, a, 1, down, ORTHO_SIGN, comp=comp_a))
+            assert np.array_equal(v, bob_v(param, b, 1, down, ORTHO_SIGN, comp=comp_b))
+        # the completion bits are not read under ortho
+        u, v = looked_up(param, a, b, 1, 1, rr_from({20: 0.9, 21: 0.9}).signs[0], ORTHO, "p1")
+        assert np.array_equal(u, alice_u(param, a, 1, (), ORTHO))
+        assert np.array_equal(v, bob_v(param, b, 1, (), ORTHO))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,14 +134,14 @@ class TestRoundRandomness:
         # and expanding the block give bit-identical randomness and rounds
         g = np.random.Generator(np.random.Philox(key=6))
         u = g.random((40, UNIFORMS_PER_ROUND))
-        u[0, 4:] = 0.5
+        u[0, 4:22] = 0.5
         block = RoundRandomness.from_uniform_block(u)
         param = EntanglementParam(PI8)
         a, b = [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]
         rows = [RoundRandomness.from_uniform_block(u[i : i + 1]) for i in range(u.shape[0])]
         for i, rr in enumerate(rows):
             assert rr.n == 1
-            for name in ("lam1", "lam2", "flip_r", "box_u", "sign_word"):
+            for name in ("lam1", "lam2", "flip_r", "box_u", "signs"):
                 assert np.array_equal(getattr(rr, name)[0], getattr(block, name)[i]), name
         for protocol in PROTOCOL_IDS:
             whole = run_batch(param, a, b, block, ORTHO, protocol)
@@ -145,16 +151,17 @@ class TestRoundRandomness:
                     assert getattr(one, name)[0] == getattr(whole, name)[i], (protocol, name)
 
     def test_uniform_block_sign_slots(self):
-        # each row of a block decodes its own sign word
+        # each row of a block packs its own signs
         param = EntanglementParam(PI8)
         a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
         u = np.zeros((3, UNIFORMS_PER_ROUND))
-        u[1, 6] = 1 / 128  # p2: index 1, mu_1 down
-        u[2, 6] = 1 - 1 / 128  # p2: index 127, every mu down
+        u[1, 4] = 0.9
+        u[2, 16] = 0.9
         rr = RoundRandomness.from_uniform_block(u)
+        assert rr.signs.tolist() == [0, 1, 1 << 6]
         p = np.ones(3, dtype=np.int8)
-        got_u, got_v = round_directions(param, a, b, p, p, rr.sign_word, NORMALIZE, "p2")
-        for i, down in enumerate(((), {1}, set(range(1, 8)))):
+        got_u, got_v = round_directions(param, a, b, p, p, rr.signs, NORMALIZE, "p2")
+        for i, down in enumerate(((), {1}, {7})):
             assert np.array_equal(got_u[i], alice_u(param, a, 1, down, NORMALIZE, "p2"))
             assert np.array_equal(got_v[i], bob_v(param, b, 1, down, NORMALIZE, "p2"))
 
@@ -300,24 +307,22 @@ class TestDirectionTable:
     @pytest.mark.parametrize("strategy", [NORMALIZE, ORTHO, ORTHO_SIGN], ids=lambda s: s.tag.value)
     def test_gathered_rows_match_per_round_calls(self, strategy):
         # every round's looked-up u and v equal, bit for bit, the direction
-        # builders called on that round alone with the signs its word holds
+        # builders called on that round alone with the signs it packs
         g = np.random.Generator(np.random.Philox(key=7))
         for gamma, a, b, protocols in self.CASES:
             param = EntanglementParam(gamma)
             a1, b1, _, _ = symmetrize(a, b)
             for protocol in protocols:
                 n_mu = 5 if protocol == "p1" else 7
-                k = n_mu + (2 if strategy is ORTHO_SIGN else 0)
                 n = 300
-                words = g.random(n)
+                packed = g.integers(0, 1 << 9, n).astype(np.uint16)
                 p = np.where(g.random(n) < 0.5, 1, -1).astype(np.int8)
                 q = np.where(g.random(n) < 0.5, 1, -1).astype(np.int8)
-                u, v = round_directions(param, a1, b1, p, q, words, strategy, protocol)
+                u, v = round_directions(param, a1, b1, p, q, packed, strategy, protocol)
                 for i in range(n):
-                    index = math.floor(words[i] * 2**k)
-                    signs = [-1 if index >> j & 1 else 1 for j in range(k)]
+                    signs = [-1 if int(packed[i]) >> j & 1 else 1 for j in range(9)]
                     mu = np.array([signs[:n_mu] + [1] * (7 - n_mu)], dtype=np.int8)
-                    comp_a, comp_b = (signs[n_mu:] if k > n_mu else [1, 1])
+                    comp_a, comp_b = signs[7:] if strategy is ORTHO_SIGN else (1, 1)
                     want_u = alice_direction_rows(
                         param, a1, p[i : i + 1], mu, np.array([comp_a], dtype=float), strategy, protocol)
                     want_v = bob_direction_rows(
