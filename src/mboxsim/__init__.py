@@ -32,7 +32,6 @@ from .quantum import (
     JointDist,
     chsh_value,
     correlation,
-    epr2_components,
     epr2_correlation,
     epr2_flip_probability,
     epr2_local_bias,
@@ -56,7 +55,6 @@ from .verify import (
     branch_correlation_claim,
     claim_residual_report,
     compare,
-    epr2_suite,
     estimate_mean,
     exact_mu_average,
     flip_moments_claim,
@@ -65,7 +63,7 @@ from .verify import (
     realized_joint,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CheckResult",
@@ -88,11 +86,9 @@ __all__ = [
     "compare_bit",
     "correlated_flip",
     "correlation",
-    "epr2_components",
     "epr2_correlation",
     "epr2_flip_probability",
     "epr2_local_bias",
-    "epr2_suite",
     "estimate_mean",
     "exact_mu_average",
     "flip_moments_claim",

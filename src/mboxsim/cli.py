@@ -17,6 +17,7 @@ import jsonschema
 import numpy as np
 
 from .geometry import Completion, CompletionStrategy
+from .protocols import symmetrize
 from .quantum import EntanglementParam
 from .runtime import ExperimentConfig, load_settings_csv, run_experiment, write_report
 from .verify import (
@@ -99,6 +100,16 @@ def _parse_vec(parser: argparse.ArgumentParser, text: str, flag: str) -> np.ndar
     return v / norm
 
 
+def _parse_gamma(parser: argparse.ArgumentParser, gamma: float, entangled: bool, who: str):
+    try:
+        param = EntanglementParam(gamma)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if entangled and param.sin2g <= 0.0:
+        parser.error(f"{who} requires gamma > 0")
+    return param
+
+
 def cmd_simulate(args, parser) -> int:
     if args.settings.startswith("random:"):
         try:
@@ -142,20 +153,34 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    # A standard error needs two rounds; the kernel and oracle suites estimate one.
+    min_rounds = 2 if args.suite in ("kernel", "oracle") else 1
+    if args.rounds is not None and args.rounds < min_rounds:
+        parser.error(
+            f"--rounds must be >= {min_rounds} for the {args.suite} suite, got {args.rounds}"
+        )
+    if args.grid < 10:
+        parser.error(f"--grid must be >= 10, got {args.grid}")
+    if args.gamma is not None:
+        # both run the nonlocal-part protocol or its decomposition
+        entangled = args.suite in ("epr2", "oracle")
+        _parse_gamma(parser, args.gamma, entangled, f"the {args.suite} suite")
+    if args.rounds is not None:
+        rounds = args.rounds
+    else:
+        rounds = 1000 if args.suite == "flip" else 200_000
     if args.suite == "mbox":
-        checks = suite_mbox(rounds=args.rounds or 200_000, seed=args.seed)
+        checks = suite_mbox(rounds=rounds, seed=args.seed)
     elif args.suite == "kernel":
-        checks = suite_kernel(rounds=args.rounds or 200_000, seed=args.seed)
+        checks = suite_kernel(rounds=rounds, seed=args.seed)
     elif args.suite == "flip":
-        checks = suite_flip(trials=args.rounds or 1000, seed=args.seed)
+        checks = suite_flip(trials=rounds, seed=args.seed)
     elif args.suite == "epr2":
-        if args.gamma is not None and args.gamma <= 0.0:
-            parser.error("the epr2 suite requires gamma > 0")
         checks = suite_epr2(gamma=args.gamma, grid_n=args.grid)
     else:
         checks = suite_oracle(
             gamma=args.gamma if args.gamma is not None else math.pi / 8,
-            rounds=args.rounds or 200_000,
+            rounds=rounds,
             seed=args.seed,
         )
     for check in checks:
@@ -166,20 +191,10 @@ def cmd_verify(args, parser) -> int:
 def cmd_oracle(args, parser) -> int:
     a = _parse_vec(parser, args.a, "--a")
     b = _parse_vec(parser, args.b, "--b")
-    try:
-        param = EntanglementParam(args.gamma)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.protocol == "p2" and args.gamma <= 0.0:
-        parser.error("protocol 2 requires gamma > 0")
+    param = _parse_gamma(parser, args.gamma, args.protocol == "p2", "protocol 2")
     # The branch average lives in the reflected frame (both z >= 0).
-    reflected = []
-    if a[2] < 0.0:
-        a = -a
-        reflected.append("a")
-    if b[2] < 0.0:
-        b = -b
-        reflected.append("b")
+    a, b, sign_a, sign_b = symmetrize(a, b)
+    reflected = [name for name, sign in (("a", sign_a), ("b", sign_b)) if sign < 0]
     if reflected:
         print(f"note: reflected {', '.join(reflected)} into the upper hemisphere")
     p, q = (1, 1) if args.branch == "pq+" else (1, -1)

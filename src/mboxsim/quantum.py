@@ -23,19 +23,17 @@ from .geometry import as_unit_vector, sgn
 __all__ = [
     "DegenerateAxisError",
     "EntanglementParam",
-    "Epr2Components",
     "JointDist",
     "aux_axis",
     "aux_axis_alice_nl",
+    "branch_pairing",
     "chsh_value",
     "correlation",
-    "epr2_components",
     "epr2_correlation",
     "epr2_flip_probability",
     "epr2_local_bias",
     "flip_exact_axis",
     "in_slice",
-    "joint_local_from_decomposition",
     "joint_local_product",
     "joint_nl",
     "joint_qm",
@@ -105,9 +103,6 @@ class JointDist:
             raise ValueError(f"negative probability entry {arr.min()}")
         return self
 
-    def tv_distance(self, other: "JointDist") -> float:
-        return 0.5 * float(np.abs(self.as_array() - other.as_array()).sum())
-
     @property
     def mean_alpha(self) -> float:
         return self.pp + self.pm - self.mp - self.mm
@@ -115,10 +110,6 @@ class JointDist:
     @property
     def mean_beta(self) -> float:
         return self.pp - self.pm + self.mp - self.mm
-
-    @property
-    def mean_alpha_beta(self) -> float:
-        return self.pp - self.pm - self.mp + self.mm
 
 
 def _joint_from_moments(mean_a: float, mean_b: float, corr: float) -> JointDist:
@@ -275,31 +266,16 @@ def epr2_correlation(param: EntanglementParam, a, b) -> float:
     return float(a[0] * b[0] - a[1] * b[1] + (a[2] * b[2] - om * fa * fb) / s)
 
 
-@dataclass(frozen=True)
-class Epr2Components:
-    """Marginal flips, correlation, and local weight of the decomposition."""
-
-    flip_alice: float
-    flip_bob: float
-    corr: float
-    local_weight: float
-
-
-def epr2_components(param: EntanglementParam, a, b) -> Epr2Components:
+def joint_nl(param: EntanglementParam, a, b) -> JointDist:
+    """Nonlocal part of the decomposition: marginals F(a_z), F(b_z) and
+    correlation G, validated non-negative."""
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    return Epr2Components(
-        flip_alice=epr2_flip_probability(param, a[2]),
-        flip_bob=epr2_flip_probability(param, b[2]),
-        corr=epr2_correlation(param, a, b),
-        local_weight=1.0 - param.sin2g,
+    dist = _joint_from_moments(
+        epr2_flip_probability(param, a[2]),
+        epr2_flip_probability(param, b[2]),
+        epr2_correlation(param, a, b),
     )
-
-
-def joint_nl(param: EntanglementParam, a, b) -> JointDist:
-    """Nonlocal part of the decomposition, validated non-negative."""
-    comp = epr2_components(param, a, b)
-    dist = _joint_from_moments(comp.flip_alice, comp.flip_bob, comp.corr)
     return dist.validate()
 
 
@@ -313,20 +289,35 @@ def joint_local_product(param: EntanglementParam, a, b) -> JointDist:
     return _joint_from_moments(fa, fb, fa * fb)
 
 
-def joint_local_from_decomposition(param: EntanglementParam, a, b) -> JointDist:
-    """Local part recovered as (P_QM - s * P_NL)/(1 - s); requires g < pi/4."""
-    _require_entangled(param)
-    s = param.sin2g
-    om = 1.0 - s
-    if om <= 0.0:
-        raise ValueError("local part undefined at gamma = pi/4 (weight 0)")
-    qm = joint_qm(param, a, b).as_array()
-    nl = joint_nl(param, a, b).as_array()
-    loc = (qm - s * nl) / om
-    return JointDist(*loc).validate()
+def branch_pairing(param: EntanglementParam, a, b, same_branch: bool, protocol: str, axis):
+    """The two vectors one branch of p1 or p2 pairs, at symmetrized settings.
+
+    axis maps a setting to its alternate axis: aux_axis for the claimed
+    closed form, flip_exact_axis for the exact flip identity; the two differ
+    only in the y sign.  Under p1 the same branch pairs a with axis(b) and the
+    other branch pairs axis(a) with b.  Under p2 both settings inside the band
+    pair a with the half-turned b; a inside only pairs a with axis(b); b
+    inside only pairs Alice's nonlocal axis with the half-turned b; both
+    outside choose between those two by same_branch.
+    """
+    if protocol == "p1":
+        return (a, axis(param, b)) if same_branch else (axis(param, a), b)
+    a_in = in_slice(param, a[2])
+    b_in = in_slice(param, b[2])
+    b_rot = rotate_pi_about_x(b)
+    if a_in and b_in:
+        return a, b_rot
+    if a_in or (not b_in and same_branch):
+        return a, axis(param, b)
+    return aux_axis_alice_nl(param, a), b_rot
 
 
-def _unit_dot(x: np.ndarray, y: np.ndarray) -> float:
+def _pre_flip_correlation(param: EntanglementParam, a, b, protocol: str) -> float:
+    a = as_unit_vector(a)
+    b = as_unit_vector(b)
+    if a[2] < 0.0 or b[2] < 0.0:
+        raise ValueError("settings must be symmetrized (a_z, b_z >= 0)")
+    x, y = branch_pairing(param, a, b, a[2] <= b[2], protocol, flip_exact_axis)
     # A dot product of unit vectors, clamped: rounding can carry it just
     # past +-1, and the flip algebra rejects correlations outside [-1, 1].
     return min(1.0, max(-1.0, float(x @ y)))
@@ -335,45 +326,19 @@ def _unit_dot(x: np.ndarray, y: np.ndarray) -> float:
 def pre_flip_correlation_qm(param: EntanglementParam, a, b) -> float:
     """Pre-flip correlation that the (c a_z, c b_z) flip maps exactly onto C.
 
-    Requires symmetrized settings.  Branch a_z <= b_z pairs Alice's raw
-    setting with Bob's y-corrected alternate axis; the other branch mirrors
-    it.  Plugging this into the correlated-flip moment algebra recovers the
-    quantum correlation identically.
+    Requires symmetrized settings: branch_pairing of p1 on the branch the box
+    picks (a_z <= b_z) with flip_exact_axis.
     """
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    if a[2] < 0.0 or b[2] < 0.0:
-        raise ValueError("settings must be symmetrized (a_z, b_z >= 0)")
-    if a[2] <= b[2]:
-        return _unit_dot(a, flip_exact_axis(param, b))
-    return _unit_dot(flip_exact_axis(param, a), b)
+    return _pre_flip_correlation(param, a, b, "p1")
 
 
 def pre_flip_correlation_nl(param: EntanglementParam, a, b) -> float:
     """Pre-flip correlation that the F-flip maps exactly onto G.
 
-    Requires symmetrized settings.  The four band cases: both inside the
-    band pair a with the half-turned b; a inside only pairs a with Bob's
-    y-corrected alternate axis; b inside only pairs Alice's nonlocal
-    alternate axis with the half-turned b; both outside branch on a_z <= b_z
-    between those two pairings.
+    Requires symmetrized settings: branch_pairing of p2, all four band cases,
+    on the branch the box picks (a_z <= b_z) with flip_exact_axis.
     """
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    if a[2] < 0.0 or b[2] < 0.0:
-        raise ValueError("settings must be symmetrized (a_z, b_z >= 0)")
-    a_in = in_slice(param, a[2])
-    b_in = in_slice(param, b[2])
-    bp = rotate_pi_about_x(b)
-    if a_in and b_in:
-        return _unit_dot(a, bp)
-    if a_in:
-        return _unit_dot(a, flip_exact_axis(param, b))
-    if b_in:
-        return _unit_dot(aux_axis_alice_nl(param, a), bp)
-    if a[2] <= b[2]:
-        return _unit_dot(a, flip_exact_axis(param, b))
-    return _unit_dot(aux_axis_alice_nl(param, a), bp)
+    return _pre_flip_correlation(param, a, b, "p2")
 
 
 # ---------------------------------------------------------------------------

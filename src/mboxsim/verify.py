@@ -57,7 +57,7 @@ from .quantum import (
     JointDist,
     _joint_from_moments,
     aux_axis,
-    aux_axis_alice_nl,
+    branch_pairing,
     epr2_correlation,
     epr2_flip_probability,
     in_slice,
@@ -65,7 +65,6 @@ from .quantum import (
     joint_nl,
     joint_qm,
     pre_flip_correlation_nl,
-    rotate_pi_about_x,
     slice_threshold,
 )
 
@@ -75,16 +74,13 @@ __all__ = [
     "ChunkStats",
     "ComparisonReport",
     "ComparisonRow",
-    "Epr2Report",
     "EstimateWithError",
     "JointEstimate",
     "SettingComparison",
     "branch_correlation_claim",
     "claim_residual_report",
     "compare",
-    "epr2_suite",
     "estimate_joint_from_counts",
-    "estimate_joint_from_outputs",
     "estimate_mean",
     "exact_mu_average",
     "flip_moments_claim",
@@ -184,32 +180,16 @@ class JointEstimate:
     counts: tuple[int, int, int, int]
 
 
-def estimate_joint_from_counts(counts, min_rounds: int = 1) -> JointEstimate:
+def estimate_joint_from_counts(counts) -> JointEstimate:
     counts = tuple(int(c) for c in counts)
     if len(counts) != 4 or any(c < 0 for c in counts):
         raise ValueError(f"need 4 nonnegative outcome counts, got {counts!r}")
     n = sum(counts)
-    if n < min_rounds:
-        raise ValueError(f"need at least {min_rounds} rounds, got {n}")
+    if n < 1:
+        raise ValueError("need at least one round")
     freqs = [c / n for c in counts]
     stderr = tuple(math.sqrt(f * (1.0 - f) / n) for f in freqs)
     return JointEstimate(dist=JointDist(*freqs), stderr=stderr, n=n, counts=counts)
-
-
-def estimate_joint_from_outputs(alpha, beta, min_rounds: int = 1) -> JointEstimate:
-    alpha = np.asarray(alpha)
-    beta = np.asarray(beta)
-    if alpha.shape != beta.shape or alpha.ndim != 1:
-        raise ValueError("alpha and beta must be equal-length 1-d arrays")
-    ap = alpha > 0
-    bp = beta > 0
-    counts = (
-        int(np.count_nonzero(ap & bp)),
-        int(np.count_nonzero(ap & ~bp)),
-        int(np.count_nonzero(~ap & bp)),
-        int(np.count_nonzero(~ap & ~bp)),
-    )
-    return estimate_joint_from_counts(counts, min_rounds=min_rounds)
 
 
 @dataclass(frozen=True)
@@ -270,14 +250,19 @@ def quadrature_kernel(u, v, n_nodes: int = 10_000) -> float:
     return total / (n_nodes * n_nodes)
 
 
-def _check_branch_sign(name: str, value: int) -> None:
-    if value not in (-1, 1):
-        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
-
-
-def _check_symmetrized(a: np.ndarray, b: np.ndarray) -> None:
+def _branch_settings(a, b, p: int, q: int, protocol_id: str):
+    """Validated unit settings for one branch (p, q) of p1 or p2; they must
+    already be symmetrized (both z >= 0)."""
+    if protocol_id not in ("p1", "p2"):
+        raise ValueError(f"protocol must be 'p1' or 'p2', got {protocol_id!r}")
+    for name, value in (("p", p), ("q", q)):
+        if value not in (-1, 1):
+            raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+    a = as_unit_vector(a)
+    b = as_unit_vector(b)
     if a[2] < 0.0 or b[2] < 0.0:
         raise ValueError("settings must be symmetrized (z >= 0); reflect first")
+    return a, b
 
 
 def exact_mu_average(
@@ -301,13 +286,7 @@ def exact_mu_average(
     looks each sampled round's directions up in, so the oracle and the
     sampler share one direction construction.
     """
-    if protocol_id not in ("p1", "p2"):
-        raise ValueError(f"protocol must be 'p1' or 'p2', got {protocol_id!r}")
-    _check_branch_sign("p", p)
-    _check_branch_sign("q", q)
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    _check_symmetrized(a, b)
+    a, b = _branch_settings(a, b, p, q, protocol_id)
     u_rows, v_rows = direction_table(param, a, b, (p,), (q,), strategy, protocol_id)
     return float(np.einsum("ij,ij->i", u_rows, v_rows).mean())
 
@@ -323,32 +302,13 @@ def branch_correlation_claim(
     """The claimed closed form for the same branch average.
 
     This is the scalar product the construction is said to average to once
-    the sign bundle integrates out; exact_mu_average measures how close a
-    realizable completion actually gets.
+    the sign bundle integrates out: branch_pairing with aux_axis on branch
+    p == q.  exact_mu_average measures how close a realizable completion
+    actually gets.
     """
-    if protocol_id not in ("p1", "p2"):
-        raise ValueError(f"protocol must be 'p1' or 'p2', got {protocol_id!r}")
-    _check_branch_sign("p", p)
-    _check_branch_sign("q", q)
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    _check_symmetrized(a, b)
-    if protocol_id == "p1":
-        if p == q:
-            return float(a @ aux_axis(param, b))
-        return float(aux_axis(param, a) @ b)
-    b_rot = rotate_pi_about_x(b)
-    a_in = in_slice(param, a[2])
-    b_in = in_slice(param, b[2])
-    if a_in and b_in:
-        return float(a @ b_rot)
-    if a_in:
-        return float(a @ aux_axis(param, b))
-    if b_in:
-        return float(aux_axis_alice_nl(param, a) @ b_rot)
-    if p == q:
-        return float(a @ aux_axis(param, b))
-    return float(aux_axis_alice_nl(param, a) @ b_rot)
+    a, b = _branch_settings(a, b, p, q, protocol_id)
+    x, y = branch_pairing(param, a, b, p == q, protocol_id, aux_axis)
+    return float(x @ y)
 
 
 def flip_moments_exact(
@@ -469,20 +429,27 @@ class ChunkStats:
 
 
 def _stats_from_batch(out) -> ChunkStats:
-    idx = (out.alpha < 0).astype(np.int64) * 2 + (out.beta < 0)
+    # One histogram over (p, q, alpha0, beta0, alpha, beta), a sign -1 as
+    # bit 1; every aggregate is a sum over some of its axes.  tb's p = q = 0
+    # lands in a (p, q) cell that no branch reads.
+    idx = (out.p + 1).astype(np.int16) * 3 + (out.q + 1)
+    for x in (out.alpha0, out.beta0, out.alpha, out.beta):
+        idx = idx * 2 + (x < 0)
+    hist = np.bincount(idx, minlength=3 * 3 * 16).reshape(3, 3, 2, 2, 2, 2)
+    pre = hist.sum(axis=(0, 1, 4, 5))  # over (alpha0, beta0)
     stats = ChunkStats(
         n=out.n,
-        counts=np.bincount(idx, minlength=4).astype(np.int64),
-        alpha0_sum=int(out.alpha0.sum(dtype=np.int64)),
-        beta0_sum=int(out.beta0.sum(dtype=np.int64)),
+        counts=hist.sum(axis=(0, 1, 2, 3)).reshape(4).astype(np.int64),
+        alpha0_sum=int(pre[0].sum() - pre[1].sum()),
+        beta0_sum=int(pre[:, 0].sum() - pre[:, 1].sum()),
     )
-    prod = out.alpha0.astype(np.int64) * out.beta0
+    by_branch = hist.sum(axis=(4, 5))
     for pv in (1, -1):
         for qv in (1, -1):
-            mask = (out.p == pv) & (out.q == qv)
-            hits = int(np.count_nonzero(mask))
-            if hits:
-                stats.branch[(pv, qv)] = [hits, int(prod[mask].sum())]
+            cell = by_branch[pv + 1, qv + 1]
+            same, differ = int(cell[0, 0] + cell[1, 1]), int(cell[0, 1] + cell[1, 0])
+            if same + differ:
+                stats.branch[(pv, qv)] = [same + differ, same - differ]
     return stats
 
 
@@ -544,101 +511,17 @@ def mc_branch_correlations(
 ) -> dict:
     """MC estimate of the pre-flip correlation conditioned on each branch.
 
-    Returns {(p, q): EstimateWithError} for the branch values that actually
-    occurred; with the box-bit pairing only two of the four combinations can
+    Returns {(p, q): EstimateWithError} for the branch values that occurred
+    in at least two rounds, as a report lists them (a standard error needs
+    two); with the box-bit pairing only two of the four combinations can
     occur at a fixed setting pair.
     """
     stats = _sample_setting(param, a, b, strategy, protocol, rounds, seed)
     return {
-        branch: sign_mean_estimate(total, n) for branch, (n, total) in stats.branch.items()
+        branch: sign_mean_estimate(total, n)
+        for branch, (n, total) in stats.branch.items()
+        if n >= 2
     }
-
-
-# ---------------------------------------------------------------------------
-# Decomposition suite.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Epr2Report:
-    """Grid-scan residuals for the local/nonlocal split at one gamma."""
-
-    gamma: float
-    grid_n: int
-    n_pairs: int
-    max_reconstruction_residual: float
-    min_nl_entry: float
-    max_flip_in_band: float
-    min_flip_outside: float
-    max_four_case_residual: float
-
-
-def epr2_suite(param: EntanglementParam, grid_n: int = 20) -> Epr2Report:
-    """Scan a settings grid for the decomposition and flip-consistency facts.
-
-    Checks, per settings pair: the weighted local/nonlocal reconstruction of
-    the full joint; nonnegativity of the nonlocal part; exact vanishing of
-    the flip probability on the equatorial band (and strict positivity off
-    it, when the state is not maximally entangled); and that the coupled-flip
-    enumeration applied to the pre-flip correlation lands exactly on the
-    nonlocal correlation, covering all four in/out band cases.
-    """
-    if param.sin2g <= 0.0:
-        raise ValueError("decomposition suite requires gamma > 0")
-    if grid_n < 10:
-        raise ValueError(f"need grid_n >= 10, got {grid_n}")
-    s = param.sin2g
-    om = 1.0 - s
-    a_grid = spherical_grid(grid_n)
-    b_grid = spherical_grid(grid_n, phase=0.5)
-
-    max_recon = 0.0
-    min_nl = math.inf
-    max_in_band = 0.0
-    min_outside = math.inf
-    max_four_case = 0.0
-
-    t = slice_threshold(param)
-    for z in (0.0, t, -t, t / 2.0, -t / 2.0):
-        max_in_band = max(max_in_band, abs(epr2_flip_probability(param, z)))
-
-    for za in (a_grid[:, 2], b_grid[:, 2]):
-        for z in za.tolist():
-            f = epr2_flip_probability(param, z)
-            if in_slice(param, z):
-                max_in_band = max(max_in_band, abs(f))
-            else:
-                min_outside = min(min_outside, f if z > 0 else -f)
-
-    for a in a_grid:
-        for b in b_grid:
-            qm = joint_qm(param, a, b).as_array()
-            nl = joint_nl(param, a, b).as_array()
-            local = joint_local_product(param, a, b).as_array()
-            max_recon = max(max_recon, float(np.abs(qm - om * local - s * nl).max()))
-            min_nl = min(min_nl, float(nl.min()))
-
-            a1, b1, sign_a, sign_b = symmetrize(a, b)
-            c0 = pre_flip_correlation_nl(param, a1, b1)
-            _, _, m_ab = flip_moments_exact(
-                c0,
-                epr2_flip_probability(param, a1[2]),
-                epr2_flip_probability(param, b1[2]),
-            )
-            predicted = sign_a * sign_b * float(m_ab)
-            target = epr2_correlation(param, a, b)
-            max_four_case = max(max_four_case, abs(predicted - target))
-
-    return Epr2Report(
-        gamma=param.gamma,
-        grid_n=grid_n,
-        n_pairs=len(a_grid) * len(b_grid),
-        max_reconstruction_residual=max_recon,
-        min_nl_entry=min_nl,
-        max_flip_in_band=max_in_band,
-        min_flip_outside=min_outside,
-        max_four_case_residual=max_four_case,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +533,8 @@ def _reflected_setting_pairs(n_settings: int, seed: int) -> list:
     g = np.random.Generator(np.random.Philox(key=seed))
     pairs = []
     for _ in range(n_settings):
-        a = sample_unit_sphere(g)
-        b = sample_unit_sphere(g)
-        if a[2] < 0.0:
-            a = -a
-        if b[2] < 0.0:
-            b = -b
-        pairs.append((a, b))
+        a1, b1, _, _ = symmetrize(sample_unit_sphere(g), sample_unit_sphere(g))
+        pairs.append((a1, b1))
     return pairs
 
 
@@ -941,6 +819,8 @@ def suite_kernel(
 
 def suite_flip(trials: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Exact enumeration vs closed-form flip moments, rational arithmetic."""
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     g = np.random.Generator(np.random.Philox(key=seed))
     worst = Fraction(0)
     for _ in range(trials):
@@ -972,48 +852,79 @@ _EPR2_GAMMAS = (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4)
 
 
 def suite_epr2(gamma: float | None = None, grid_n: int = 20) -> list[CheckResult]:
-    """Decomposition residuals at one gamma, or the standard four."""
+    """Decomposition residuals over a settings grid, at one gamma or the standard four.
+
+    Checks, per settings pair: the weighted local/nonlocal reconstruction of
+    the full joint; nonnegativity of the nonlocal part; exact vanishing of
+    the flip probability on the equatorial band (and strict positivity off
+    it, when the state is not maximally entangled); and that the coupled-flip
+    enumeration applied to the pre-flip correlation lands exactly on the
+    nonlocal correlation, covering all four in/out band cases.
+    """
+    if grid_n < 10:
+        raise ValueError(f"need grid_n >= 10, got {grid_n}")
     gammas = _EPR2_GAMMAS if gamma is None else (gamma,)
+    a_grid = spherical_grid(grid_n)
+    b_grid = spherical_grid(grid_n, phase=0.5)
+    n_pairs = len(a_grid) * len(b_grid)
     checks = []
     for gm in gammas:
         param = EntanglementParam(gm)
-        rep = epr2_suite(param, grid_n=grid_n)
+        if param.sin2g <= 0.0:
+            raise ValueError("decomposition suite requires gamma > 0")
+        s = param.sin2g
+        om = 1.0 - s
+        t = slice_threshold(param)
+        max_in_band = max(
+            abs(epr2_flip_probability(param, z)) for z in (0.0, t, -t, t / 2.0, -t / 2.0)
+        )
+        min_outside = math.inf
+        for z in np.concatenate([a_grid[:, 2], b_grid[:, 2]]).tolist():
+            f = epr2_flip_probability(param, z)
+            if in_slice(param, z):
+                max_in_band = max(max_in_band, abs(f))
+            else:
+                min_outside = min(min_outside, f if z > 0 else -f)
+
+        max_recon = 0.0
+        min_nl = math.inf
+        max_four_case = 0.0
+        for a in a_grid:
+            for b in b_grid:
+                qm = joint_qm(param, a, b).as_array()
+                nl = joint_nl(param, a, b).as_array()
+                local = joint_local_product(param, a, b).as_array()
+                max_recon = max(max_recon, float(np.abs(qm - om * local - s * nl).max()))
+                min_nl = min(min_nl, float(nl.min()))
+
+                a1, b1, sign_a, sign_b = symmetrize(a, b)
+                spec = flip_spec(param, a1, b1, "p2")
+                c0 = pre_flip_correlation_nl(param, a1, b1)
+                _, _, m_ab = flip_moments_exact(c0, spec.f_a, spec.f_b)
+                predicted = sign_a * sign_b * float(m_ab)
+                max_four_case = max(max_four_case, abs(predicted - epr2_correlation(param, a, b)))
+
         tag = f"gamma={gm:.6f}"
-        checks.append(
+        outside = f", min outside {min_outside:.3e}" if math.isfinite(min_outside) else ""
+        positive_off_band = s >= 1.0 or min_outside > 0.0
+        checks += [
             CheckResult(
                 f"epr2-reconstruction[{tag}]",
-                rep.max_reconstruction_residual <= 1e-12,
-                f"max residual {rep.max_reconstruction_residual:.3e} "
-                f"over {rep.n_pairs} pairs",
-            )
-        )
-        checks.append(
-            CheckResult(
-                f"epr2-nl-nonnegative[{tag}]",
-                rep.min_nl_entry >= -1e-12,
-                f"min entry {rep.min_nl_entry:.3e}",
-            )
-        )
-        outside = (
-            f", min outside {rep.min_flip_outside:.3e}"
-            if math.isfinite(rep.min_flip_outside)
-            else ""
-        )
-        positive_off_band = param.sin2g >= 1.0 or rep.min_flip_outside > 0.0
-        checks.append(
+                max_recon <= 1e-12,
+                f"max residual {max_recon:.3e} over {n_pairs} pairs",
+            ),
+            CheckResult(f"epr2-nl-nonnegative[{tag}]", min_nl >= -1e-12, f"min entry {min_nl:.3e}"),
             CheckResult(
                 f"epr2-flip-vanishes-in-band[{tag}]",
-                rep.max_flip_in_band == 0.0 and positive_off_band,
-                f"max in band {rep.max_flip_in_band:.3e}{outside}",
-            )
-        )
-        checks.append(
+                max_in_band == 0.0 and positive_off_band,
+                f"max in band {max_in_band:.3e}{outside}",
+            ),
             CheckResult(
                 f"epr2-four-case-identity[{tag}]",
-                rep.max_four_case_residual <= 1e-12,
-                f"max residual {rep.max_four_case_residual:.3e}",
-            )
-        )
+                max_four_case <= 1e-12,
+                f"max residual {max_four_case:.3e}",
+            ),
+        ]
     return checks
 
 
@@ -1032,6 +943,7 @@ def suite_oracle(
     for protocol in protocols:
         for strategy in _ALL_STRATEGIES:
             worst_z = 0.0
+            compared = 0
             for a, b in pairs:
                 case += 1
                 mc = mc_branch_correlations(
@@ -1041,12 +953,14 @@ def suite_oracle(
                     oracle = exact_mu_average(param, a, b, strategy, p, q, protocol)
                     z = abs(est.mean - oracle) / _z_floor(est.stderr, est.n)
                     worst_z = max(worst_z, z)
+                    compared += 1
+            # a check that compared no branch has shown nothing
             checks.append(
                 CheckResult(
                     f"oracle-vs-mc[{protocol},{strategy.tag.value}]",
-                    worst_z <= 4.0,
-                    f"max |z| = {worst_z:.2f} over {n_settings} settings, "
-                    f"{rounds} rounds each",
+                    compared > 0 and worst_z <= 4.0,
+                    f"max |z| = {worst_z:.2f} over {compared} branches of {n_settings} "
+                    f"settings, {rounds} rounds each",
                 )
             )
     return checks

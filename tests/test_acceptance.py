@@ -10,6 +10,7 @@ the resource claim by information flow: it varies one party's setting and
 holds the engine to what the other party may see.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -182,10 +183,20 @@ def _same_side(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _tilted(v, x / 2 if x <= y else (x + y) / 2)
 
 
-def _other_side(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A new |v_z| that flips the box bit [|w_z| <= |v_z|] seen from w."""
+def _other_side(v: np.ndarray, w: np.ndarray, v_is_alice: bool = False) -> np.ndarray:
+    """A new |v_z| that flips the box bit [|a_z| <= |b_z|].
+
+    A tie counts as bit 1, so on a tie Bob's setting moves below Alice's and
+    Alice's moves above Bob's.
+    """
     x, y = abs(v[2]), abs(w[2])
-    return _tilted(v, y / 2 if x >= y else (y + 1) / 2)
+    below = x <= y if v_is_alice else x < y
+    return _tilted(v, (y + 1) / 2 if below else y / 2)
+
+
+def _mirrored_coin(rr: RoundRandomness) -> RoundRandomness:
+    """rr with every box coin moved by a half: each round's p flips."""
+    return dataclasses.replace(rr, box_u=np.where(rr.box_u < 0.5, rr.box_u + 0.5, rr.box_u - 0.5))
 
 
 def _box_mismatches(out, a, b, box_u) -> int:
@@ -201,7 +212,9 @@ def test_criterion_09_resource_budget(criterion):
     # Each round may pass Alice's setting to Bob only through the box bit and
     # the one cbit.  So Alice's side (p, alpha0, alpha, cbit) must not move
     # when only b moves, and Bob's side (beta0, beta) must not move when only
-    # a moves, on every round whose q and cbit stay put.
+    # a moves, on every round whose q and cbit stay put.  Moving a across
+    # |b_z| with the box coin mirrored flips p and keeps q, so Bob's side
+    # must not read p either.
     t0 = time.perf_counter()
     rows = 2048
     pairs = _settings(4, key=DEFAULT_SEED + 46)
@@ -220,13 +233,13 @@ def test_criterion_09_resource_budget(criterion):
                         round_uniform_block(DEFAULT_SEED + 45, i, 0, rows)
                     )
 
-                    def run(a_, b_):
+                    def run(a_, b_, rr_=rr):
                         nonlocal batches, box_rows
-                        out = run_batch(param, a_, b_, rr, strategy, protocol)
+                        out = run_batch(param, a_, b_, rr_, strategy, protocol)
                         batches += 1
                         if protocol != "tb":
                             box_rows += rows
-                            if _box_mismatches(out, a_, b_, rr.box_u):
+                            if _box_mismatches(out, a_, b_, rr_.box_u):
                                 problems.append(f"box contract [{case}, pair {i}]")
                         return out
 
@@ -241,12 +254,21 @@ def test_criterion_09_resource_budget(criterion):
                         for name in ("p", "alpha0", "alpha", "cbit"):
                             if not np.array_equal(getattr(alt, name), getattr(base, name)):
                                 problems.append(f"Alice's {name} sees b {kind} [{case}, pair {i}]")
-                    for kind, a_alt in (
-                        ("negated", -a),
-                        ("turned", _turned(a)),
-                        ("same-side", _same_side(a, b)),
+                    for kind, a_alt, rr_alt in (
+                        ("negated", -a, rr),
+                        ("turned", _turned(a), rr),
+                        ("same-side", _same_side(a, b), rr),
+                        (
+                            "other-side, coin mirrored",
+                            _other_side(a, b, v_is_alice=True),
+                            _mirrored_coin(rr),
+                        ),
                     ):
-                        alt = run(a_alt, b)
+                        alt = run(a_alt, b, rr_alt)
+                        if rr_alt is not rr and protocol != "tb" and not (
+                            np.array_equal(alt.p, -base.p) and np.array_equal(alt.q, base.q)
+                        ):
+                            problems.append(f"a {kind} did not flip p alone [{case}, pair {i}]")
                         keep = (alt.q == base.q) & (alt.cbit == base.cbit)
                         share = np.count_nonzero(keep) / rows
                         worst_share = min(worst_share, share)

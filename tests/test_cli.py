@@ -147,6 +147,26 @@ class TestVerify:
             main(["verify", "epr2", "--gamma", "0.0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flip", "--rounds", "-5"],  # would pass over -5 triples
+            ["flip", "--rounds", "0"],  # would run the default silently
+            ["mbox", "--rounds", "-3"],
+            ["kernel", "--rounds", "1"],  # no standard error from one round
+            ["epr2", "--grid", "5"],
+            ["epr2", "--gamma", "2"],
+            ["oracle", "--gamma", "-1"],
+            ["oracle", "--gamma", "0", "--rounds", "2"],  # p2 needs gamma > 0
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_prints_oracle_claim_residual(self, capsys):

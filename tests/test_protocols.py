@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Z_HAT
+from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Z_HAT, sample_unit_sphere
 from mboxsim.protocols import (
     FlipSpec,
     PROTOCOL_IDS,
@@ -129,26 +131,37 @@ class TestRoundRandomness:
         with pytest.raises(ValueError):
             RoundRandomness.from_uniform_block(np.zeros((2, UNIFORMS_PER_ROUND - 1)))
 
-    def test_round_randomness_views_agree(self):
-        # a single round is a batch of one: expanding each row on its own
-        # and expanding the block give bit-identical randomness and rounds
-        g = np.random.Generator(np.random.Philox(key=6))
-        u = g.random((40, UNIFORMS_PER_ROUND))
-        u[0, 4:22] = 0.5
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.integers(0, 2**32 - 1),
+        protocol=st.sampled_from(PROTOCOL_IDS),
+        completion=st.sampled_from(tuple(Completion)),
+        tie=st.booleans(),
+        data=st.data(),
+    )
+    def test_round_randomness_views_agree(self, key, protocol, completion, tie, data):
+        # a round reads only its own row: a block run as one batch equals the
+        # block split at any row and run as two, bit for bit, randomness too
+        gammas = (PI8, 0.7853981634) if protocol == "p2" else (0.0, PI8, 0.7853981634)
+        param = EntanglementParam(data.draw(st.sampled_from(gammas), label="gamma"))
+        strategy = CompletionStrategy(completion)
+        g = np.random.Generator(np.random.Philox(key=key))
+        a, b = sample_unit_sphere(g), sample_unit_sphere(g)
+        if tie:
+            b = np.array([-a[1], a[0], a[2]])  # a_z == b_z
+        u = g.random((data.draw(st.integers(1, 48), label="rows"), UNIFORMS_PER_ROUND))
+        u[0, 4:22] = 0.5  # every sign slot on its boundary
+        split = data.draw(st.integers(0, u.shape[0]), label="split")
         block = RoundRandomness.from_uniform_block(u)
-        param = EntanglementParam(PI8)
-        a, b = [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]
-        rows = [RoundRandomness.from_uniform_block(u[i : i + 1]) for i in range(u.shape[0])]
-        for i, rr in enumerate(rows):
-            assert rr.n == 1
-            for name in ("lam1", "lam2", "flip_r", "box_u", "signs"):
-                assert np.array_equal(getattr(rr, name)[0], getattr(block, name)[i]), name
-        for protocol in PROTOCOL_IDS:
-            whole = run_batch(param, a, b, block, ORTHO, protocol)
-            for i, rr in enumerate(rows):
-                one = run_batch(param, a, b, rr, ORTHO, protocol)
-                for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
-                    assert getattr(one, name)[0] == getattr(whole, name)[i], (protocol, name)
+        parts = [RoundRandomness.from_uniform_block(rows) for rows in (u[:split], u[split:])]
+        for name in ("lam1", "lam2", "flip_r", "box_u", "signs"):
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            assert np.array_equal(joined, getattr(block, name)), name
+        whole = run_batch(param, a, b, block, strategy, protocol)
+        outs = [run_batch(param, a, b, part, strategy, protocol) for part in parts]
+        for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
+            joined = np.concatenate([getattr(out, name) for out in outs])
+            assert np.array_equal(joined, getattr(whole, name)), name
 
     def test_uniform_block_sign_slots(self):
         # each row of a block packs its own signs

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mboxsim.geometry import X_HAT, Y_HAT, Z_HAT, sample_unit_sphere, spherical_grid
+from mboxsim.geometry import X_HAT, Y_HAT, Z_HAT, sample_unit_sphere
 from mboxsim.quantum import (
     DegenerateAxisError,
     EntanglementParam,
     JointDist,
     aux_axis,
     aux_axis_alice_nl,
+    branch_pairing,
     chsh_value,
     correlation,
     epr2_correlation,
@@ -17,7 +18,6 @@ from mboxsim.quantum import (
     epr2_local_bias,
     flip_exact_axis,
     in_slice,
-    joint_local_from_decomposition,
     joint_local_product,
     joint_nl,
     joint_qm,
@@ -75,12 +75,6 @@ class TestJointDist:
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
             JointDist(0.5, -1e-6, 0.0, 0.5).clamped()
-
-    def test_tv_distance(self):
-        a = JointDist(1.0, 0.0, 0.0, 0.0)
-        b = JointDist(0.0, 1.0, 0.0, 0.0)
-        assert a.tv_distance(b) == pytest.approx(1.0)
-        assert a.tv_distance(a) == 0.0
 
 
 class TestJointQm:
@@ -285,19 +279,6 @@ class TestDecomposition:
                 nl = joint_nl(param, a, b).as_array()
                 assert np.max(np.abs(qm - ((1 - s) * loc + s * nl))) <= 1e-12
 
-    def test_local_part_recovered(self):
-        param = EntanglementParam(PI8)
-        for a, b in random_settings(20, key=29):
-            got = joint_local_from_decomposition(param, a, b).as_array()
-            want = joint_local_product(param, a, b).as_array()
-            assert np.max(np.abs(got - want)) <= 1e-12
-        grid = spherical_grid(20)
-        other = spherical_grid(20, phase=0.5)
-        for a, b in zip(grid, other):
-            got = joint_local_from_decomposition(param, a, b).as_array()
-            want = joint_local_product(param, a, b).as_array()
-            assert np.max(np.abs(got - want)) <= 1e-12
-
     def test_local_equatorial_uniform(self):
         param = EntanglementParam(PI8)
         a = np.array([math.cos(0.4), math.sin(0.4), 0.0])
@@ -313,7 +294,7 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             joint_local_product(EntanglementParam(0.0), Z_HAT, Z_HAT)
         with pytest.raises(ValueError):
-            joint_local_from_decomposition(EntanglementParam(PI4), Z_HAT, Z_HAT)
+            joint_nl(EntanglementParam(0.0), Z_HAT, Z_HAT)
 
 
 class TestPreFlipCorrelation:
@@ -363,6 +344,42 @@ class TestPreFlipCorrelation:
         a = np.array([-0.9498845440455933, -0.312444417695568, 0.009891351483639507])
         b = np.array([0.9498845440455933, -0.312444417695568, 0.009891351483639507])
         assert pre_flip_correlation_nl(param, a, b) == -1.0
+
+
+class TestBranchPairing:
+    def test_claim_and_flip_identity_differ_only_in_y_sign(self):
+        # the claimed closed form pairs with aux_axis, the exact flip identity
+        # with flip_exact_axis: same vectors but for the axis's y sign
+        for gamma in (PI8 / 2, PI8, PI4):
+            param = EntanglementParam(gamma)
+            for a, b in random_settings(25, key=33):
+                a, b = (a if a[2] >= 0 else -a), (b if b[2] >= 0 else -b)
+                for protocol in ("p1", "p2"):
+                    for same in (True, False):
+                        claim, exact = (
+                            np.concatenate(branch_pairing(param, a, b, same, protocol, axis))
+                            for axis in (aux_axis, flip_exact_axis)
+                        )
+                        assert np.array_equal(claim[[0, 2, 3, 5]], exact[[0, 2, 3, 5]])
+                        assert np.array_equal(np.abs(claim), np.abs(exact))
+
+    def test_p2_band_cases(self):
+        param = EntanglementParam(PI8)
+        t = slice_threshold(param)
+        inside = np.array([math.sqrt(1 - (t / 2) ** 2), 0.0, t / 2])
+        outside = np.array([math.sqrt(1 - 0.9**2), 0.0, 0.9])
+        for same in (True, False):
+            x, y = branch_pairing(param, inside, inside, same, "p2", aux_axis)
+            assert np.array_equal(x, inside) and np.array_equal(y, rotate_pi_about_x(inside))
+            x, y = branch_pairing(param, inside, outside, same, "p2", aux_axis)
+            assert np.array_equal(x, inside) and np.array_equal(y, aux_axis(param, outside))
+            x, y = branch_pairing(param, outside, inside, same, "p2", aux_axis)
+            assert np.array_equal(x, aux_axis_alice_nl(param, outside))
+            assert np.array_equal(y, rotate_pi_about_x(inside))
+        x, _ = branch_pairing(param, outside, outside, True, "p2", aux_axis)
+        assert np.array_equal(x, outside)
+        x, _ = branch_pairing(param, outside, outside, False, "p2", aux_axis)
+        assert np.array_equal(x, aux_axis_alice_nl(param, outside))
 
 
 class TestChsh:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Y_HAT, Z_HAT, sample_unit_sphere
-from mboxsim.protocols import CHUNK, RoundRandomness, UNIFORMS_PER_ROUND, run_batch
+from mboxsim.protocols import CHUNK, RoundRandomness, UNIFORMS_PER_ROUND, run_batch, symmetrize
 from mboxsim.quantum import (
     EntanglementParam,
     JointDist,
@@ -25,9 +25,8 @@ from mboxsim.verify import (
     branch_correlation_claim,
     claim_residual_report,
     compare,
-    epr2_suite,
+    _stats_from_batch,
     estimate_joint_from_counts,
-    estimate_joint_from_outputs,
     estimate_mean,
     exact_mu_average,
     flip_moments_claim,
@@ -84,18 +83,7 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_joint_from_counts((1, -1, 0, 0))
         with pytest.raises(ValueError):
-            estimate_joint_from_counts((1, 2, 3, 4), min_rounds=11)
-
-    def test_joint_from_outputs_ordering(self):
-        alpha = np.array([1, 1, -1, -1, 1])
-        beta = np.array([1, -1, 1, -1, 1])
-        est = estimate_joint_from_outputs(alpha, beta)
-        assert est.counts == (2, 1, 1, 1)
-
-    def test_joint_needs_enough_rounds(self):
-        signs = np.ones(999, dtype=np.int8)
-        with pytest.raises(ValueError):
-            estimate_joint_from_outputs(signs, signs, min_rounds=1000)
+            estimate_joint_from_counts((0, 0, 0, 0))
 
 
 class TestCompare:
@@ -125,11 +113,7 @@ class TestCompare:
                 EntanglementParam(0.0), Z_HAT, Z_HAT,
                 RoundRandomness.from_uniform_block(u), NORMALIZE, "tb",
             )
-            ap, bp = out.alpha > 0, out.beta > 0
-            counts[0] += np.count_nonzero(ap & bp)
-            counts[1] += np.count_nonzero(ap & ~bp)
-            counts[2] += np.count_nonzero(~ap & bp)
-            counts[3] += np.count_nonzero(~ap & ~bp)
+            counts += _stats_from_batch(out).counts
         row = compare(
             joint_qm(EntanglementParam(PI4), Z_HAT, Z_HAT),
             estimate_joint_from_counts(counts),
@@ -147,7 +131,7 @@ class TestCompare:
                 EntanglementParam(0.0), Z_HAT, X_HAT,
                 RoundRandomness.from_uniform_block(u), NORMALIZE, "tb",
             )
-            row = compare(target, estimate_joint_from_outputs(out.alpha, out.beta))
+            row = compare(target, estimate_joint_from_counts(_stats_from_batch(out).counts))
             tvs.append(row.tv)
         assert tvs[2] < tvs[1] < tvs[0]
 
@@ -195,6 +179,26 @@ class TestExactMuAverage:
                 two = exact_mu_average(param, a, b, strategy, -1, 1, protocol)
                 assert one == pytest.approx(two, abs=1e-15)
 
+    def test_ortho_sign_equals_ortho(self):
+        # ortho-sign's extra completion sign changes no branch average: Bob's
+        # completion term already carries a fair sign Alice never reads, and
+        # ortho's completion of Alice is even in all her signs
+        g = np.random.Generator(np.random.Philox(key=DEFAULT_SEED + 49))
+        pairs = [symmetrize(sample_unit_sphere(g), sample_unit_sphere(g))[:2] for _ in range(12)]
+        a = pairs[0][0]
+        pairs.append((a, np.array([-a[1], a[0], a[2]])))  # a_z == b_z
+        worst = 0.0
+        for gamma in (PI8 / 2, PI8, 0.6, PI4):
+            param = EntanglementParam(gamma)
+            for a, b in pairs:
+                for protocol in ("p1", "p2"):
+                    for p in (1, -1):
+                        for q in (1, -1):
+                            one = exact_mu_average(param, a, b, ORTHO, p, q, protocol)
+                            two = exact_mu_average(param, a, b, ORTHO_SIGN, p, q, protocol)
+                            worst = max(worst, abs(one - two))
+        assert worst <= 1e-12, worst
+
     def test_matches_mc(self):
         param = EntanglementParam(PI8)
         a = np.array([0.6, 0.0, 0.8])
@@ -212,6 +216,16 @@ class TestExactMuAverage:
             param, Z_HAT, np.array([0.8, 0.0, 0.6]), NORMALIZE, "p1", 50_000, seed=84
         )
         assert set(mc) == {(1, -1), (-1, 1)}
+
+    def test_branch_seen_once_is_left_out(self):
+        # one round gives no standard error; as in a report, the branch is
+        # left out (three rounds split 2 + 1 at most of these seeds)
+        param = EntanglementParam(PI8)
+        sizes = set()
+        for seed in range(8):
+            mc = mc_branch_correlations(param, Z_HAT, Z_HAT, NORMALIZE, "p1", 3, seed=seed)
+            sizes |= {est.n for est in mc.values()}
+        assert sizes == {2, 3}
 
 
 class TestBranchClaim:
@@ -308,6 +322,32 @@ class TestSharedStream:
             assert len(branches) == (0 if protocol == "tb" else 2)
 
 
+class TestChunkStats:
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "tb"])
+    def test_batch_aggregate_matches_direct_sums(self, protocol):
+        g = np.random.Generator(np.random.Philox(key=DEFAULT_SEED + 50))
+        rr = RoundRandomness.from_uniform_block(g.random((3000, UNIFORMS_PER_ROUND)))
+        for a, b in ((Z_HAT, [0.6, 0.0, -0.8]), ([0.0, 0.8, 0.6], [0.6, 0.0, 0.8])):
+            out = run_batch(EntanglementParam(PI8), a, b, rr, ORTHO, protocol)
+            stats = _stats_from_batch(out)
+            assert stats.n == 3000
+            assert stats.counts.tolist() == [
+                int(np.count_nonzero((out.alpha == x) & (out.beta == y)))
+                for x, y in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+            ]
+            assert stats.alpha0_sum == int(out.alpha0.sum(dtype=np.int64))
+            assert stats.beta0_sum == int(out.beta0.sum(dtype=np.int64))
+            prod = out.alpha0.astype(np.int64) * out.beta0
+            want = {}
+            for pv in (1, -1):
+                for qv in (1, -1):
+                    mask = (out.p == pv) & (out.q == qv)
+                    if mask.any():
+                        want[(pv, qv)] = [int(mask.sum()), int(prod[mask].sum())]
+            assert stats.branch == want
+            assert (stats.branch == {}) == (protocol == "tb")
+
+
 class TestRealizedJoint:
     @staticmethod
     def settings():
@@ -356,16 +396,15 @@ class TestRealizedJoint:
 
 class TestEpr2Suite:
     def test_report_passes_at_pi_over_8(self):
-        rep = epr2_suite(EntanglementParam(PI8), grid_n=12)
-        assert rep.n_pairs == 144
         checks = suite_epr2(gamma=PI8, grid_n=12)
         assert all(c.passed for c in checks), [str(c) for c in checks]
+        assert checks[0].detail.endswith("over 144 pairs")
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            epr2_suite(EntanglementParam(PI8), grid_n=9)
+            suite_epr2(gamma=PI8, grid_n=9)
         with pytest.raises(ValueError):
-            epr2_suite(EntanglementParam(0.0))
+            suite_epr2(gamma=0.0)
 
 
 class TestClaimResidualReport:
@@ -404,6 +443,9 @@ class TestSuites:
     def test_suite_flip(self):
         checks = suite_flip(trials=300)
         assert all(c.passed for c in checks), [str(c) for c in checks]
+        # zero triples would pass a check that compared nothing
+        with pytest.raises(ValueError):
+            suite_flip(trials=0)
 
     def test_suite_epr2_single_gamma(self):
         checks = suite_epr2(gamma=PI8, grid_n=12)
@@ -414,3 +456,9 @@ class TestSuites:
         checks = suite_oracle(gamma=PI8, n_settings=2, rounds=150_000, protocols=("p1",))
         assert len(checks) == 3
         assert all(c.passed for c in checks), [str(c) for c in checks]
+        assert all("over 4 branches of 2 settings" in c.detail for c in checks)
+
+    def test_suite_oracle_fails_when_nothing_compared(self):
+        # one round per setting leaves every branch without a standard error
+        checks = suite_oracle(gamma=PI8, n_settings=2, rounds=1, protocols=("p1",))
+        assert not any(c.passed for c in checks), [str(c) for c in checks]
