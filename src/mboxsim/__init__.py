@@ -30,7 +30,6 @@ from .quantum import (
     DegenerateAxisError,
     EntanglementParam,
     JointDist,
-    chsh_value,
     correlation,
     epr2_correlation,
     epr2_flip_probability,
@@ -63,7 +62,7 @@ from .verify import (
     realized_joint,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CheckResult",
@@ -80,7 +79,6 @@ __all__ = [
     "MBoxOutcome",
     "as_unit_vector",
     "branch_correlation_claim",
-    "chsh_value",
     "claim_residual_report",
     "compare",
     "compare_bit",

@@ -8,6 +8,7 @@ deterministic given its flags; there are no environment knobs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -15,6 +16,7 @@ from importlib import resources
 
 import jsonschema
 import numpy as np
+from jsonschema.validators import validator_for
 
 from .geometry import Completion, CompletionStrategy
 from .protocols import symmetrize
@@ -42,6 +44,14 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _report_validator():
+    # Built on the first simulate, not at import.  The schema itself is
+    # checked against its metaschema once, in the tests, not on every run.
+    schema = report_schema()
+    return validator_for(schema)(schema)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mboxsim",
@@ -67,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("suite", choices=("kernel", "flip", "epr2", "mbox", "oracle"))
-    ver.add_argument("--gamma", type=float, default=None)
-    ver.add_argument("--grid", type=int, default=20)
-    ver.add_argument("--rounds", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ver.add_argument("--gamma", type=float, default=None, help="epr2 and oracle only")
+    ver.add_argument("--grid", type=int, default=None, help="epr2 only (default 20)")
+    ver.add_argument("--rounds", type=int, default=None, help="every suite but epr2")
+    ver.add_argument("--seed", type=int, default=None, help="every suite but epr2")
     ver.set_defaults(func=cmd_verify)
 
     orc = sub.add_parser("oracle", help="query the exact enumeration oracle")
@@ -141,7 +151,7 @@ def cmd_simulate(args, parser) -> int:
     report = run_experiment(config)
     payload = write_report(report, args.out, args.csv)
     try:
-        jsonschema.validate(payload, report_schema())
+        _report_validator().validate(payload)
     except jsonschema.ValidationError as exc:
         print(f"internal error: report failed schema self-check: {exc.message}", file=sys.stderr)
         return 1
@@ -152,36 +162,49 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
+# The flags each suite reads; giving it any other is a usage error.
+_SUITE_FLAGS = {
+    "mbox": ("rounds", "seed"),
+    "kernel": ("rounds", "seed"),
+    "flip": ("rounds", "seed"),
+    "epr2": ("gamma", "grid"),
+    "oracle": ("gamma", "rounds", "seed"),
+}
+
+
 def cmd_verify(args, parser) -> int:
+    for flag in ("gamma", "grid", "rounds", "seed"):
+        if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.suite]:
+            parser.error(f"the {args.suite} suite does not read --{flag}")
     # A standard error needs two rounds; the kernel and oracle suites estimate one.
     min_rounds = 2 if args.suite in ("kernel", "oracle") else 1
     if args.rounds is not None and args.rounds < min_rounds:
         parser.error(
             f"--rounds must be >= {min_rounds} for the {args.suite} suite, got {args.rounds}"
         )
-    if args.grid < 10:
+    if args.grid is not None and args.grid < 10:
         parser.error(f"--grid must be >= 10, got {args.grid}")
     if args.gamma is not None:
-        # both run the nonlocal-part protocol or its decomposition
-        entangled = args.suite in ("epr2", "oracle")
-        _parse_gamma(parser, args.gamma, entangled, f"the {args.suite} suite")
+        # epr2 and oracle run the nonlocal-part protocol or its decomposition
+        _parse_gamma(parser, args.gamma, True, f"the {args.suite} suite")
     if args.rounds is not None:
         rounds = args.rounds
     else:
         rounds = 1000 if args.suite == "flip" else 200_000
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.suite == "mbox":
-        checks = suite_mbox(rounds=rounds, seed=args.seed)
+        checks = suite_mbox(rounds=rounds, seed=seed)
     elif args.suite == "kernel":
-        checks = suite_kernel(rounds=rounds, seed=args.seed)
+        checks = suite_kernel(rounds=rounds, seed=seed)
     elif args.suite == "flip":
-        checks = suite_flip(trials=rounds, seed=args.seed)
+        checks = suite_flip(trials=rounds, seed=seed)
     elif args.suite == "epr2":
-        checks = suite_epr2(gamma=args.gamma, grid_n=args.grid)
+        checks = suite_epr2(gamma=args.gamma, grid_n=20 if args.grid is None else args.grid)
     else:
         checks = suite_oracle(
             gamma=args.gamma if args.gamma is not None else math.pi / 8,
             rounds=rounds,
-            seed=args.seed,
+            seed=seed,
         )
     for check in checks:
         print(check)

@@ -27,7 +27,6 @@ __all__ = [
     "aux_axis",
     "aux_axis_alice_nl",
     "branch_pairing",
-    "chsh_value",
     "correlation",
     "epr2_correlation",
     "epr2_flip_probability",
@@ -166,27 +165,21 @@ def aux_axis(param: EntanglementParam, v) -> np.ndarray:
 def aux_axis_alice_nl(param: EntanglementParam, a) -> np.ndarray:
     """Alice's alternate direction outside the slice in protocol 2.
 
-    Same as :func:`aux_axis` with the z component negated before the
-    shift: (s ax, s ay, c - az)/(1 - c az).
+    aux_axis(a) reflected through the xy plane: (s ax, s ay, c - az)/(1 - c az).
     """
-    a = as_unit_vector(a)
-    c, s = param.cos2g, param.sin2g
-    den = _guard_denominator(c, a[2])
-    return np.array([s * a[0], s * a[1], c - a[2]]) / den
+    return aux_axis(param, a) * np.array([1.0, 1.0, -1.0])
 
 
 def flip_exact_axis(param: EntanglementParam, v) -> np.ndarray:
-    """Variant of aux_axis whose y sign makes the flip-step identity exact.
+    """Variant of aux_axis whose y sign makes the flip-step identity exact:
+    aux_axis(v) reflected through the xz plane.
 
     With f_a = c*a_z, f_b = c*b_z and pre-flip correlation A~.b, the correlated
     flip lands exactly on the quantum correlation; the construction actually
     used by the protocol differs in the sign of the y component, and the
     residual between the two is part of what the harness reports.
     """
-    v = as_unit_vector(v)
-    c, s = param.cos2g, param.sin2g
-    den = _guard_denominator(c, v[2])
-    return np.array([s * v[0], -s * v[1], v[2] - c]) / den
+    return aux_axis(param, v) * np.array([1.0, -1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,40 +333,3 @@ def pre_flip_correlation_nl(param: EntanglementParam, a, b) -> float:
     """
     return _pre_flip_correlation(param, a, b, "p2")
 
-
-# ---------------------------------------------------------------------------
-# Sanity metric: maximal CHSH value over coplanar settings.
-# ---------------------------------------------------------------------------
-
-
-def _chsh_on_angles(s: float, tb: np.ndarray, tbp: np.ndarray) -> np.ndarray:
-    # Settings restricted to the x-z plane; the correlation matrix acts as
-    # diag(s, 1) on (x, z), and the optimal Alice settings are absorbed:
-    # S(b, b') = |M(b+b')| + |M(b-b')|.
-    bx, bz = np.sin(tb), np.cos(tb)
-    px, pz = np.sin(tbp), np.cos(tbp)
-    plus = np.sqrt((s * (bx + px)) ** 2 + (bz + pz) ** 2)
-    minus = np.sqrt((s * (bx - px)) ** 2 + (bz - pz) ** 2)
-    return plus + minus
-
-
-def chsh_value(param: EntanglementParam) -> float:
-    """Maximal CHSH combination over coplanar settings, by iterated grid search.
-
-    Agrees with the closed form 2*sqrt(1 + s^2) to well under 1e-6.
-    """
-    s = param.sin2g
-    lo1, hi1 = 0.0, 2.0 * math.pi
-    lo2, hi2 = 0.0, 2.0 * math.pi
-    best = (0.0, 0.0, -math.inf)
-    for _ in range(4):
-        t1 = np.linspace(lo1, hi1, 241)
-        t2 = np.linspace(lo2, hi2, 241)
-        grid = _chsh_on_angles(s, t1[:, None], t2[None, :])
-        i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-        best = (float(t1[i]), float(t2[j]), float(grid[i, j]))
-        span1 = (hi1 - lo1) / 240
-        span2 = (hi2 - lo2) / 240
-        lo1, hi1 = best[0] - 2 * span1, best[0] + 2 * span1
-        lo2, hi2 = best[1] - 2 * span2, best[1] + 2 * span2
-    return best[2]

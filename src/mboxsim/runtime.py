@@ -34,10 +34,9 @@ from .protocols import (
 )
 from .quantum import EntanglementParam, JointDist, _joint_from_moments, joint_nl, joint_qm
 from .verify import (
-    BranchStat,
     ChunkStats,
     ComparisonReport,
-    SettingComparison,
+    ComparisonRow,
     _stats_from_batch,
     compare,
     estimate_joint_from_counts,
@@ -205,43 +204,45 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
 
     records = []
     for si, (a, b) in enumerate(settings):
-        stats = agg[si]
-        est = estimate_joint_from_counts(stats.counts.tolist())
-        row = compare(_target_joint(param, a, b, config.protocol), est)
-        if stats.n >= 2:
-            alpha0 = sign_mean_estimate(stats.alpha0_sum, stats.n)
-            beta0 = sign_mean_estimate(stats.beta0_sum, stats.n)
-        else:
-            alpha0 = None
-            beta0 = None
-        branches = []
-        for (pv, qv), (bn, bsum) in sorted(stats.branch.items()):
-            if bn >= 2:
-                est = sign_mean_estimate(bsum, bn)
-                mean, stderr = est.mean, est.stderr
-            else:
-                mean, stderr = bsum / bn, 0.0
-            branches.append(BranchStat(p=pv, q=qv, n=bn, corr_mean=mean, corr_stderr=stderr))
-        records.append(
-            SettingComparison(
-                a=tuple(float(x) for x in a),
-                b=tuple(float(x) for x in b),
-                row=row,
-                alpha0=alpha0,
-                beta0=beta0,
-                branches=tuple(branches),
-            )
+        row = compare(
+            _target_joint(param, a, b, config.protocol),
+            estimate_joint_from_counts(agg[si].counts.tolist()),
         )
+        records.append(_record(a, b, row, agg[si]))
+    return ComparisonReport(config=config, records=tuple(records))
 
-    return ComparisonReport(
-        protocol=config.protocol,
-        gamma=config.gamma,
-        completion=config.completion,
-        seed=config.seed,
-        rounds=config.rounds,
-        settings_source=config.settings_source,
-        records=tuple(records),
-    )
+
+def _record(a, b, row: ComparisonRow, stats: ChunkStats) -> dict:
+    """One setting's entry under the JSON report's "records", as written."""
+    joint = row.empirical
+    # A single-round record has no standard error to report.
+    pre_flip = None
+    if stats.n >= 2:
+        pre_flip = {}
+        for name, total in (("alpha0", stats.alpha0_sum), ("beta0", stats.beta0_sum)):
+            est = sign_mean_estimate(total, stats.n)
+            pre_flip[f"{name}_mean"], pre_flip[f"{name}_stderr"] = est.mean, est.stderr
+    branches = []
+    for (p, q), (bn, bsum) in sorted(stats.branch.items()):
+        if bn >= 2:
+            est = sign_mean_estimate(bsum, bn)
+            corr, stderr = est.mean, est.stderr
+        else:
+            corr, stderr = bsum / bn, 0.0
+        branches.append({"p": p, "q": q, "n": bn, "corr_mean": corr, "corr_stderr": stderr})
+    return {
+        "a": [float(x) for x in a],
+        "b": [float(x) for x in b],
+        "n": joint.n,
+        "target": row.target.clamped().tolist(),
+        "empirical": joint.dist.as_array().tolist(),
+        "stderr": list(joint.stderr),
+        "counts": list(joint.counts),
+        "tv": row.tv,
+        "max_abs_z": row.max_abs_z,
+        "pre_flip": pre_flip,
+        "branches": branches,
+    }
 
 
 def write_report(report: ComparisonReport, out_path, csv_path=None) -> dict:

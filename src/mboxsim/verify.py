@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,15 +69,16 @@ from .quantum import (
     slice_threshold,
 )
 
+if TYPE_CHECKING:
+    from .runtime import ExperimentConfig
+
 __all__ = [
-    "BranchStat",
     "CheckResult",
     "ChunkStats",
     "ComparisonReport",
     "ComparisonRow",
     "EstimateWithError",
     "JointEstimate",
-    "SettingComparison",
     "branch_correlation_claim",
     "claim_residual_report",
     "compare",
@@ -592,101 +594,43 @@ def claim_residual_report(
 
 
 @dataclass(frozen=True)
-class BranchStat:
-    """Conditional pre-flip correlation on one realized (p, q) branch."""
-
-    p: int
-    q: int
-    n: int
-    corr_mean: float
-    corr_stderr: float
-
-
-@dataclass(frozen=True)
-class SettingComparison:
-    """Everything measured at one settings pair."""
-
-    a: tuple[float, float, float]
-    b: tuple[float, float, float]
-    row: ComparisonRow
-    alpha0: EstimateWithError | None
-    beta0: EstimateWithError | None
-    branches: tuple[BranchStat, ...]
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    """Per-setting target/empirical comparisons plus the run's identity."""
+    """A run's config and its per-setting records.
 
-    protocol: str
-    gamma: float
-    completion: str
-    seed: int
-    rounds: int
-    settings_source: str
-    records: tuple[SettingComparison, ...]
+    Each record is the very dict the JSON report lists under "records";
+    run_experiment builds it once, and the JSON and CSV writers only read it.
+    """
+
+    config: ExperimentConfig
+    records: tuple[dict, ...]
 
     @property
     def max_tv(self) -> float:
-        return max((r.row.tv for r in self.records), default=0.0)
+        return max((r["tv"] for r in self.records), default=0.0)
 
     @property
     def max_abs_z(self) -> float:
-        return max((r.row.max_abs_z for r in self.records), default=0.0)
+        return max((r["max_abs_z"] for r in self.records), default=0.0)
 
 
 def report_to_json_dict(report: ComparisonReport) -> dict:
-    records = []
-    for rec in report.records:
-        row = rec.row
-        records.append(
-            {
-                "a": list(rec.a),
-                "b": list(rec.b),
-                "n": row.empirical.n,
-                "target": [float(x) for x in row.target.clamped()],
-                "empirical": [float(x) for x in row.empirical.dist.as_array()],
-                "stderr": list(row.empirical.stderr),
-                "counts": list(row.empirical.counts),
-                "tv": row.tv,
-                "max_abs_z": row.max_abs_z,
-                # A single-round record has no standard error to report.
-                "pre_flip": None
-                if rec.alpha0 is None
-                else {
-                    "alpha0_mean": rec.alpha0.mean,
-                    "alpha0_stderr": rec.alpha0.stderr,
-                    "beta0_mean": rec.beta0.mean,
-                    "beta0_stderr": rec.beta0.stderr,
-                },
-                "branches": [
-                    {
-                        "p": br.p,
-                        "q": br.q,
-                        "n": br.n,
-                        "corr_mean": br.corr_mean,
-                        "corr_stderr": br.corr_stderr,
-                    }
-                    for br in rec.branches
-                ],
-            }
-        )
+    config = report.config
     return {
         "config": {
             "stream": STREAM,
-            "protocol": report.protocol,
-            "gamma": report.gamma,
-            "completion": report.completion,
-            "seed": report.seed,
-            "rounds": report.rounds,
-            "settings_source": report.settings_source,
+            "protocol": config.protocol,
+            "gamma": config.gamma,
+            "completion": config.completion,
+            "seed": config.seed,
+            "rounds": config.rounds,
+            "settings_source": config.settings_source,
         },
         "summary": {
             "n_settings": len(report.records),
             "max_tv": report.max_tv,
             "max_abs_z": report.max_abs_z,
         },
-        "records": records,
+        "records": list(report.records),
     }
 
 
@@ -700,20 +644,17 @@ _CSV_HEADER = [
 
 
 def report_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
-    """Flat per-setting rows for the CSV sibling of the JSON report."""
+    """Flat per-setting rows for the CSV sibling: a projection of the JSON records."""
     rows = []
     for rec in report.records:
-        row = rec.row
-        target = [float(x) for x in row.target.clamped()]
-        emp = [float(x) for x in row.empirical.dist.as_array()]
-        pre = [rec.alpha0.mean, rec.beta0.mean] if rec.alpha0 is not None else ["", ""]
+        pre = rec["pre_flip"]
         rows.append(
-            list(rec.a)
-            + list(rec.b)
-            + [row.empirical.n, row.tv, row.max_abs_z]
-            + target
-            + emp
-            + pre
+            rec["a"]
+            + rec["b"]
+            + [rec["n"], rec["tv"], rec["max_abs_z"]]
+            + rec["target"]
+            + rec["empirical"]
+            + (["", ""] if pre is None else [pre["alpha0_mean"], pre["beta0_mean"]])
         )
     return list(_CSV_HEADER), rows
 
@@ -725,6 +666,8 @@ def report_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
 
 def suite_mbox(rounds: int = 1_000_000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Exhaustive XOR contract on a 21x21 input grid plus output uniformity."""
+    if rounds < 1:
+        raise ValueError(f"need rounds >= 1, got {rounds}")
     grid = np.linspace(0.0, 1.0, 21)
     bad = 0
     for x in grid.tolist():
@@ -767,6 +710,11 @@ def suite_kernel(
     pair i reads index i + 1, so each pair's rounds are those a tb run of
     run_experiment would sample there.
     """
+    # A standard error needs two rounds; the quadrature needs 1000 nodes.
+    if rounds < 2:
+        raise ValueError(f"need rounds >= 2, got {rounds}")
+    if n_nodes < 1000:
+        raise ValueError(f"need n_nodes >= 1000, got {n_nodes}")
     g = np.random.Generator(np.random.Philox(key=seed))
     param = EntanglementParam(0.0)
     strategy = _ALL_STRATEGIES[0]

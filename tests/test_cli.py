@@ -6,8 +6,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from jsonschema.validators import validator_for
 
-from mboxsim import __version__
+from mboxsim import __version__, cli
 from mboxsim.cli import main, report_schema
 from mboxsim.protocols import STREAM
 from mboxsim.runtime import CHUNK, SETTINGS_CSV_HEADER
@@ -90,6 +91,26 @@ class TestSimulate:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_schema_passes_its_metaschema(self):
+        # simulate validates against the schema without re-checking the
+        # schema itself, so that check lives here
+        schema = report_schema()
+        validator_for(schema).check_schema(schema)
+        with pytest.raises(jsonschema.SchemaError):
+            validator_for(schema).check_schema({**schema, "required": "records"})
+
+    def test_report_failing_schema_exits_1(self, tmp_path, capsys, monkeypatch):
+        real = cli.write_report
+
+        def write_without_summary(*args):
+            payload = real(*args)
+            del payload["summary"]
+            return payload
+
+        monkeypatch.setattr(cli, "write_report", write_without_summary)
+        assert main(simulate_args(tmp_path)) == 1
+        assert "schema self-check" in capsys.readouterr().err
+
 
 class TestGoldenReports:
     # SHA-256 of the JSON and CSV reports of a small run that crosses a chunk
@@ -166,6 +187,22 @@ class TestVerify:
             main(["verify", *argv])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["flip", "--gamma", "0.3", "--rounds", "3"], "--gamma"),
+            (["flip", "--grid", "500", "--rounds", "3"], "--grid"),
+            (["epr2", "--gamma", "0.3", "--grid", "10", "--rounds", "7"], "--rounds"),
+            (["epr2", "--gamma", "0.3", "--grid", "10", "--seed", "99"], "--seed"),
+        ],
+        ids=["flip --gamma", "flip --grid", "epr2 --rounds", "epr2 --seed"],
+    )
+    def test_flag_the_suite_does_not_read_is_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert f"does not read {flag}" in capsys.readouterr().err
 
 
 class TestOracle:

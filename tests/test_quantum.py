@@ -11,7 +11,6 @@ from mboxsim.quantum import (
     aux_axis,
     aux_axis_alice_nl,
     branch_pairing,
-    chsh_value,
     correlation,
     epr2_correlation,
     epr2_flip_probability,
@@ -381,14 +380,3 @@ class TestBranchPairing:
         x, _ = branch_pairing(param, outside, outside, False, "p2", aux_axis)
         assert np.array_equal(x, aux_axis_alice_nl(param, outside))
 
-
-class TestChsh:
-    def test_maximal(self):
-        assert chsh_value(EntanglementParam(PI4)) == pytest.approx(2.8284271, abs=1e-6)
-
-    def test_product(self):
-        assert chsh_value(EntanglementParam(0.0)) == pytest.approx(2.0, abs=1e-6)
-
-    def test_partial_is_strictly_between(self):
-        v = chsh_value(EntanglementParam(PI8))
-        assert 2.0 + 1e-3 < v < 2.0 * math.sqrt(2.0) - 1e-3

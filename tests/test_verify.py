@@ -309,16 +309,21 @@ class TestSharedStream:
                 completion=strategy.tag.value, settings=((a, b),),
             ))
             rec = report.records[0]
-            pp, pm, mp, mm = rec.row.empirical.counts
+            pp, pm, mp, mm = rec["counts"]
             moments = mc_round_moments(param, a, b, strategy, protocol, rounds, seed)
-            assert moments["alpha0"] == rec.alpha0
-            assert moments["beta0"] == rec.beta0
+            for name in ("alpha0", "beta0"):
+                assert (moments[name].mean, moments[name].stderr) == (
+                    rec["pre_flip"][f"{name}_mean"], rec["pre_flip"][f"{name}_stderr"]
+                )
             assert moments["alpha"] == sign_mean_estimate(pp + pm - mp - mm, rounds)
             assert moments["beta"] == sign_mean_estimate(pp - pm + mp - mm, rounds)
             branches = mc_branch_correlations(param, a, b, strategy, protocol, rounds, seed)
             assert {
                 (p, q): (est.n, est.mean, est.stderr) for (p, q), est in branches.items()
-            } == {(br.p, br.q): (br.n, br.corr_mean, br.corr_stderr) for br in rec.branches}
+            } == {
+                (br["p"], br["q"]): (br["n"], br["corr_mean"], br["corr_stderr"])
+                for br in rec["branches"]
+            }
             assert len(branches) == (0 if protocol == "tb" else 2)
 
 
@@ -386,7 +391,7 @@ class TestRealizedJoint:
                 ))
                 for (a, b), rec in zip(settings, report.records):
                     exact = realized_joint(param, a, b, strategy, protocol).as_array()
-                    freq = np.array(rec.row.empirical.counts) / rounds
+                    freq = np.array(rec["counts"]) / rounds
                     sigma = np.maximum(np.sqrt(exact * (1.0 - exact) / rounds), 1.0 / rounds)
                     z = np.abs(freq - exact) / sigma
                     worst = max(worst, float(z.max()))
@@ -435,10 +440,22 @@ class TestSuites:
         checks = suite_mbox(rounds=50_000)
         assert [c.name for c in checks] == ["mbox-xor-grid", "mbox-m-uniform"]
         assert all(c.passed for c in checks)
+        with pytest.raises(ValueError, match="need rounds >= 1"):
+            suite_mbox(rounds=0)
 
     def test_suite_kernel(self):
         checks = suite_kernel(n_pairs=3, rounds=100_000, n_nodes=10_000)
         assert all(c.passed for c in checks), [str(c) for c in checks]
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [({"rounds": 1}, "need rounds >= 2"), ({"n_nodes": 999}, "need n_nodes >= 1000")],
+        ids=["rounds", "n_nodes"],
+    )
+    def test_suite_kernel_checks_sizes_first(self, kwargs, match):
+        # raised at entry, not from an estimator after the sampling ran
+        with pytest.raises(ValueError, match=match):
+            suite_kernel(**{"n_pairs": 0, "rounds": 1000, **kwargs})
 
     def test_suite_flip(self):
         checks = suite_flip(trials=300)
