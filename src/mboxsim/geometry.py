@@ -96,9 +96,12 @@ def as_unit_vector(v, tol: float = 1e-9) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected shape (3,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # Checked on Python floats: for three entries this is several times
+    # faster than np.isfinite and np.linalg.norm.
+    x, y, z = arr.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("vector has non-finite entries")
-    norm = float(np.linalg.norm(arr))
+    norm = math.sqrt(x * x + y * y + z * z)
     if abs(norm - 1.0) > tol:
         raise ValueError(f"vector norm {norm} deviates from 1 by more than {tol}")
     return arr

@@ -45,14 +45,18 @@ class TestSgn:
 
 class TestUnitVectors:
     def test_as_unit_vector_validates(self):
-        v = as_unit_vector([0.0, 0.0, 1.0])
-        assert v.shape == (3,)
-        with pytest.raises(ValueError):
-            as_unit_vector([0.0, 0.0, 1.1])
-        with pytest.raises(ValueError):
+        v = np.array([0.0, 0.6, 0.8])
+        assert as_unit_vector(v) is v
+        # the norm of (0, 0, z) is z: inside tol passes, just past it fails
+        assert as_unit_vector([0.0, 0.0, 1.0 + 0.5e-9]).shape == (3,)
+        for bad in ([0.0, 0.0, 1.1], [0.0, 0.0, 1.0 + 1.5e-9], [0.0, 0.0, 1.0 - 1.5e-9]):
+            with pytest.raises(ValueError, match="deviates from 1"):
+                as_unit_vector(bad)
+        with pytest.raises(ValueError, match="shape"):
             as_unit_vector([0.0, 0.0])
-        with pytest.raises(ValueError):
-            as_unit_vector([0.0, math.nan, 1.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                as_unit_vector([0.0, bad, 1.0])
 
     def test_from_uniforms_layout(self):
         v = unit_vector_from_uniforms(0.25, 0.0)

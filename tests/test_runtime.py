@@ -92,6 +92,8 @@ class TestUniformStream:
         tail = round_uniform_block(9, 2, CHUNK - 5, 10)
         from_zero = round_uniform_block(9, 2, 0, CHUNK + 5)
         assert np.array_equal(tail, from_zero[-10:])
+        last = round_uniform_block(9, 2, CHUNK - 1, 1)
+        assert np.array_equal(last, from_zero[CHUNK - 1 : CHUNK])
 
     def test_settings_index_separates_streams(self):
         a = round_uniform_block(9, 0, 0, 4)

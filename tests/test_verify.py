@@ -5,7 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Y_HAT, Z_HAT, sample_unit_sphere
+from mboxsim.geometry import (
+    Completion,
+    CompletionStrategy,
+    X_HAT,
+    Y_HAT,
+    Z_HAT,
+    sample_unit_sphere,
+    sign_array,
+    spherical_grid,
+)
 from mboxsim.protocols import CHUNK, RoundRandomness, UNIFORMS_PER_ROUND, run_batch, symmetrize
 from mboxsim.quantum import (
     EntanglementParam,
@@ -136,7 +145,42 @@ class TestCompare:
         assert tvs[2] < tvs[1] < tvs[0]
 
 
+def _quadrature_reference(u, v, n_nodes):
+    """The kernel quadrature summed over the whole n x n node grid, in
+    512-row blocks: every sign evaluated, no sorting."""
+    lam1 = spherical_grid(n_nodes)
+    lam2 = spherical_grid(n_nodes, phase=0.5)
+    d1v = lam1 @ v
+    alpha = sign_array(lam1 @ u).astype(np.int64)
+    e = sign_array(lam2 @ u).astype(float) * (lam2 @ v)
+    total = 0
+    for lo in range(0, n_nodes, 512):
+        hi = min(lo + 512, n_nodes)
+        x = d1v[lo:hi, None] + alpha[lo:hi, None] * e[None, :]
+        rows = sign_array(x).sum(axis=1, dtype=np.int64)
+        total += int((alpha[lo:hi] * rows).sum())
+    return total / (n_nodes * n_nodes)
+
+
 class TestQuadratureKernel:
+    @pytest.mark.parametrize("n_nodes", [1000, 1001, 2001])
+    def test_count_equals_grid_sum_on_ties(self, n_nodes):
+        # Grid sums exactly at 0 must count as sgn(0) = +1.  Odd n puts a
+        # node at z = 0, and (z, x) has ties at alpha = +1.  Both lattices
+        # share their z levels, so (x, z) has hundreds at each alpha.
+        pairs = [
+            (Z_HAT, Z_HAT), (Z_HAT, -Z_HAT), (X_HAT, Y_HAT), (X_HAT, -X_HAT),
+            (Z_HAT, X_HAT), (X_HAT, Z_HAT),
+        ]
+        for u, v in pairs:
+            assert quadrature_kernel(u, v, n_nodes) == _quadrature_reference(u, v, n_nodes)
+
+    def test_count_equals_grid_sum_on_random_pairs(self):
+        g = np.random.Generator(np.random.Philox(key=DEFAULT_SEED + 51))
+        for _ in range(20):
+            u, v = sample_unit_sphere(g), sample_unit_sphere(g)
+            assert quadrature_kernel(u, v, 2000) == _quadrature_reference(u, v, 2000)
+
     def test_aligned_is_exactly_one(self):
         assert quadrature_kernel(Z_HAT, Z_HAT, n_nodes=1000) == 1.0
 
