@@ -53,8 +53,10 @@ class Completion(Enum):
                 result is unit.  The deficit direction is the component of
                 z-hat orthogonal to w (x-hat when w is parallel to z-hat or
                 zero).  If ``|w| > 1`` this falls back to NORMALIZE behaviour.
-    ORTHO_SIGN  as ORTHO, but the orthogonal part is multiplied by an extra
-                shared random sign supplied by the caller.
+    ORTHO_SIGN  as ORTHO, with a fresh fair sign on each party's orthogonal
+                part.  That sign leaves every branch average, and so the
+                output law, unchanged, so the round engine and the oracles
+                sample and enumerate ORTHO_SIGN by ORTHO's rule.
     """
 
     NORMALIZE = "normalize"
@@ -190,8 +192,9 @@ def complete_rows(
     """Complete each row of ``w`` to a unit vector.
 
     ``comp_sign`` multiplies the orthogonal part for the ORTHO-family
-    strategies (the round engine routes shared random signs through it);
-    NORMALIZE has no sign freedom and ignores it.
+    strategies (the round engine passes Bob's sgn(z . mu_5) or sgn(z . mu_7)
+    through it, and 1 for Alice); NORMALIZE has no sign freedom and ignores
+    it.
     """
     if strategy.tag is Completion.NORMALIZE:
         return _normalize_rows(w, fallback)

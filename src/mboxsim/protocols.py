@@ -44,7 +44,6 @@ import numpy as np
 
 from .boxes import compare_bit
 from .geometry import (
-    Completion,
     CompletionStrategy,
     as_unit_vector,
     complete_rows,
@@ -78,7 +77,6 @@ __all__ = [
     "round_directions",
     "round_uniform_block",
     "run_batch",
-    "sign_bits",
     "symmetrize",
     "tb_round",
 ]
@@ -87,15 +85,15 @@ PROTOCOL_IDS = ("p1", "p2", "tb")
 
 # Fixed per-round layout of the uniform stream (one row of 24 doubles):
 # 0,1 lambda1 | 2,3 lambda2 | 4..17 mu_1..mu_7 as (polar, azimuth) pairs |
-# 18 flip coupler | 19 box coin | 20,21 completion signs | 22,23 reserved.
+# 18 flip coupler | 19 box coin | 20..23 unread.
 # The protocols read mu_i only through sgn(z . mu_i), which is the sign of
 # its polar slot's z = 1 - 2u, so the azimuth slots are never read.
 UNIFORMS_PER_ROUND = 24
 
-# The slots whose signs a round reads: the seven mu polar slots, then the
-# two completion-sign slots.  Sign j is -1 exactly when slot _SIGN_SLOTS[j]
-# holds u > 1/2 (z = 1 - 2u < 0; sgn(0) = +1).
-_SIGN_SLOTS = np.array([4, 6, 8, 10, 12, 14, 16, 20, 21])
+# The slots whose signs a round reads: the seven mu polar slots.  Sign j is
+# -1 exactly when slot _SIGN_SLOTS[j] holds u > 1/2 (z = 1 - 2u < 0;
+# sgn(0) = +1).
+_SIGN_SLOTS = np.array([4, 6, 8, 10, 12, 14, 16])
 _SIGN_BITS = (1 << np.arange(_SIGN_SLOTS.size)).astype(np.uint16)
 
 # Rows per derived stream key.  Part of the stream layout: changing it
@@ -168,9 +166,8 @@ class FlipSpec:
 class RoundRandomness:
     """Array form of per-round randomness, one row per round.
 
-    signs packs the round's nine shared signs into one integer: bit j is 1
-    exactly when sign j is -1, bits 0..6 being sgn(z . mu_1..mu_7) and bits
-    7 and 8 Alice's and Bob's completion signs.  No mu vector is built.
+    signs packs the round's seven shared signs into one integer: bit j is 1
+    exactly when sgn(z . mu_{j+1}) is -1.  No mu vector is built.
     """
 
     lam1: np.ndarray
@@ -188,8 +185,8 @@ class RoundRandomness:
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != UNIFORMS_PER_ROUND:
             raise ValueError(f"expected (n, {UNIFORMS_PER_ROUND}) uniforms, got {u.shape}")
-        # compare the contiguous slots 4..21, then pick the sign slots
-        down = (u[:, 4:22] > 0.5)[:, _SIGN_SLOTS - 4]
+        # compare the contiguous slots 4..16, then pick the sign slots
+        down = (u[:, 4:17] > 0.5)[:, _SIGN_SLOTS - 4]
         # copies, so no view keeps the row block alive while the batch runs
         return cls(
             lam1=unit_vector_from_uniforms(u[:, 0], u[:, 1]),
@@ -291,7 +288,6 @@ def alice_direction_rows(
     a: np.ndarray,
     p: np.ndarray,
     mu_sign: np.ndarray,
-    extra: np.ndarray,
     strategy: CompletionStrategy,
     protocol: str,
 ) -> np.ndarray:
@@ -300,12 +296,12 @@ def alice_direction_rows(
     Branch p = +1 takes signs from (mu_1, mu_2), p = -1 from (mu_4, mu_3).
     Under protocol p2 a setting inside the equatorial band instead uses the
     three-sign majority direction [sgn(z.mu_1)+sgn(z.mu_4)+sgn(z.mu_6)] a.
+    Her completion term carries no sign.
     """
     a = np.asarray(a, dtype=float)
-    comp = np.asarray(extra, dtype=float)
     if protocol == "p2" and in_slice(param, a[2]):
         k = (mu_sign[:, 0] + mu_sign[:, 3] + mu_sign[:, 5]).astype(float)
-        return complete_rows(k[:, None] * a[None, :], strategy, a, comp)
+        return complete_rows(k[:, None] * a[None, :], strategy, a, 1.0)
     axis_fn = aux_axis_alice_nl if protocol == "p2" else aux_axis
     axis = _guarded(axis_fn, param, a)
     if axis is None:
@@ -313,7 +309,7 @@ def alice_direction_rows(
     s_a = np.where(p == 1, mu_sign[:, 0], mu_sign[:, 3]).astype(float)
     s_axis = np.where(p == 1, mu_sign[:, 1], mu_sign[:, 2]).astype(float)
     w = s_a[:, None] * a[None, :] + s_axis[:, None] * axis[None, :]
-    return complete_rows(w, strategy, a, comp)
+    return complete_rows(w, strategy, a, 1.0)
 
 
 def bob_direction_rows(
@@ -321,7 +317,6 @@ def bob_direction_rows(
     b: np.ndarray,
     q: np.ndarray,
     mu_sign: np.ndarray,
-    extra: np.ndarray,
     strategy: CompletionStrategy,
     protocol: str,
 ) -> np.ndarray:
@@ -330,36 +325,26 @@ def bob_direction_rows(
     The mu indices cross relative to Alice's: branch q = +1 takes signs from
     (mu_3, mu_1), q = -1 from (mu_2, mu_4); this index pairing is what lets
     the matched second-axis terms survive averaging over the mu signs.  The
-    completion vector always carries the sgn(z . mu_5) sign (mu_7 for the
-    in-band form), on top of any strategy sign.  Under protocol p2 the
-    primary direction is b half-turned about x; the alternate axis is built
-    from b itself in both protocols.
+    completion vector carries the sgn(z . mu_5) sign (mu_7 for the in-band
+    form).  Under protocol p2 the primary direction is b half-turned about
+    x; the alternate axis is built from b itself in both protocols.
     """
     b = np.asarray(b, dtype=float)
-    comp_extra = np.asarray(extra, dtype=float)
     b_dir = rotate_pi_about_x(b) if protocol == "p2" else b
     if protocol == "p2" and in_slice(param, b[2]):
         k = (mu_sign[:, 1] + mu_sign[:, 2] + mu_sign[:, 5]).astype(float)
-        comp = mu_sign[:, 6].astype(float) * comp_extra
-        return complete_rows(k[:, None] * b_dir[None, :], strategy, b_dir, comp)
+        return complete_rows(k[:, None] * b_dir[None, :], strategy, b_dir, mu_sign[:, 6])
     axis = _guarded(aux_axis, param, b)
-    comp = mu_sign[:, 4].astype(float) * comp_extra
     if axis is None:
         return np.tile(b_dir, (mu_sign.shape[0], 1))
     s_b = np.where(q == 1, mu_sign[:, 2], mu_sign[:, 1]).astype(float)
     s_axis = np.where(q == 1, mu_sign[:, 0], mu_sign[:, 3]).astype(float)
     w = s_b[:, None] * b_dir[None, :] + s_axis[:, None] * axis[None, :]
-    return complete_rows(w, strategy, b_dir, comp)
+    return complete_rows(w, strategy, b_dir, mu_sign[:, 4])
 
 
 # The mu signs each protocol reads: sgn(z . mu_1..mu_5) for p1, all seven for p2.
 _MU_SIGNS = {"p1": 5, "p2": 7}
-
-
-def sign_bits(strategy: CompletionStrategy, protocol: str) -> int:
-    """How many shared signs a round of p1 or p2 reads: its mu signs, plus
-    one completion sign per party under ortho-sign."""
-    return _MU_SIGNS[protocol] + (2 if strategy.tag is Completion.ORTHO_SIGN else 0)
 
 
 def direction_table(
@@ -375,24 +360,21 @@ def direction_table(
 
     p and q are equal-length sequences of branch signs, one per table block.
 
-    With k = sign_bits(strategy, protocol), sign tuple i sets sign j to -1
-    exactly when bit j of i is 1.  Signs 0..n_mu-1 are sgn(z . mu_1..), and
-    under ortho-sign the next two are Alice's and Bob's completion signs;
+    With k the number of mu signs the protocol reads (5 for p1, 7 for p2),
+    sign tuple i sets sgn(z . mu_{j+1}) to -1 exactly when bit j of i is 1;
     unread mu signs are +1.  Row j * 2^k + i of u holds branch p[j] under
     tuple i, and the same row of v holds branch q[j].  run_batch gathers
     each round's rows from this table, and exact_mu_average averages u.v
     over it, so sampler and oracle share one construction.
     """
-    n_mu, k = _MU_SIGNS[protocol], sign_bits(strategy, protocol)
+    k = _MU_SIGNS[protocol]
     tuples = np.arange(len(p) << k) % (1 << k)
-    signs = (1 - 2 * ((tuples[:, None] >> np.arange(k)) & 1)).astype(np.int8)
     mu_sign = np.ones((tuples.size, 7), dtype=np.int8)
-    mu_sign[:, :n_mu] = signs[:, :n_mu]
-    comp = signs[:, n_mu:].astype(float) if k > n_mu else np.ones((tuples.size, 2))
+    mu_sign[:, :k] = 1 - 2 * ((tuples[:, None] >> np.arange(k)) & 1)
     p_rows = np.repeat(np.asarray(p, dtype=np.int8), 1 << k)
     q_rows = np.repeat(np.asarray(q, dtype=np.int8), 1 << k)
-    u = alice_direction_rows(param, a, p_rows, mu_sign, comp[:, 0], strategy, protocol)
-    v = bob_direction_rows(param, b, q_rows, mu_sign, comp[:, 1], strategy, protocol)
+    u = alice_direction_rows(param, a, p_rows, mu_sign, strategy, protocol)
+    v = bob_direction_rows(param, b, q_rows, mu_sign, strategy, protocol)
     return u, v
 
 
@@ -409,15 +391,12 @@ def round_directions(
     """Each round's u and v at symmetrized settings, looked up in direction_table.
 
     signs are RoundRandomness.signs.  A round's table index keeps the mu
-    bits the protocol reads and, under ortho-sign, puts the two completion
-    bits right above them.  Alice's row is picked by her branch sign p and
+    bits the protocol reads.  Alice's row is picked by her branch sign p and
     Bob's by his q: block 0 of the table is branch +1, block 1 is -1.
     """
-    n_mu, k = _MU_SIGNS[protocol], sign_bits(strategy, protocol)
+    k = _MU_SIGNS[protocol]
     u_tab, v_tab = direction_table(param, a, b, (1, -1), (1, -1), strategy, protocol)
-    tuple_idx = (signs & ((1 << n_mu) - 1)).astype(np.intp)
-    if k > n_mu:
-        tuple_idx |= (signs >> 7).astype(np.intp) << n_mu
+    tuple_idx = (signs & ((1 << k) - 1)).astype(np.intp)
     u = u_tab.take(tuple_idx + ((p < 0) << k), axis=0)
     v = v_tab.take(tuple_idx + ((q < 0) << k), axis=0)
     return u, v

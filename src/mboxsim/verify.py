@@ -289,8 +289,8 @@ def exact_mu_average(
     directions depend on the shared randomness only through independent fair
     signs.  Averaging u.v over every sign tuple is therefore exact: 2^5
     tuples for the full-distribution protocol (which reads five of the seven
-    mu signs), 2^7 for the nonlocal-part protocol, times 2^2 completion signs
-    under the ortho-sign strategy.  The tuples are the rows of
+    mu signs) and 2^7 for the nonlocal-part protocol, under every completion
+    strategy.  The tuples are the rows of
     protocols.direction_table for branch (p, q), the very table run_batch
     looks each sampled round's directions up in, so the oracle and the
     sampler share one direction construction.

@@ -117,9 +117,13 @@ class TestGoldenReports:
     # boundary.  A change to these bytes is a report format or stream break:
     # bump the package version and pin the new digests.
     GOLDEN = {
+        ("p1", "ortho"): (
+            "0c215569ef767e53b85988848280cfe292ae3f96eff687919dff72ad0eff0140",
+            "129dacd87350ab9a178a6896eeecacd8e954b712c3b56ef06af9f92cdedffd55",
+        ),
         ("p1", "ortho-sign"): (
-            "38f94ebe5c18dbb05eecebd44291ac17fe6872fe35c0a448037a837f15fea3b3",
-            "18a6448645db664a4aa1730fa5019b0a829e5c8d94824c4e10e83ecb01853d55",
+            "0733982073cdece95aa7a3c99397294c86482315cdbfa6160189258e3e4def4c",
+            "129dacd87350ab9a178a6896eeecacd8e954b712c3b56ef06af9f92cdedffd55",
         ),
         ("p2", "ortho"): (
             "efa8faed7cbe623445531a592858afde3b2835065c2774e9419e9e07b76915d6",
@@ -135,8 +139,9 @@ class TestGoldenReports:
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
         assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == __version__
 
-    @pytest.mark.parametrize("protocol,completion", sorted(GOLDEN))
-    def test_report_digests(self, tmp_path, protocol, completion):
+    @staticmethod
+    def golden_run(tmp_path, protocol, completion):
+        """The JSON and CSV report bytes of the pinned run."""
         out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
         argv = simulate_args(tmp_path, **{
             "--protocol": protocol, "--gamma": repr(PI8), "--settings": "random:3",
@@ -144,8 +149,26 @@ class TestGoldenReports:
             "--completion": completion, "--out": str(out), "--csv": str(csv_path),
         })
         assert main(argv) == 0
-        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, csv_path))
+        return out.read_bytes(), csv_path.read_bytes()
+
+    @pytest.mark.parametrize("protocol,completion", sorted(GOLDEN))
+    def test_report_digests(self, tmp_path, protocol, completion):
+        reports = self.golden_run(tmp_path, protocol, completion)
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in reports)
         assert digests == self.GOLDEN[(protocol, completion)]
+
+    @pytest.mark.parametrize("protocol", ["p1", "p2"])
+    def test_ortho_sign_reports_are_ortho(self, tmp_path, protocol):
+        # ortho-sign is sampled by ortho's rule: the same CSV, and a JSON
+        # report that differs only in the completion it echoes
+        ortho_json, ortho_csv = self.golden_run(tmp_path, protocol, "ortho")
+        sign_json, sign_csv = self.golden_run(tmp_path, protocol, "ortho-sign")
+        assert sign_csv == ortho_csv
+        assert sign_json != ortho_json
+        sign = json.loads(sign_json)
+        assert sign["config"]["completion"] == "ortho-sign"
+        sign["config"]["completion"] = "ortho"
+        assert sign == json.loads(ortho_json)
 
 
 class TestVerify:

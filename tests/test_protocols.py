@@ -16,7 +16,6 @@ from mboxsim.protocols import (
     correlated_flip,
     round_directions,
     run_batch,
-    sign_bits,
     symmetrize,
     tb_round,
 )
@@ -27,7 +26,6 @@ PI4 = math.pi / 4
 NORMALIZE = CompletionStrategy(Completion.NORMALIZE)
 ORTHO = CompletionStrategy(Completion.ORTHO)
 ORTHO_SIGN = CompletionStrategy(Completion.ORTHO_SIGN)
-ONE = np.ones(1)
 
 
 def rr_from(slots: dict[int, float]) -> RoundRandomness:
@@ -51,12 +49,12 @@ def mu_signs(down=()) -> np.ndarray:
     return row
 
 
-def alice_u(param, a, p, down, strategy, protocol="p1", comp=ONE):
-    return alice_direction_rows(param, a, np.array([p]), mu_signs(down), comp, strategy, protocol)[0]
+def alice_u(param, a, p, down, strategy, protocol="p1"):
+    return alice_direction_rows(param, a, np.array([p]), mu_signs(down), strategy, protocol)[0]
 
 
-def bob_v(param, b, q, down, strategy, protocol="p1", comp=ONE):
-    return bob_direction_rows(param, b, np.array([q]), mu_signs(down), comp, strategy, protocol)[0]
+def bob_v(param, b, q, down, strategy, protocol="p1"):
+    return bob_direction_rows(param, b, np.array([q]), mu_signs(down), strategy, protocol)[0]
 
 
 def looked_up(param, a1, b1, p, q, signs, strategy, protocol):
@@ -90,7 +88,6 @@ class TestRoundRandomness:
         assert rr.signs[0] == 0b1000001
         param = EntanglementParam(PI8)
         a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
-        assert (sign_bits(NORMALIZE, "p1"), sign_bits(ORTHO, "p2")) == (5, 7)
         # p2 reads all seven mu signs, p1 the first five
         u, v = looked_up(param, a, b, -1, 1, rr.signs[0], NORMALIZE, "p2")
         assert np.array_equal(u, alice_u(param, a, -1, {1, 7}, NORMALIZE, "p2"))
@@ -105,25 +102,17 @@ class TestRoundRandomness:
         assert rr.box_u[0] == 0.75
         assert rr.signs[0] == 0
 
-    def test_extra_sign_slots(self):
-        # slots 20 and 21 are Alice's and Bob's completion signs, bits 7 and 8
-        rr = rr_from({20: 0.9, 21: 0.1})
-        assert rr.signs[0] == 1 << 7
-        param = EntanglementParam(PI8)
-        a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
-        minus = -ONE
-        assert sign_bits(ORTHO_SIGN, "p1") == 7
-        for slots, comp_a, comp_b in (({20: 0.9}, minus, ONE), ({21: 0.9}, ONE, minus),
-                                      ({20: 0.9, 21: 0.9, 6: 0.9}, minus, minus)):
-            signs = rr_from(slots).signs[0]
-            down = {2} if 6 in slots else ()
-            u, v = looked_up(param, a, b, 1, 1, signs, ORTHO_SIGN, "p1")
-            assert np.array_equal(u, alice_u(param, a, 1, down, ORTHO_SIGN, comp=comp_a))
-            assert np.array_equal(v, bob_v(param, b, 1, down, ORTHO_SIGN, comp=comp_b))
-        # the completion bits are not read under ortho
-        u, v = looked_up(param, a, b, 1, 1, rr_from({20: 0.9, 21: 0.9}).signs[0], ORTHO, "p1")
-        assert np.array_equal(u, alice_u(param, a, 1, (), ORTHO))
-        assert np.array_equal(v, bob_v(param, b, 1, (), ORTHO))
+    def test_slots_20_to_23_are_unread(self):
+        # no sign comes from the last four slots, whatever they hold
+        g = np.random.Generator(np.random.Philox(key=49))
+        u = g.random((64, UNIFORMS_PER_ROUND))
+        signs = RoundRandomness.from_uniform_block(u).signs
+        assert signs.max() < 1 << 7
+        for fill in (0.0, 0.5, 0.9, 1.0 - 2.0**-53):
+            u[:, 20:24] = fill
+            assert np.array_equal(RoundRandomness.from_uniform_block(u).signs, signs)
+        u[:, 20:24] = g.random((64, 4))
+        assert np.array_equal(RoundRandomness.from_uniform_block(u).signs, signs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -320,7 +309,8 @@ class TestDirectionTable:
     @pytest.mark.parametrize("strategy", [NORMALIZE, ORTHO, ORTHO_SIGN], ids=lambda s: s.tag.value)
     def test_gathered_rows_match_per_round_calls(self, strategy):
         # every round's looked-up u and v equal, bit for bit, the direction
-        # builders called on that round alone with the signs it packs
+        # builders called on that round alone with the mu signs it packs;
+        # packed bits 7 and 8 are read by no strategy
         g = np.random.Generator(np.random.Philox(key=7))
         for gamma, a, b, protocols in self.CASES:
             param = EntanglementParam(gamma)
@@ -332,14 +322,15 @@ class TestDirectionTable:
                 p = np.where(g.random(n) < 0.5, 1, -1).astype(np.int8)
                 q = np.where(g.random(n) < 0.5, 1, -1).astype(np.int8)
                 u, v = round_directions(param, a1, b1, p, q, packed, strategy, protocol)
+                for high in (0b01, 0b10, 0b11):
+                    other = packed ^ np.uint16(high << 7)
+                    u2, v2 = round_directions(param, a1, b1, p, q, other, strategy, protocol)
+                    assert np.array_equal(u2, u) and np.array_equal(v2, v), (gamma, a, protocol, high)
                 for i in range(n):
-                    signs = [-1 if int(packed[i]) >> j & 1 else 1 for j in range(9)]
-                    mu = np.array([signs[:n_mu] + [1] * (7 - n_mu)], dtype=np.int8)
-                    comp_a, comp_b = signs[7:] if strategy is ORTHO_SIGN else (1, 1)
-                    want_u = alice_direction_rows(
-                        param, a1, p[i : i + 1], mu, np.array([comp_a], dtype=float), strategy, protocol)
-                    want_v = bob_direction_rows(
-                        param, b1, q[i : i + 1], mu, np.array([comp_b], dtype=float), strategy, protocol)
+                    signs = [-1 if int(packed[i]) >> j & 1 else 1 for j in range(n_mu)]
+                    mu = np.array([signs + [1] * (7 - n_mu)], dtype=np.int8)
+                    want_u = alice_direction_rows(param, a1, p[i : i + 1], mu, strategy, protocol)
+                    want_v = bob_direction_rows(param, b1, q[i : i + 1], mu, strategy, protocol)
                     assert np.array_equal(u[i], want_u[0]), (gamma, a, protocol, i)
                     assert np.array_equal(v[i], want_v[0]), (gamma, b, protocol, i)
 
@@ -417,6 +408,26 @@ class TestRunBatch:
             assert np.array_equal(out_dn.alpha0, out_up.alpha0)
             assert np.array_equal(out_dn.beta, out_up.beta)
             assert np.array_equal(out_dn.alpha, -out_up.alpha)
+
+    def test_ortho_sign_runs_ortho(self):
+        # ortho-sign is sampled by ortho's rule: every column of every batch
+        # is the same, at generic settings, a tie a_z == b_z, a p2 setting
+        # inside the band, gamma = pi/4 and the degenerate axis at gamma = 0
+        generic = ([0.6, 0.0, 0.8], [0.0, 0.6, -0.8])
+        tie = ([0.6, 0.0, 0.8], [0.0, 0.6, 0.8])
+        in_band = ([0.995, 0.0, 0.0998749217771909], [0.0, 1.0, 0.0])
+        cases = [(gamma, protocol, pair)
+                 for gamma in (PI8, 0.7853981634)
+                 for protocol in ("p1", "p2")
+                 for pair in (generic, tie, in_band)]
+        cases.append((0.0, "p1", (Z_HAT, [0.6, 0.0, 0.8])))
+        rr = random_rr(4000, key=75)
+        for gamma, protocol, (a, b) in cases:
+            param = EntanglementParam(gamma)
+            one = run_batch(param, a, b, rr, ORTHO, protocol)
+            two = run_batch(param, a, b, rr, ORTHO_SIGN, protocol)
+            for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
+                assert np.array_equal(getattr(one, name), getattr(two, name)), (gamma, protocol, a, name)
 
     def test_degenerate_axis_falls_back(self):
         # gamma = 0 makes Alice's alternate axis undefined at a = z; the

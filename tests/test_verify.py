@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mboxsim import protocols
 from mboxsim.geometry import (
     Completion,
     CompletionStrategy,
     X_HAT,
     Y_HAT,
     Z_HAT,
+    complete_rows,
     sample_unit_sphere,
     sign_array,
     spherical_grid,
@@ -223,10 +225,28 @@ class TestExactMuAverage:
                 two = exact_mu_average(param, a, b, strategy, -1, 1, protocol)
                 assert one == pytest.approx(two, abs=1e-15)
 
-    def test_ortho_sign_equals_ortho(self):
-        # ortho-sign's extra completion sign changes no branch average: Bob's
-        # completion term already carries a fair sign Alice never reads, and
-        # ortho's completion of Alice is even in all her signs
+    def test_completion_signs_average_out(self, monkeypatch):
+        # An independent fair sign on each party's completion term changes no
+        # branch average under ortho: Bob's completion term already carries a
+        # fair sign Alice never reads, and ortho's completion of Alice is even
+        # in all her signs.  This is why ortho-sign is sampled by ortho's rule.
+        def signed_average(param, a, b, p, q, protocol):
+            total = 0.0
+            for e_a in (1.0, -1.0):
+                for e_b in (1.0, -1.0):
+                    # direction_table completes Alice's rows, then Bob's
+                    party_signs = [e_a, e_b]
+
+                    def signed(w, strategy, fallback, comp_sign):
+                        e = party_signs.pop(0)
+                        return complete_rows(w, strategy, fallback, e * np.asarray(comp_sign, dtype=float))
+
+                    with monkeypatch.context() as m:
+                        m.setattr(protocols, "complete_rows", signed)
+                        total += exact_mu_average(param, a, b, ORTHO, p, q, protocol)
+                    assert not party_signs
+            return total / 4.0
+
         g = np.random.Generator(np.random.Philox(key=DEFAULT_SEED + 49))
         pairs = [symmetrize(sample_unit_sphere(g), sample_unit_sphere(g))[:2] for _ in range(12)]
         a = pairs[0][0]
@@ -238,9 +258,9 @@ class TestExactMuAverage:
                 for protocol in ("p1", "p2"):
                     for p in (1, -1):
                         for q in (1, -1):
-                            one = exact_mu_average(param, a, b, ORTHO, p, q, protocol)
-                            two = exact_mu_average(param, a, b, ORTHO_SIGN, p, q, protocol)
-                            worst = max(worst, abs(one - two))
+                            plain = exact_mu_average(param, a, b, ORTHO, p, q, protocol)
+                            signed = signed_average(param, a, b, p, q, protocol)
+                            worst = max(worst, abs(plain - signed))
         assert worst <= 1e-12, worst
 
     def test_matches_mc(self):
