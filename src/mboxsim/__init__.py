@@ -62,7 +62,7 @@ from .verify import (
     realized_joint,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CheckResult",

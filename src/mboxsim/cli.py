@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--gamma", required=True, type=float)
     orc.add_argument("--a", required=True, help="Alice setting as x,y,z")
     orc.add_argument("--b", required=True, help="Bob setting as x,y,z")
-    orc.add_argument("--branch", required=True, choices=("pq+", "pq-"))
+    orc.add_argument("--branch", dest="branch_label", required=True, choices=("pq+", "pq-"))
     orc.add_argument("--completion", default=Completion.NORMALIZE.value, choices=_COMPLETION_TAGS)
     orc.set_defaults(func=cmd_oracle)
 
@@ -220,7 +220,7 @@ def cmd_oracle(args, parser) -> int:
     reflected = [name for name, sign in (("a", sign_a), ("b", sign_b)) if sign < 0]
     if reflected:
         print(f"note: reflected {', '.join(reflected)} into the upper hemisphere")
-    p, q = (1, 1) if args.branch == "pq+" else (1, -1)
+    p, q = (1, 1) if args.branch_label == "pq+" else (1, -1)
     strategy = CompletionStrategy(Completion(args.completion))
     oracle = exact_mu_average(param, a, b, strategy, p, q, args.protocol)
     claim = branch_correlation_claim(param, a, b, p, q, args.protocol)

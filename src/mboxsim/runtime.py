@@ -4,8 +4,8 @@ Every round's randomness comes from protocols.round_uniform_block, a
 counter-style stream keyed by (seed, setting index, chunk index).  A worker
 that is handed chunk k of setting i regenerates exactly those rows no matter
 which thread it runs on or how many peers it has, and per-setting
-aggregation happens on exact integer sums (verify.ChunkStats), so the report
-is a pure function of the config.
+aggregation is one integer histogram (verify.ChunkStats), so the report is a
+pure function of the config.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .quantum import EntanglementParam, JointDist, _joint_from_moments, joint_nl
 from .verify import (
     ChunkStats,
     ComparisonReport,
-    ComparisonRow,
     _stats_from_batch,
     compare,
     estimate_joint_from_counts,
@@ -141,7 +140,10 @@ def load_settings_csv(path) -> tuple:
                 continue
             if len(row) != 6:
                 raise ValueError(f"settings CSV line {lineno}: expected 6 fields, got {len(row)}")
-            vals = [float(x) for x in row]
+            try:
+                vals = [float(x) for x in row]
+            except ValueError as exc:
+                raise ValueError(f"settings CSV line {lineno}: {exc}") from None
             vecs = []
             for name, v in (("a", np.array(vals[:3])), ("b", np.array(vals[3:]))):
                 norm = float(np.linalg.norm(v))
@@ -204,26 +206,26 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
 
     records = []
     for si, (a, b) in enumerate(settings):
-        row = compare(
+        comparison = compare(
             _target_joint(param, a, b, config.protocol),
-            estimate_joint_from_counts(agg[si].counts.tolist()),
+            estimate_joint_from_counts(agg[si].counts),
         )
-        records.append(_record(a, b, row, agg[si]))
+        records.append(_record(a, b, comparison, agg[si]))
     return ComparisonReport(config=config, records=tuple(records))
 
 
-def _record(a, b, row: ComparisonRow, stats: ChunkStats) -> dict:
+def _record(a, b, comparison: dict, stats: ChunkStats) -> dict:
     """One setting's entry under the JSON report's "records", as written."""
-    joint = row.empirical
     # A single-round record has no standard error to report.
+    n = stats.n
     pre_flip = None
-    if stats.n >= 2:
+    if n >= 2:
         pre_flip = {}
-        for name, total in (("alpha0", stats.alpha0_sum), ("beta0", stats.beta0_sum)):
-            est = sign_mean_estimate(total, stats.n)
+        for name in ("alpha0", "beta0"):
+            est = sign_mean_estimate(stats.sign_sum(name), n)
             pre_flip[f"{name}_mean"], pre_flip[f"{name}_stderr"] = est.mean, est.stderr
     branches = []
-    for (p, q), (bn, bsum) in sorted(stats.branch.items()):
+    for (p, q), (bn, bsum) in stats.branches.items():
         if bn >= 2:
             est = sign_mean_estimate(bsum, bn)
             corr, stderr = est.mean, est.stderr
@@ -233,13 +235,7 @@ def _record(a, b, row: ComparisonRow, stats: ChunkStats) -> dict:
     return {
         "a": [float(x) for x in a],
         "b": [float(x) for x in b],
-        "n": joint.n,
-        "target": row.target.clamped().tolist(),
-        "empirical": joint.dist.as_array().tolist(),
-        "stderr": list(joint.stderr),
-        "counts": list(joint.counts),
-        "tv": row.tv,
-        "max_abs_z": row.max_abs_z,
+        **comparison,
         "pre_flip": pre_flip,
         "branches": branches,
     }

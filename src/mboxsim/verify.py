@@ -77,7 +77,6 @@ __all__ = [
     "CheckResult",
     "ChunkStats",
     "ComparisonReport",
-    "ComparisonRow",
     "EstimateWithError",
     "JointEstimate",
     "branch_correlation_claim",
@@ -195,26 +194,26 @@ def estimate_joint_from_counts(counts) -> JointEstimate:
     return JointEstimate(dist=JointDist(*freqs), stderr=stderr, n=n, counts=counts)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Target vs empirical joint: total-variation distance and worst z."""
-
-    target: JointDist
-    empirical: JointEstimate
-    tv: float
-    max_abs_z: float
-
-
-def compare(target: JointDist, empirical: JointEstimate) -> ComparisonRow:
+def compare(target: JointDist, empirical: JointEstimate) -> dict:
+    """Target vs empirical joint as a report record's comparison fields:
+    both distributions, the counts with their multinomial errors, the
+    total-variation distance and the worst z."""
     t = target.clamped()
     f = empirical.dist.as_array()
     diff = np.abs(t - f)
-    tv = 0.5 * float(diff.sum())
     zs = [
         d / _z_floor(se, empirical.n)
         for d, se in zip(diff.tolist(), empirical.stderr)
     ]
-    return ComparisonRow(target=target, empirical=empirical, tv=tv, max_abs_z=max(zs))
+    return {
+        "n": empirical.n,
+        "target": t.tolist(),
+        "empirical": f.tolist(),
+        "stderr": list(empirical.stderr),
+        "counts": list(empirical.counts),
+        "tv": 0.5 * float(diff.sum()),
+        "max_abs_z": max(zs),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -411,55 +410,61 @@ def realized_joint(
 # The Monte Carlo accumulator over the batch engine.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChunkStats:
-    """Exact integer aggregates of a batch; merging is order-independent.
+# Each output sign's value, +1 or -1, at every (alpha0, beta0, alpha, beta) cell.
+_CELL_SIGNS = dict(zip(("alpha0", "beta0", "alpha", "beta"), 1 - 2 * np.indices((2, 2, 2, 2))))
 
-    counts follows JointDist's outcome order; branch maps each realized
-    (p, q) to [rounds, sum of alpha0 * beta0].
+
+@dataclass(eq=False)
+class ChunkStats:
+    """The transcript histogram of sampled rounds; every aggregate is a projection.
+
+    hist counts rounds over (p, q, alpha0, beta0, alpha, beta), with p and q
+    = -1, 0, +1 at index 0, 1, 2 (tb's p = q = 0 is the middle cell) and a
+    sign -1 at index 1.  Merging is one integer add, so it is order-independent.
     """
 
-    n: int = 0
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
-    alpha0_sum: int = 0
-    beta0_sum: int = 0
-    branch: dict = field(default_factory=dict)
+    hist: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 2, 2, 2, 2), np.int64))
 
     def add(self, other: "ChunkStats") -> "ChunkStats":
-        self.n += other.n
-        self.counts += other.counts
-        self.alpha0_sum += other.alpha0_sum
-        self.beta0_sum += other.beta0_sum
-        for key, (bn, bsum) in other.branch.items():
-            acc = self.branch.setdefault(key, [0, 0])
-            acc[0] += bn
-            acc[1] += bsum
+        self.hist += other.hist
         return self
+
+    @property
+    def n(self) -> int:
+        return int(self.hist.sum())
+
+    @property
+    def counts(self) -> list[int]:
+        """(alpha, beta) counts in JointDist's outcome order."""
+        return self.hist.sum(axis=(0, 1, 2, 3)).reshape(4).tolist()
+
+    def _by_branch(self, *names: str) -> np.ndarray:
+        # per-(p, q) sums of the product of the named signs; no name counts rounds
+        weight = math.prod((_CELL_SIGNS[name] for name in names), start=1)
+        return (self.hist * weight).sum(axis=(2, 3, 4, 5))
+
+    def sign_sum(self, *names: str) -> int:
+        """Sum over the rounds of the product of the named output signs."""
+        return int(self._by_branch(*names).sum())
+
+    @property
+    def branches(self) -> dict:
+        """{(p, q): (rounds, sum of alpha0 * beta0)} per realized p1/p2 branch, sorted."""
+        rounds, corr = self._by_branch(), self._by_branch("alpha0", "beta0")
+        return {
+            (p, q): (int(rounds[p + 1, q + 1]), int(corr[p + 1, q + 1]))
+            for p in (-1, 1)
+            for q in (-1, 1)
+            if rounds[p + 1, q + 1]
+        }
 
 
 def _stats_from_batch(out) -> ChunkStats:
-    # One histogram over (p, q, alpha0, beta0, alpha, beta), a sign -1 as
-    # bit 1; every aggregate is a sum over some of its axes.  tb's p = q = 0
-    # lands in a (p, q) cell that no branch reads.
     idx = (out.p + 1).astype(np.int16) * 3 + (out.q + 1)
     for x in (out.alpha0, out.beta0, out.alpha, out.beta):
         idx = idx * 2 + (x < 0)
-    hist = np.bincount(idx, minlength=3 * 3 * 16).reshape(3, 3, 2, 2, 2, 2)
-    pre = hist.sum(axis=(0, 1, 4, 5))  # over (alpha0, beta0)
-    stats = ChunkStats(
-        n=out.n,
-        counts=hist.sum(axis=(0, 1, 2, 3)).reshape(4).astype(np.int64),
-        alpha0_sum=int(pre[0].sum() - pre[1].sum()),
-        beta0_sum=int(pre[:, 0].sum() - pre[:, 1].sum()),
-    )
-    by_branch = hist.sum(axis=(4, 5))
-    for pv in (1, -1):
-        for qv in (1, -1):
-            cell = by_branch[pv + 1, qv + 1]
-            same, differ = int(cell[0, 0] + cell[1, 1]), int(cell[0, 1] + cell[1, 0])
-            if same + differ:
-                stats.branch[(pv, qv)] = [same + differ, same - differ]
-    return stats
+    hist = np.bincount(idx, minlength=3 * 3 * 16).astype(np.int64, copy=False)
+    return ChunkStats(hist.reshape(3, 3, 2, 2, 2, 2))
 
 
 def _sample_setting(
@@ -499,14 +504,7 @@ def mc_round_moments(
 ) -> dict:
     """MC means of the pre-flip outputs alpha0, beta0 and the final alpha, beta."""
     stats = _sample_setting(param, a, b, strategy, protocol, rounds, seed)
-    pp, pm, mp, mm = stats.counts.tolist()
-    sums = {
-        "alpha0": stats.alpha0_sum,
-        "beta0": stats.beta0_sum,
-        "alpha": pp + pm - mp - mm,
-        "beta": pp - pm + mp - mm,
-    }
-    return {key: sign_mean_estimate(total, rounds) for key, total in sums.items()}
+    return {key: sign_mean_estimate(stats.sign_sum(key), rounds) for key in _CELL_SIGNS}
 
 
 def mc_branch_correlations(
@@ -528,7 +526,7 @@ def mc_branch_correlations(
     stats = _sample_setting(param, a, b, strategy, protocol, rounds, seed)
     return {
         branch: sign_mean_estimate(total, n)
-        for branch, (n, total) in stats.branch.items()
+        for branch, (n, total) in stats.branches.items()
         if n >= 2
     }
 
@@ -561,6 +559,9 @@ def claim_residual_report(
     for bit.  A zero residual would mean the claimed identity holds exactly
     for that completion strategy; the report records whatever is true.
     """
+    # a maximum over no settings would read as an exact identity
+    if n_settings < 1:
+        raise ValueError(f"need n_settings >= 1, got {n_settings}")
     pairs = _reflected_setting_pairs(n_settings, seed)
     by_strategy: dict = {}
     for strategy in strategies:
@@ -747,9 +748,7 @@ def suite_kernel(
     worst_quad = 0.0
     for i, (u, v) in enumerate(pairs):
         stats = _sample_setting(param, u, v, strategy, "tb", rounds, seed, setting_index=i + 1)
-        pp, pm, mp, mm = stats.counts.tolist()
-        total = pp - pm - mp + mm
-        est = sign_mean_estimate(total, rounds)
+        est = sign_mean_estimate(stats.sign_sum("alpha", "beta"), rounds)
         analytic = float(u @ v)
         z = abs(est.mean - analytic) / _z_floor(est.stderr, rounds)
         quad = abs(quadrature_kernel(u, v, n_nodes=n_nodes) - analytic)
@@ -892,6 +891,8 @@ def suite_oracle(
 ) -> list[CheckResult]:
     """Sampled branch correlations vs the exact enumeration oracle."""
     param = EntanglementParam(gamma)
+    if "p2" in protocols and gamma <= 0.0:
+        raise ValueError("protocol 2 requires gamma > 0")
     pairs = _reflected_setting_pairs(n_settings, seed)
     checks = []
     case = 0

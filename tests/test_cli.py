@@ -91,6 +91,12 @@ class TestSimulate:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_settings_field(self, tmp_path, capsys):
+        settings = tmp_path / "s.csv"
+        settings.write_text(",".join(SETTINGS_CSV_HEADER) + "\n0,0,1,0.6,zero,0.8\n")
+        assert main(simulate_args(tmp_path, **{"--settings": str(settings)})) == 2
+        assert "error: settings CSV line 2: could not convert" in capsys.readouterr().err
+
     def test_schema_passes_its_metaschema(self):
         # simulate validates against the schema without re-checking the
         # schema itself, so that check lives here

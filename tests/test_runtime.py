@@ -147,6 +147,13 @@ class TestLoadSettingsCsv:
         with pytest.raises(ValueError, match="6 fields"):
             load_settings_csv(path)
 
+    def test_non_numeric_field_names_its_line(self, tmp_path):
+        path = self.write(
+            tmp_path / "s.csv", [",".join(SETTINGS_CSV_HEADER), "0,0,1,1,0,0", "0,0,1,x,0,0"]
+        )
+        with pytest.raises(ValueError, match="^settings CSV line 3: could not convert .*'x'"):
+            load_settings_csv(path)
+
     def test_zero_vector_rejected(self, tmp_path):
         path = self.write(tmp_path / "s.csv", [",".join(SETTINGS_CSV_HEADER), "0,0,0,1,0,0"])
         with pytest.raises(ValueError, match="not a direction"):

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mboxsim import protocols
+from mboxsim import protocols, verify
 from mboxsim.geometry import (
     Completion,
     CompletionStrategy,
@@ -31,6 +34,7 @@ from mboxsim.quantum import (
 from mboxsim.runtime import ExperimentConfig, run_experiment
 from mboxsim.verify import (
     CheckResult,
+    ChunkStats,
     DEFAULT_SEED,
     EstimateWithError,
     branch_correlation_claim,
@@ -102,16 +106,27 @@ class TestCompare:
         target = JointDist(0.25, 0.25, 0.25, 0.25)
         empirical = estimate_joint_from_counts((250, 250, 250, 250))
         row = compare(target, empirical)
-        assert row.tv == 0.0
-        assert row.max_abs_z == 0.0
+        assert row["tv"] == 0.0
+        assert row["max_abs_z"] == 0.0
 
     def test_disjoint_is_one(self):
         target = JointDist(1.0, 0.0, 0.0, 0.0)
         empirical = estimate_joint_from_counts((0, 1000, 0, 0))
         row = compare(target, empirical)
-        assert row.tv == pytest.approx(1.0)
+        assert row["tv"] == pytest.approx(1.0)
         # degenerate cells fall back to the 1/n z floor
-        assert row.max_abs_z == pytest.approx(1000.0)
+        assert row["max_abs_z"] == pytest.approx(1000.0)
+
+    def test_returns_a_records_comparison_fields(self):
+        target = JointDist(0.4, 0.1, 0.1, 0.4)
+        row = compare(target, estimate_joint_from_counts((30, 20, 10, 40)))
+        assert set(row) == {"n", "target", "empirical", "stderr", "counts", "tv", "max_abs_z"}
+        assert (row["n"], row["counts"]) == (100, [30, 20, 10, 40])
+        assert row["target"] == target.clamped().tolist()
+        assert row["empirical"] == [0.3, 0.2, 0.1, 0.4]
+        assert row["stderr"][1] == pytest.approx(0.04)
+        assert row["tv"] == pytest.approx(0.1)
+        assert row["max_abs_z"] == pytest.approx(2.5)
 
     def test_calibrated_baseline(self):
         # the bare kernel at aligned settings reproduces the maximally
@@ -129,7 +144,7 @@ class TestCompare:
             joint_qm(EntanglementParam(PI4), Z_HAT, Z_HAT),
             estimate_joint_from_counts(counts),
         )
-        assert row.tv <= 0.005
+        assert row["tv"] <= 0.005
 
     def test_residual_shrinks_with_sample_size(self):
         # deterministic streams: the same comparison at growing round counts
@@ -143,7 +158,7 @@ class TestCompare:
                 RoundRandomness.from_uniform_block(u), NORMALIZE, "tb",
             )
             row = compare(target, estimate_joint_from_counts(_stats_from_batch(out).counts))
-            tvs.append(row.tv)
+            tvs.append(row["tv"])
         assert tvs[2] < tvs[1] < tvs[0]
 
 
@@ -399,22 +414,54 @@ class TestChunkStats:
         for a, b in ((Z_HAT, [0.6, 0.0, -0.8]), ([0.0, 0.8, 0.6], [0.6, 0.0, 0.8])):
             out = run_batch(EntanglementParam(PI8), a, b, rr, ORTHO, protocol)
             stats = _stats_from_batch(out)
+            assert stats.hist.shape == (3, 3, 2, 2, 2, 2)
             assert stats.n == 3000
-            assert stats.counts.tolist() == [
+            assert stats.counts == [
                 int(np.count_nonzero((out.alpha == x) & (out.beta == y)))
                 for x, y in ((1, 1), (1, -1), (-1, 1), (-1, -1))
             ]
-            assert stats.alpha0_sum == int(out.alpha0.sum(dtype=np.int64))
-            assert stats.beta0_sum == int(out.beta0.sum(dtype=np.int64))
+            for name in ("alpha0", "beta0", "alpha", "beta"):
+                assert stats.sign_sum(name) == int(getattr(out, name).sum(dtype=np.int64))
+            assert stats.sign_sum("alpha", "beta") == int(
+                (out.alpha.astype(np.int64) * out.beta).sum()
+            )
             prod = out.alpha0.astype(np.int64) * out.beta0
             want = {}
             for pv in (1, -1):
                 for qv in (1, -1):
                     mask = (out.p == pv) & (out.q == qv)
                     if mask.any():
-                        want[(pv, qv)] = [int(mask.sum()), int(prod[mask].sum())]
-            assert stats.branch == want
-            assert (stats.branch == {}) == (protocol == "tb")
+                        want[(pv, qv)] = (int(mask.sum()), int(prod[mask].sum()))
+            assert stats.branches == want
+            assert list(stats.branches) == sorted(want)
+            assert (stats.branches == {}) == (protocol == "tb")
+
+    _SPLIT_ROWS = RoundRandomness.from_uniform_block(
+        np.random.Generator(np.random.Philox(key=DEFAULT_SEED + 51)).random(
+            (3000, UNIFORMS_PER_ROUND)
+        )
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        protocol=st.sampled_from(["p1", "p2", "tb"]),
+        cuts=st.lists(st.integers(0, 3000), max_size=6),
+    )
+    def test_histogram_does_not_depend_on_the_split(self, protocol, cuts):
+        # a batch cut anywhere aggregates to the whole batch's histogram, cell for cell
+        rr = self._SPLIT_ROWS
+        param, a, b = EntanglementParam(PI8), [0.6, 0.0, 0.8], [0.0, 0.8, -0.6]
+        whole = _stats_from_batch(run_batch(param, a, b, rr, NORMALIZE, protocol))
+        bounds = [0, *sorted(cuts), rr.n]
+        pieces = ChunkStats()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi > lo:
+                piece = RoundRandomness(
+                    **{f.name: getattr(rr, f.name)[lo:hi] for f in dataclasses.fields(rr)}
+                )
+                pieces.add(_stats_from_batch(run_batch(param, a, b, piece, NORMALIZE, protocol)))
+        assert np.array_equal(pieces.hist, whole.hist)
+        assert whole.n == rr.n
 
 
 class TestRealizedJoint:
@@ -494,6 +541,11 @@ class TestClaimResidualReport:
         assert report["protocols"] == ["p1"]
         assert set(report["strategies"]) == {"normalize", "ortho", "ortho-sign"}
 
+    def test_rejects_no_settings(self):
+        # a maximum over no settings would read as an exact identity at setting 0
+        with pytest.raises(ValueError, match="need n_settings >= 1"):
+            claim_residual_report(gammas=(PI8,), n_settings=0)
+
 
 class TestSuites:
     def test_check_result_str(self):
@@ -543,3 +595,15 @@ class TestSuites:
         # one round per setting leaves every branch without a standard error
         checks = suite_oracle(gamma=PI8, n_settings=2, rounds=1, protocols=("p1",))
         assert not any(c.passed for c in checks), [str(c) for c in checks]
+
+    def test_suite_oracle_checks_gamma_before_sampling(self, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled before checking gamma")
+
+        monkeypatch.setattr(verify, "mc_branch_correlations", sampled)
+        with pytest.raises(ValueError, match="gamma > 0"):
+            suite_oracle(gamma=0.0, n_settings=2, rounds=1000)
+        # gamma 0 is valid when only p1 runs
+        monkeypatch.undo()
+        checks = suite_oracle(gamma=0.0, n_settings=1, rounds=2, protocols=("p1",))
+        assert len(checks) == 3
