@@ -11,7 +11,6 @@ layer whose oracles are independent of the sampling paths they check.
 from .boxes import MBoxOutcome, compare_bit, outcome_from_uniform
 from .geometry import (
     Completion,
-    CompletionStrategy,
     as_unit_vector,
     sample_unit_sphere,
     sgn,
@@ -62,12 +61,11 @@ from .verify import (
     realized_joint,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "CheckResult",
     "Completion",
-    "CompletionStrategy",
     "ComparisonReport",
     "DegenerateAxisError",
     "EntanglementParam",

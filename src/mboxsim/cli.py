@@ -1,8 +1,8 @@
 """Command-line front end: experiments, verification suites, oracle queries.
 
 Exit codes: 0 success, 1 verification failure (a FAIL line, or a report that
-fails its schema self-check), 2 usage or config error.  Every subcommand is
-deterministic given its flags; there are no environment knobs.
+fails its schema self-check), 2 usage, config or output-file error.  Every
+subcommand is deterministic given its flags; there are no environment knobs.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ import json
 import math
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 from jsonschema.validators import validator_for
 
-from .geometry import Completion, CompletionStrategy
+from .geometry import Completion
 from .protocols import symmetrize
 from .quantum import EntanglementParam
 from .runtime import ExperimentConfig, load_settings_csv, run_experiment, write_report
@@ -121,6 +122,8 @@ def _parse_gamma(parser: argparse.ArgumentParser, gamma: float, entangled: bool,
 
 
 def cmd_simulate(args, parser) -> int:
+    if args.csv is not None and Path(args.csv).resolve() == Path(args.out).resolve():
+        parser.error(f"--csv and --out name the same file: {args.csv!r}")
     if args.settings.startswith("random:"):
         try:
             n = int(args.settings.split(":", 1)[1])
@@ -149,7 +152,11 @@ def cmd_simulate(args, parser) -> int:
         return 2
 
     report = run_experiment(config)
-    payload = write_report(report, args.out, args.csv)
+    try:
+        payload = write_report(report, args.out, args.csv)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         _report_validator().validate(payload)
     except jsonschema.ValidationError as exc:
@@ -182,6 +189,8 @@ def cmd_verify(args, parser) -> int:
         parser.error(
             f"--rounds must be >= {min_rounds} for the {args.suite} suite, got {args.rounds}"
         )
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must fit in 64 bits, got {args.seed}")
     if args.grid is not None and args.grid < 10:
         parser.error(f"--grid must be >= 10, got {args.grid}")
     if args.gamma is not None:
@@ -221,8 +230,7 @@ def cmd_oracle(args, parser) -> int:
     if reflected:
         print(f"note: reflected {', '.join(reflected)} into the upper hemisphere")
     p, q = (1, 1) if args.branch_label == "pq+" else (1, -1)
-    strategy = CompletionStrategy(Completion(args.completion))
-    oracle = exact_mu_average(param, a, b, strategy, p, q, args.protocol)
+    oracle = exact_mu_average(param, a, b, Completion(args.completion), p, q, args.protocol)
     claim = branch_correlation_claim(param, a, b, p, q, args.protocol)
     print(f"oracle ({args.completion}): {oracle!r}")
     print(f"claimed scalar product: {claim!r}")

@@ -9,7 +9,7 @@ Conventions fixed here and relied on everywhere else:
 * Uniform sphere points are built from two uniforms as ``z = 1 - 2*u1``,
   ``phi = 2*pi*u2``.
 * A partial direction sum ``w`` is completed to a unit vector by one of three
-  strategies (see :class:`CompletionStrategy`).  The completion conventions,
+  rules (see :class:`Completion`).  The completion conventions,
   including every degenerate case, are deterministic so that exhaustive
   sign-enumeration oracles can reproduce sampled rounds exactly.
 """
@@ -17,14 +17,12 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "Completion",
-    "CompletionStrategy",
     "X_HAT",
     "Y_HAT",
     "Z_HAT",
@@ -47,6 +45,9 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 class Completion(Enum):
     """How a partial direction sum is turned into a unit vector.
 
+    The member itself is what the round engine, the oracles and the suites
+    take; its value is the tag in the config, the CLI and the report.
+
     NORMALIZE   rescale w to unit length; if ``|w|`` is degenerate, return the
                 caller-supplied fallback direction.
     ORTHO       keep w and add a deficit component orthogonal to it so the
@@ -64,11 +65,9 @@ class Completion(Enum):
     ORTHO_SIGN = "ortho-sign"
 
 
-@dataclass(frozen=True)
-class CompletionStrategy:
-    """The completion rule the round engine and the oracles apply."""
-
-    tag: Completion
+# perfbench/ still calls CompletionStrategy(Completion(tag)); calling the Enum
+# on a member returns that member.  The benchmark's next change deletes this.
+CompletionStrategy = Completion
 
 
 # Norms below this count as zero: NORMALIZE falls back, ORTHO treats w as
@@ -185,7 +184,7 @@ def _ortho_rows(w: np.ndarray, comp_sign: np.ndarray) -> np.ndarray:
 
 def complete_rows(
     w: np.ndarray,
-    strategy: CompletionStrategy,
+    strategy: Completion,
     fallback: np.ndarray,
     comp_sign: np.ndarray,
 ) -> np.ndarray:
@@ -196,7 +195,7 @@ def complete_rows(
     through it, and 1 for Alice); NORMALIZE has no sign freedom and ignores
     it.
     """
-    if strategy.tag is Completion.NORMALIZE:
+    if strategy is Completion.NORMALIZE:
         return _normalize_rows(w, fallback)
     return _ortho_rows(w, np.asarray(comp_sign, dtype=float))
 

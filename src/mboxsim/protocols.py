@@ -44,7 +44,7 @@ import numpy as np
 
 from .boxes import compare_bit
 from .geometry import (
-    CompletionStrategy,
+    Completion,
     as_unit_vector,
     complete_rows,
     sgn,
@@ -288,7 +288,7 @@ def alice_direction_rows(
     a: np.ndarray,
     p: np.ndarray,
     mu_sign: np.ndarray,
-    strategy: CompletionStrategy,
+    strategy: Completion,
     protocol: str,
 ) -> np.ndarray:
     """Alice's per-round direction u for symmetrized setting a and branch p.
@@ -317,7 +317,7 @@ def bob_direction_rows(
     b: np.ndarray,
     q: np.ndarray,
     mu_sign: np.ndarray,
-    strategy: CompletionStrategy,
+    strategy: Completion,
     protocol: str,
 ) -> np.ndarray:
     """Bob's per-round direction v for symmetrized setting b and branch q.
@@ -353,7 +353,7 @@ def direction_table(
     b: np.ndarray,
     p,
     q,
-    strategy: CompletionStrategy,
+    strategy: Completion,
     protocol: str,
 ):
     """Alice's u and Bob's v at symmetrized settings for every sign tuple.
@@ -385,7 +385,7 @@ def round_directions(
     p: np.ndarray,
     q: np.ndarray,
     signs: np.ndarray,
-    strategy: CompletionStrategy,
+    strategy: Completion,
     protocol: str,
 ):
     """Each round's u and v at symmetrized settings, looked up in direction_table.
@@ -428,7 +428,7 @@ def run_batch(
     a,
     b,
     rr: RoundRandomness,
-    strategy: CompletionStrategy,
+    strategy: Completion,
     protocol: str,
 ) -> BatchOutcome:
     """Execute rr.n rounds at fixed settings, protocol in {"p1","p2","tb"}."""

@@ -13,18 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Completion,
-    CompletionStrategy,
-    as_unit_vector,
-    sample_unit_sphere,
-)
+from .geometry import Completion, as_unit_vector, sample_unit_sphere
 from .protocols import (
     CHUNK,
     PROTOCOL_IDS,
@@ -103,12 +99,6 @@ class ExperimentConfig:
             return f"random:{self.random_settings}"
         return f"explicit:{len(self.settings)}"
 
-    def param(self) -> EntanglementParam:
-        return EntanglementParam(self.gamma)
-
-    def strategy(self) -> CompletionStrategy:
-        return CompletionStrategy(Completion(self.completion))
-
 
 def resolve_settings(config: ExperimentConfig) -> tuple:
     """Materialize the settings list as unit-vector pairs."""
@@ -177,8 +167,8 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     (seed, setting, chunk); merging uses integer sums only, so worker count
     and completion order cannot change any reported value.
     """
-    param = config.param()
-    strategy = config.strategy()
+    param = EntanglementParam(config.gamma)
+    strategy = Completion(config.completion)
     settings = resolve_settings(config)
 
     tasks = []
@@ -245,7 +235,8 @@ def write_report(report: ComparisonReport, out_path, csv_path=None) -> dict:
     """Serialize the report to JSON (and optionally CSV); returns the dict.
 
     json.dumps with sorted keys and repr floats keeps the bytes a pure
-    function of the report content.
+    function of the report content.  If the CSV cannot be written, the JSON
+    is removed again before the OSError propagates: no half a report.
     """
     payload = report_to_json_dict(report)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -253,8 +244,12 @@ def write_report(report: ComparisonReport, out_path, csv_path=None) -> dict:
         fh.write(text)
     if csv_path is not None:
         header, rows = report_csv_rows(report)
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        try:
+            with open(csv_path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        except OSError:
+            os.remove(out_path)
+            raise
     return payload

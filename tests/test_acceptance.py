@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from mboxsim.boxes import outcome_from_uniform
-from mboxsim.geometry import Completion, CompletionStrategy, sample_unit_sphere
+from mboxsim.geometry import Completion, sample_unit_sphere
 from mboxsim.protocols import RoundRandomness, round_uniform_block, run_batch
 from mboxsim.quantum import EntanglementParam
 from mboxsim.runtime import CHUNK, ExperimentConfig, run_experiment, write_report
@@ -35,7 +35,9 @@ from mboxsim.verify import (
 
 PI8 = math.pi / 8
 PI4 = math.pi / 4
-STRATEGIES = tuple(CompletionStrategy(tag) for tag in Completion)
+# ortho-sign samples exactly ortho's rounds (TestRunBatch pins it), so the
+# gate's own Monte Carlo runs the two distinct rules only.
+STRATEGIES = (Completion.NORMALIZE, Completion.ORTHO)
 
 
 def _settings(n: int, key: int) -> list:
@@ -78,11 +80,12 @@ def test_criterion_04_pre_flip_nullity(criterion):
     rounds = 1_000_000
     worst = 0.0
     worst_case = ""
-    case = 0
-    for protocol in ("p1", "p2"):
-        for strategy in STRATEGIES:
-            for a, b in _settings(5, key=DEFAULT_SEED + 41):
-                case += 1
+    for i, protocol in enumerate(("p1", "p2")):
+        for j, strategy in enumerate(STRATEGIES):
+            for k, (a, b) in enumerate(_settings(5, key=DEFAULT_SEED + 41)):
+                # each case keeps its seed from when ortho-sign ran too,
+                # as cases 11-15 and 26-30
+                case = 15 * i + 5 * j + k + 1
                 stats = mc_round_moments(
                     EntanglementParam(PI8), a, b, strategy, protocol,
                     rounds=rounds, seed=DEFAULT_SEED + case,
@@ -92,12 +95,12 @@ def test_criterion_04_pre_flip_nullity(criterion):
                     z = abs(est.mean) / max(est.stderr, 1.0 / est.n)
                     if z > worst:
                         worst = z
-                        worst_case = f"{key}[{protocol},{strategy.tag.value}]"
+                        worst_case = f"{key}[{protocol},{strategy.value}]"
     elapsed = time.perf_counter() - t0
     ok = worst <= 4.0 and elapsed < 300.0
     criterion(
         4, "pre-flip-nullity", ok,
-        f"max |z| = {worst:.2f} at {worst_case}, 30 cases x {rounds} rounds, "
+        f"max |z| = {worst:.2f} at {worst_case}, 20 cases x {rounds} rounds, "
         f"{elapsed:.1f}s (budget 300s)",
     )
 
@@ -227,7 +230,7 @@ def test_criterion_09_resource_budget(criterion):
         param = EntanglementParam(gamma)
         for strategy in STRATEGIES:
             for protocol in ("p1", "p2", "tb"):
-                case = f"{protocol},{strategy.tag.value},gamma={gamma:.4f}"
+                case = f"{protocol},{strategy.value},gamma={gamma:.4f}"
                 for i, (a, b) in enumerate(pairs):
                     rr = RoundRandomness.from_uniform_block(
                         round_uniform_block(DEFAULT_SEED + 45, i, 0, rows)
@@ -280,7 +283,7 @@ def test_criterion_09_resource_budget(criterion):
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 30.0
     detail = (
-        f"{batches} batches x {rows} rows, 18 cases (2 gammas x 3 completions x 3 protocols, "
+        f"{batches} batches x {rows} rows, 12 cases (2 gammas x 2 completions x 3 protocols, "
         f"{len(pairs)} pairs incl. a tie); Bob compared >= {worst_share:.0%} of each batch's rows; "
         f"box contract on {box_rows} rows; {elapsed:.1f}s (budget 30s)"
     )

@@ -97,6 +97,36 @@ class TestSimulate:
         assert main(simulate_args(tmp_path, **{"--settings": str(settings)})) == 2
         assert "error: settings CSV line 2: could not convert" in capsys.readouterr().err
 
+    def test_csv_onto_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("sampled before checking the paths")
+
+        monkeypatch.setattr(cli, "run_experiment", sampled)
+        out = tmp_path / "r.json"
+        # the same file under another spelling is still the same file
+        argv = simulate_args(tmp_path, **{"--out": str(out), "--csv": f"{tmp_path}/./r.json"})
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys):
+        argv = simulate_args(tmp_path, **{"--out": str(tmp_path / "no-dir" / "r.json")})
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "wrote" not in captured.out
+
+    def test_unwritable_csv_leaves_no_half_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        bad_csv = str(tmp_path / "no-dir" / "r.csv")
+        argv = simulate_args(tmp_path, **{"--out": str(out), "--csv": bad_csv})
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "wrote" not in captured.out
+        assert not out.exists()
+
     def test_schema_passes_its_metaschema(self):
         # simulate validates against the schema without re-checking the
         # schema itself, so that check lives here
@@ -208,6 +238,10 @@ class TestVerify:
             ["epr2", "--gamma", "2"],
             ["oracle", "--gamma", "-1"],
             ["oracle", "--gamma", "0", "--rounds", "2"],  # p2 needs gamma > 0
+            ["mbox", "--seed", "-1"],  # numpy rejects a negative key
+            ["flip", "--seed", "-1"],
+            ["kernel", "--seed", str(2**64)],  # overflows a 64-bit stream key
+            ["oracle", "--seed", str(2**64)],
         ],
         ids=" ".join,
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mboxsim.geometry import Completion, CompletionStrategy, X_HAT, Z_HAT, sample_unit_sphere
+from mboxsim.geometry import Completion, X_HAT, Z_HAT, sample_unit_sphere
 from mboxsim.protocols import (
     FlipSpec,
     PROTOCOL_IDS,
@@ -23,9 +23,6 @@ from mboxsim.quantum import EntanglementParam, aux_axis
 
 PI8 = math.pi / 8
 PI4 = math.pi / 4
-NORMALIZE = CompletionStrategy(Completion.NORMALIZE)
-ORTHO = CompletionStrategy(Completion.ORTHO)
-ORTHO_SIGN = CompletionStrategy(Completion.ORTHO_SIGN)
 
 
 def rr_from(slots: dict[int, float]) -> RoundRandomness:
@@ -89,12 +86,12 @@ class TestRoundRandomness:
         param = EntanglementParam(PI8)
         a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
         # p2 reads all seven mu signs, p1 the first five
-        u, v = looked_up(param, a, b, -1, 1, rr.signs[0], NORMALIZE, "p2")
-        assert np.array_equal(u, alice_u(param, a, -1, {1, 7}, NORMALIZE, "p2"))
-        assert np.array_equal(v, bob_v(param, b, 1, {1, 7}, NORMALIZE, "p2"))
-        u, v = looked_up(param, a, b, 1, 1, rr.signs[0], NORMALIZE, "p1")
-        assert np.array_equal(u, alice_u(param, a, 1, {1}, NORMALIZE))
-        assert np.array_equal(v, bob_v(param, b, 1, {1}, NORMALIZE))
+        u, v = looked_up(param, a, b, -1, 1, rr.signs[0], Completion.NORMALIZE, "p2")
+        assert np.array_equal(u, alice_u(param, a, -1, {1, 7}, Completion.NORMALIZE, "p2"))
+        assert np.array_equal(v, bob_v(param, b, 1, {1, 7}, Completion.NORMALIZE, "p2"))
+        u, v = looked_up(param, a, b, 1, 1, rr.signs[0], Completion.NORMALIZE, "p1")
+        assert np.array_equal(u, alice_u(param, a, 1, {1}, Completion.NORMALIZE))
+        assert np.array_equal(v, bob_v(param, b, 1, {1}, Completion.NORMALIZE))
 
     def test_slot_18_is_flip_and_19_is_box(self):
         rr = rr_from({18: 0.25, 19: 0.75})
@@ -133,7 +130,6 @@ class TestRoundRandomness:
         # block split at any row and run as two, bit for bit, randomness too
         gammas = (PI8, 0.7853981634) if protocol == "p2" else (0.0, PI8, 0.7853981634)
         param = EntanglementParam(data.draw(st.sampled_from(gammas), label="gamma"))
-        strategy = CompletionStrategy(completion)
         g = np.random.Generator(np.random.Philox(key=key))
         a, b = sample_unit_sphere(g), sample_unit_sphere(g)
         if tie:
@@ -146,8 +142,8 @@ class TestRoundRandomness:
         for name in ("lam1", "lam2", "flip_r", "box_u", "signs"):
             joined = np.concatenate([getattr(part, name) for part in parts])
             assert np.array_equal(joined, getattr(block, name)), name
-        whole = run_batch(param, a, b, block, strategy, protocol)
-        outs = [run_batch(param, a, b, part, strategy, protocol) for part in parts]
+        whole = run_batch(param, a, b, block, completion, protocol)
+        outs = [run_batch(param, a, b, part, completion, protocol) for part in parts]
         for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
             joined = np.concatenate([getattr(out, name) for out in outs])
             assert np.array_equal(joined, getattr(whole, name)), name
@@ -162,10 +158,10 @@ class TestRoundRandomness:
         rr = RoundRandomness.from_uniform_block(u)
         assert rr.signs.tolist() == [0, 1, 1 << 6]
         p = np.ones(3, dtype=np.int8)
-        got_u, got_v = round_directions(param, a, b, p, p, rr.signs, NORMALIZE, "p2")
+        got_u, got_v = round_directions(param, a, b, p, p, rr.signs, Completion.NORMALIZE, "p2")
         for i, down in enumerate(((), {1}, {7})):
-            assert np.array_equal(got_u[i], alice_u(param, a, 1, down, NORMALIZE, "p2"))
-            assert np.array_equal(got_v[i], bob_v(param, b, 1, down, NORMALIZE, "p2"))
+            assert np.array_equal(got_u[i], alice_u(param, a, 1, down, Completion.NORMALIZE, "p2"))
+            assert np.array_equal(got_v[i], bob_v(param, b, 1, down, Completion.NORMALIZE, "p2"))
 
 
 class TestSymmetrize:
@@ -246,7 +242,7 @@ class TestTbRound:
         rr = random_rr(200_000, key=52)
         u = np.array([0.6, 0.0, 0.8])
         v = np.array([0.0, 0.8, -0.6])
-        out = run_batch(EntanglementParam(PI8), u, v, rr, NORMALIZE, "tb")
+        out = run_batch(EntanglementParam(PI8), u, v, rr, Completion.NORMALIZE, "tb")
         prod = (out.alpha.astype(float) * out.beta).mean()
         band = 4.0 / math.sqrt(rr.n)
         assert abs(prod - float(u @ v)) < band
@@ -254,7 +250,7 @@ class TestTbRound:
     def test_scalar_matches_batch(self):
         rr = random_rr(200, key=53)
         a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
-        out = run_batch(EntanglementParam(0.0), a, b, rr, NORMALIZE, "tb")
+        out = run_batch(EntanglementParam(0.0), a, b, rr, Completion.NORMALIZE, "tb")
         for i in range(rr.n):
             alpha, beta, cbit = tb_round(a, b, rr.lam1[i], rr.lam2[i])
             assert (alpha, beta, cbit) == (out.alpha[i], out.beta[i], out.cbit[i])
@@ -264,24 +260,24 @@ class TestDirectionConstruction:
     def test_alice_worked_example(self):
         # a = x, both mu signs up, p = +1: u = normalize(a + A) with
         # A = (s, 0, -c)/1 at gamma = pi/8
-        u = alice_u(EntanglementParam(PI8), X_HAT, 1, (), NORMALIZE)
+        u = alice_u(EntanglementParam(PI8), X_HAT, 1, (), Completion.NORMALIZE)
         assert u == pytest.approx([0.9238795, 0.0, -0.3826834], abs=1e-7)
 
     def test_alice_branch_chooses_other_mu_pair(self):
         # flip mu_4 down: only the p = -1 branch sees it
         param = EntanglementParam(PI8)
-        same = alice_u(param, X_HAT, 1, {4}, NORMALIZE)
-        assert same == pytest.approx(alice_u(param, X_HAT, 1, (), NORMALIZE).tolist())
-        other = alice_u(param, X_HAT, -1, {4}, NORMALIZE)
-        assert not np.allclose(other, alice_u(param, X_HAT, -1, (), NORMALIZE))
+        same = alice_u(param, X_HAT, 1, {4}, Completion.NORMALIZE)
+        assert same == pytest.approx(alice_u(param, X_HAT, 1, (), Completion.NORMALIZE).tolist())
+        other = alice_u(param, X_HAT, -1, {4}, Completion.NORMALIZE)
+        assert not np.allclose(other, alice_u(param, X_HAT, -1, (), Completion.NORMALIZE))
 
     def test_bob_completion_sign_reflects(self):
         # under ORTHO the mu_5 sign mirrors the completion: the two choices
         # average back to the in-plane part
         param = EntanglementParam(PI8)
         b = X_HAT
-        plus = bob_v(param, b, 1, {1}, ORTHO)
-        minus = bob_v(param, b, 1, {1, 5}, ORTHO)
+        plus = bob_v(param, b, 1, {1}, Completion.ORTHO)
+        minus = bob_v(param, b, 1, {1, 5}, Completion.ORTHO)
         w = b - aux_axis(param, b)
         assert np.linalg.norm(w) < 1.0
         assert plus + minus == pytest.approx((2.0 * w).tolist(), abs=1e-12)
@@ -290,9 +286,9 @@ class TestDirectionConstruction:
     def test_nonlocal_form_in_band_majority(self):
         # gamma = pi/8 puts z = 0 inside the band: direction is +/- a
         param = EntanglementParam(PI8)
-        u = alice_u(param, X_HAT, 1, (), NORMALIZE, protocol="p2")
+        u = alice_u(param, X_HAT, 1, (), Completion.NORMALIZE, protocol="p2")
         assert u == pytest.approx([1.0, 0.0, 0.0])
-        u = alice_u(param, X_HAT, 1, {1, 4, 6}, NORMALIZE, protocol="p2")
+        u = alice_u(param, X_HAT, 1, {1, 4, 6}, Completion.NORMALIZE, protocol="p2")
         assert u == pytest.approx([-1.0, 0.0, 0.0])
 
 
@@ -306,7 +302,7 @@ class TestDirectionTable:
         (0.0, [0.0, 0.0, 1.0], [0.6, 0.0, 0.8], ("p1",)),
     )
 
-    @pytest.mark.parametrize("strategy", [NORMALIZE, ORTHO, ORTHO_SIGN], ids=lambda s: s.tag.value)
+    @pytest.mark.parametrize("strategy", list(Completion), ids=lambda s: s.value)
     def test_gathered_rows_match_per_round_calls(self, strategy):
         # every round's looked-up u and v equal, bit for bit, the direction
         # builders called on that round alone with the mu signs it packs;
@@ -338,11 +334,15 @@ class TestDirectionTable:
 class TestRunBatch:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
-            run_batch(EntanglementParam(PI8), Z_HAT, Z_HAT, random_rr(4, key=61), NORMALIZE, "p3")
+            run_batch(
+                EntanglementParam(PI8), Z_HAT, Z_HAT, random_rr(4, key=61), Completion.NORMALIZE, "p3"
+            )
 
     def test_p2_needs_entanglement(self):
         with pytest.raises(ValueError):
-            run_batch(EntanglementParam(0.0), Z_HAT, Z_HAT, random_rr(4, key=62), NORMALIZE, "p2")
+            run_batch(
+                EntanglementParam(0.0), Z_HAT, Z_HAT, random_rr(4, key=62), Completion.NORMALIZE, "p2"
+            )
 
     def test_protocol_ids(self):
         assert PROTOCOL_IDS == ("p1", "p2", "tb")
@@ -350,7 +350,9 @@ class TestRunBatch:
     @pytest.mark.parametrize("protocol", ["p1", "p2"])
     def test_output_coding(self, protocol):
         rr = random_rr(5000, key=63)
-        out = run_batch(EntanglementParam(PI8), [0.6, 0.0, 0.8], [0.0, 0.6, -0.8], rr, ORTHO, protocol)
+        out = run_batch(
+            EntanglementParam(PI8), [0.6, 0.0, 0.8], [0.0, 0.6, -0.8], rr, Completion.ORTHO, protocol
+        )
         for col in (out.alpha, out.beta, out.alpha0, out.beta0, out.p, out.q):
             assert set(np.unique(col).tolist()) <= {-1, 1}
         assert out.alpha.dtype == np.int8
@@ -363,27 +365,31 @@ class TestRunBatch:
     def test_branch_sign_tracks_comparison(self):
         rr = random_rr(200, key=65)
         param = EntanglementParam(PI8)
-        low_high = run_batch(param, [0.8, 0.0, 0.6], [0.0, 0.0, 1.0], rr, NORMALIZE, "p1")
+        low_high = run_batch(param, [0.8, 0.0, 0.6], [0.0, 0.0, 1.0], rr, Completion.NORMALIZE, "p1")
         assert np.all(low_high.p == low_high.q)
-        high_low = run_batch(param, [0.0, 0.0, 1.0], [0.8, 0.0, 0.6], rr, NORMALIZE, "p1")
+        high_low = run_batch(param, [0.0, 0.0, 1.0], [0.8, 0.0, 0.6], rr, Completion.NORMALIZE, "p1")
         assert np.all(high_low.p == -high_low.q)
-        tie = run_batch(param, [0.8, 0.0, 0.6], [0.0, 0.8, 0.6], rr, NORMALIZE, "p1")
+        tie = run_batch(param, [0.8, 0.0, 0.6], [0.0, 0.8, 0.6], rr, Completion.NORMALIZE, "p1")
         assert np.all(tie.p == tie.q)
 
     def test_branch_sign_sees_symmetrized_settings(self):
         rr = random_rr(200, key=66)
-        out = run_batch(EntanglementParam(PI8), [0.0, 0.0, -1.0], [0.8, 0.0, 0.6], rr, NORMALIZE, "p1")
+        out = run_batch(
+            EntanglementParam(PI8), [0.0, 0.0, -1.0], [0.8, 0.0, 0.6], rr, Completion.NORMALIZE, "p1"
+        )
         # box compares |a_z| = 1 against 0.6
         assert np.all(out.p == -out.q)
 
     def test_p_is_a_fair_coin(self):
         rr = random_rr(100_000, key=67)
-        out = run_batch(EntanglementParam(PI8), Z_HAT, X_HAT, rr, NORMALIZE, "p1")
+        out = run_batch(EntanglementParam(PI8), Z_HAT, X_HAT, rr, Completion.NORMALIZE, "p1")
         assert abs(out.p.astype(float).mean()) < 4.0 / math.sqrt(rr.n)
 
     def test_pre_flip_outputs_are_unbiased(self):
         rr = random_rr(100_000, key=68)
-        out = run_batch(EntanglementParam(PI8), [0.6, 0.0, 0.8], [0.0, 0.6, 0.8], rr, NORMALIZE, "p1")
+        out = run_batch(
+            EntanglementParam(PI8), [0.6, 0.0, 0.8], [0.0, 0.6, 0.8], rr, Completion.NORMALIZE, "p1"
+        )
         band = 4.5 / math.sqrt(rr.n)
         assert abs(out.alpha0.astype(float).mean()) < band
         assert abs(out.beta0.astype(float).mean()) < band
@@ -391,8 +397,8 @@ class TestRunBatch:
     def test_deterministic(self):
         rr = random_rr(1000, key=69)
         a, b = [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]
-        one = run_batch(EntanglementParam(PI8), a, b, rr, ORTHO, "p2")
-        two = run_batch(EntanglementParam(PI8), a, b, rr, ORTHO, "p2")
+        one = run_batch(EntanglementParam(PI8), a, b, rr, Completion.ORTHO, "p2")
+        two = run_batch(EntanglementParam(PI8), a, b, rr, Completion.ORTHO, "p2")
         assert np.array_equal(one.alpha, two.alpha)
         assert np.array_equal(one.beta, two.beta)
 
@@ -403,8 +409,8 @@ class TestRunBatch:
         param = EntanglementParam(PI8)
         up = np.array([0.6, 0.0, 0.8])
         for protocol in ("p1", "p2"):
-            out_up = run_batch(param, up, Z_HAT, rr, NORMALIZE, protocol)
-            out_dn = run_batch(param, -up, Z_HAT, rr, NORMALIZE, protocol)
+            out_up = run_batch(param, up, Z_HAT, rr, Completion.NORMALIZE, protocol)
+            out_dn = run_batch(param, -up, Z_HAT, rr, Completion.NORMALIZE, protocol)
             assert np.array_equal(out_dn.alpha0, out_up.alpha0)
             assert np.array_equal(out_dn.beta, out_up.beta)
             assert np.array_equal(out_dn.alpha, -out_up.alpha)
@@ -424,8 +430,8 @@ class TestRunBatch:
         rr = random_rr(4000, key=75)
         for gamma, protocol, (a, b) in cases:
             param = EntanglementParam(gamma)
-            one = run_batch(param, a, b, rr, ORTHO, protocol)
-            two = run_batch(param, a, b, rr, ORTHO_SIGN, protocol)
+            one = run_batch(param, a, b, rr, Completion.ORTHO, protocol)
+            two = run_batch(param, a, b, rr, Completion.ORTHO_SIGN, protocol)
             for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
                 assert np.array_equal(getattr(one, name), getattr(two, name)), (gamma, protocol, a, name)
 
@@ -433,5 +439,5 @@ class TestRunBatch:
         # gamma = 0 makes Alice's alternate axis undefined at a = z; the
         # round must still execute (and the flip weight there is 1)
         rr = random_rr(500, key=70)
-        out = run_batch(EntanglementParam(0.0), Z_HAT, [0.6, 0.0, 0.8], rr, NORMALIZE, "p1")
+        out = run_batch(EntanglementParam(0.0), Z_HAT, [0.6, 0.0, 0.8], rr, Completion.NORMALIZE, "p1")
         assert np.all(out.alpha == 1)

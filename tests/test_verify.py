@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mboxsim import protocols, verify
 from mboxsim.geometry import (
     Completion,
-    CompletionStrategy,
     X_HAT,
     Y_HAT,
     Z_HAT,
@@ -60,9 +59,6 @@ from mboxsim.verify import (
 
 PI8 = math.pi / 8
 PI4 = math.pi / 4
-NORMALIZE = CompletionStrategy(Completion.NORMALIZE)
-ORTHO = CompletionStrategy(Completion.ORTHO)
-ORTHO_SIGN = CompletionStrategy(Completion.ORTHO_SIGN)
 
 
 class TestEstimators:
@@ -137,7 +133,7 @@ class TestCompare:
             u = g.random((200_000, UNIFORMS_PER_ROUND))
             out = run_batch(
                 EntanglementParam(0.0), Z_HAT, Z_HAT,
-                RoundRandomness.from_uniform_block(u), NORMALIZE, "tb",
+                RoundRandomness.from_uniform_block(u), Completion.NORMALIZE, "tb",
             )
             counts += _stats_from_batch(out).counts
         row = compare(
@@ -155,7 +151,7 @@ class TestCompare:
             u = g.random((rounds, UNIFORMS_PER_ROUND))
             out = run_batch(
                 EntanglementParam(0.0), Z_HAT, X_HAT,
-                RoundRandomness.from_uniform_block(u), NORMALIZE, "tb",
+                RoundRandomness.from_uniform_block(u), Completion.NORMALIZE, "tb",
             )
             row = compare(target, estimate_joint_from_counts(_stats_from_batch(out).counts))
             tvs.append(row["tv"])
@@ -215,7 +211,7 @@ class TestQuadratureKernel:
 class TestExactMuAverage:
     def test_frozen_aligned_values(self):
         param = EntanglementParam(PI4)
-        cases = [(NORMALIZE, 0.5), (ORTHO, 0.25), (ORTHO_SIGN, 0.25)]
+        cases = [(Completion.NORMALIZE, 0.5), (Completion.ORTHO, 0.25), (Completion.ORTHO_SIGN, 0.25)]
         for strategy, want in cases:
             got = exact_mu_average(param, Z_HAT, Z_HAT, strategy, 1, 1, "p1")
             assert got == pytest.approx(want, abs=1e-12)
@@ -223,18 +219,18 @@ class TestExactMuAverage:
     def test_validation(self):
         param = EntanglementParam(PI8)
         with pytest.raises(ValueError):
-            exact_mu_average(param, Z_HAT, Z_HAT, NORMALIZE, 0, 1, "p1")
+            exact_mu_average(param, Z_HAT, Z_HAT, Completion.NORMALIZE, 0, 1, "p1")
         with pytest.raises(ValueError):
-            exact_mu_average(param, Z_HAT, Z_HAT, NORMALIZE, 1, 1, "tb")
+            exact_mu_average(param, Z_HAT, Z_HAT, Completion.NORMALIZE, 1, 1, "tb")
         with pytest.raises(ValueError, match="symmetrized"):
-            exact_mu_average(param, [0.0, 0.0, -1.0], Z_HAT, NORMALIZE, 1, 1, "p1")
+            exact_mu_average(param, [0.0, 0.0, -1.0], Z_HAT, Completion.NORMALIZE, 1, 1, "p1")
 
     def test_mismatched_branches_agree(self):
         # (p, q) = (1, -1) and (-1, 1) relabel the mu bundle onto each other
         param = EntanglementParam(PI8)
         a = np.array([0.6, 0.0, 0.8])
         b = np.array([0.0, 0.6, 0.8])
-        for strategy in (NORMALIZE, ORTHO_SIGN):
+        for strategy in (Completion.NORMALIZE, Completion.ORTHO_SIGN):
             for protocol in ("p1", "p2"):
                 one = exact_mu_average(param, a, b, strategy, 1, -1, protocol)
                 two = exact_mu_average(param, a, b, strategy, -1, 1, protocol)
@@ -258,7 +254,7 @@ class TestExactMuAverage:
 
                     with monkeypatch.context() as m:
                         m.setattr(protocols, "complete_rows", signed)
-                        total += exact_mu_average(param, a, b, ORTHO, p, q, protocol)
+                        total += exact_mu_average(param, a, b, Completion.ORTHO, p, q, protocol)
                     assert not party_signs
             return total / 4.0
 
@@ -273,7 +269,7 @@ class TestExactMuAverage:
                 for protocol in ("p1", "p2"):
                     for p in (1, -1):
                         for q in (1, -1):
-                            plain = exact_mu_average(param, a, b, ORTHO, p, q, protocol)
+                            plain = exact_mu_average(param, a, b, Completion.ORTHO, p, q, protocol)
                             signed = signed_average(param, a, b, p, q, protocol)
                             worst = max(worst, abs(plain - signed))
         assert worst <= 1e-12, worst
@@ -282,17 +278,17 @@ class TestExactMuAverage:
         param = EntanglementParam(PI8)
         a = np.array([0.6, 0.0, 0.8])
         b = np.array([0.0, 0.6, 0.8])
-        mc = mc_branch_correlations(param, a, b, ORTHO, "p1", 200_000, seed=83)
+        mc = mc_branch_correlations(param, a, b, Completion.ORTHO, "p1", 200_000, seed=83)
         assert set(mc) == {(1, 1), (-1, -1)}
         for (p, q), est in mc.items():
-            oracle = exact_mu_average(param, a, b, ORTHO, p, q, "p1")
+            oracle = exact_mu_average(param, a, b, Completion.ORTHO, p, q, "p1")
             assert abs(est.mean - oracle) <= 4.0 * max(est.stderr, 1.0 / est.n)
 
     def test_branch_pairing_limits_combinations(self):
         # a_z > b_z forces p == -q
         param = EntanglementParam(PI8)
         mc = mc_branch_correlations(
-            param, Z_HAT, np.array([0.8, 0.0, 0.6]), NORMALIZE, "p1", 50_000, seed=84
+            param, Z_HAT, np.array([0.8, 0.0, 0.6]), Completion.NORMALIZE, "p1", 50_000, seed=84
         )
         assert set(mc) == {(1, -1), (-1, 1)}
 
@@ -302,7 +298,7 @@ class TestExactMuAverage:
         param = EntanglementParam(PI8)
         sizes = set()
         for seed in range(8):
-            mc = mc_branch_correlations(param, Z_HAT, Z_HAT, NORMALIZE, "p1", 3, seed=seed)
+            mc = mc_branch_correlations(param, Z_HAT, Z_HAT, Completion.NORMALIZE, "p1", 3, seed=seed)
             sizes |= {est.n for est in mc.values()}
         assert sizes == {2, 3}
 
@@ -360,7 +356,7 @@ class TestFlipMoments:
 class TestMcRoundMoments:
     def test_shape(self):
         result = mc_round_moments(
-            EntanglementParam(PI8), [0.6, 0.0, 0.8], Z_HAT, NORMALIZE, "p1",
+            EntanglementParam(PI8), [0.6, 0.0, 0.8], Z_HAT, Completion.NORMALIZE, "p1",
             rounds=50_000, seed=86,
         )
         assert set(result) == {"alpha0", "beta0", "alpha", "beta"}
@@ -382,10 +378,10 @@ class TestSharedStream:
         param = EntanglementParam(PI8)
         a, b = [0.6, 0.0, 0.8], [0.0, 0.8, -0.6]
         rounds, seed = CHUNK + 2048, 88
-        for strategy in (NORMALIZE, ORTHO_SIGN):
+        for strategy in (Completion.NORMALIZE, Completion.ORTHO_SIGN):
             report = run_experiment(ExperimentConfig(
                 protocol=protocol, gamma=PI8, rounds=rounds, seed=seed,
-                completion=strategy.tag.value, settings=((a, b),),
+                completion=strategy.value, settings=((a, b),),
             ))
             rec = report.records[0]
             pp, pm, mp, mm = rec["counts"]
@@ -412,7 +408,7 @@ class TestChunkStats:
         g = np.random.Generator(np.random.Philox(key=DEFAULT_SEED + 50))
         rr = RoundRandomness.from_uniform_block(g.random((3000, UNIFORMS_PER_ROUND)))
         for a, b in ((Z_HAT, [0.6, 0.0, -0.8]), ([0.0, 0.8, 0.6], [0.6, 0.0, 0.8])):
-            out = run_batch(EntanglementParam(PI8), a, b, rr, ORTHO, protocol)
+            out = run_batch(EntanglementParam(PI8), a, b, rr, Completion.ORTHO, protocol)
             stats = _stats_from_batch(out)
             assert stats.hist.shape == (3, 3, 2, 2, 2, 2)
             assert stats.n == 3000
@@ -451,7 +447,7 @@ class TestChunkStats:
         # a batch cut anywhere aggregates to the whole batch's histogram, cell for cell
         rr = self._SPLIT_ROWS
         param, a, b = EntanglementParam(PI8), [0.6, 0.0, 0.8], [0.0, 0.8, -0.6]
-        whole = _stats_from_batch(run_batch(param, a, b, rr, NORMALIZE, protocol))
+        whole = _stats_from_batch(run_batch(param, a, b, rr, Completion.NORMALIZE, protocol))
         bounds = [0, *sorted(cuts), rr.n]
         pieces = ChunkStats()
         for lo, hi in zip(bounds, bounds[1:]):
@@ -459,7 +455,9 @@ class TestChunkStats:
                 piece = RoundRandomness(
                     **{f.name: getattr(rr, f.name)[lo:hi] for f in dataclasses.fields(rr)}
                 )
-                pieces.add(_stats_from_batch(run_batch(param, a, b, piece, NORMALIZE, protocol)))
+                pieces.add(_stats_from_batch(run_batch(
+                    param, a, b, piece, Completion.NORMALIZE, protocol))
+                )
         assert np.array_equal(pieces.hist, whole.hist)
         assert whole.n == rr.n
 
@@ -479,7 +477,7 @@ class TestRealizedJoint:
         for gamma in (PI8, PI4):
             param = EntanglementParam(gamma)
             for a, b in self.settings():
-                for strategy in (NORMALIZE, ORTHO, ORTHO_SIGN):
+                for strategy in Completion:
                     for protocol in ("p1", "p2"):
                         joint = realized_joint(param, a, b, strategy, protocol)
                         joint.validate(tol=1e-12)
@@ -495,10 +493,10 @@ class TestRealizedJoint:
         rounds = 150_000
         worst = 0.0
         for protocol in ("p1", "p2"):
-            for strategy in (NORMALIZE, ORTHO, ORTHO_SIGN):
+            for strategy in Completion:
                 report = run_experiment(ExperimentConfig(
                     protocol=protocol, gamma=PI8, rounds=rounds, seed=DEFAULT_SEED + 48,
-                    completion=strategy.tag.value, settings=settings,
+                    completion=strategy.value, settings=settings,
                 ))
                 for (a, b), rec in zip(settings, report.records):
                     exact = realized_joint(param, a, b, strategy, protocol).as_array()
@@ -506,7 +504,7 @@ class TestRealizedJoint:
                     sigma = np.maximum(np.sqrt(exact * (1.0 - exact) / rounds), 1.0 / rounds)
                     z = np.abs(freq - exact) / sigma
                     worst = max(worst, float(z.max()))
-                    assert z.max() <= 4.0, (protocol, strategy.tag.value, a, b, z)
+                    assert z.max() <= 4.0, (protocol, strategy.value, a, b, z)
         print(f"full joint: max |z| = {worst:.2f}")
 
 
@@ -595,6 +593,22 @@ class TestSuites:
         # one round per setting leaves every branch without a standard error
         checks = suite_oracle(gamma=PI8, n_settings=2, rounds=1, protocols=("p1",))
         assert not any(c.passed for c in checks), [str(c) for c in checks]
+
+    def test_suite_oracle_runs_at_the_largest_seed(self, monkeypatch):
+        # each case's seed, seed + 7919 case, wraps modulo 2^64
+        seed = 2**64 - 1
+        seeds = []
+        real = verify.mc_branch_correlations
+
+        def recorded(*args):
+            seeds.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "mc_branch_correlations", recorded)
+        checks = suite_oracle(gamma=PI8, n_settings=1, rounds=2000, seed=seed)
+        assert seeds == [7919 * case - 1 for case in range(1, 7)]
+        assert len(checks) == 6
+        assert all(c.passed for c in checks), [str(c) for c in checks]
 
     def test_suite_oracle_checks_gamma_before_sampling(self, monkeypatch):
         def sampled(*args, **kwargs):
