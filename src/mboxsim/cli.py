@@ -21,7 +21,7 @@ from jsonschema.validators import validator_for
 
 from .geometry import Completion
 from .protocols import symmetrize
-from .quantum import EntanglementParam
+from .quantum import DegenerateAxisError, EntanglementParam
 from .runtime import ExperimentConfig, load_settings_csv, run_experiment, write_report
 from .verify import (
     DEFAULT_SEED,
@@ -231,8 +231,13 @@ def cmd_oracle(args, parser) -> int:
         print(f"note: reflected {', '.join(reflected)} into the upper hemisphere")
     p, q = (1, 1) if args.branch_label == "pq+" else (1, -1)
     oracle = exact_mu_average(param, a, b, Completion(args.completion), p, q, args.protocol)
-    claim = branch_correlation_claim(param, a, b, p, q, args.protocol)
     print(f"oracle ({args.completion}): {oracle!r}")
+    try:
+        claim = branch_correlation_claim(param, a, b, p, q, args.protocol)
+    except DegenerateAxisError as exc:
+        # The engine falls back to the setting there, so only the claim is undefined.
+        print(f"claimed scalar product: undefined ({exc})")
+        return 0
     print(f"claimed scalar product: {claim!r}")
     print(f"residual: {abs(oracle - claim)!r}")
     return 0

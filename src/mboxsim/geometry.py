@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Completion",
     "X_HAT",
-    "Y_HAT",
     "Z_HAT",
     "as_unit_vector",
     "complete_rows",
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 X_HAT = np.array([1.0, 0.0, 0.0])
-Y_HAT = np.array([0.0, 1.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -87,10 +85,10 @@ def sign_array(x: np.ndarray) -> np.ndarray:
     return (np.asarray(x) >= 0.0).astype(np.int8) * np.int8(2) - np.int8(1)
 
 
-def as_unit_vector(v, tol: float = 1e-9) -> np.ndarray:
+def as_unit_vector(v) -> np.ndarray:
     """Validate and return ``v`` as a float (3,) array with unit norm.
 
-    Raises ValueError when the norm deviates from 1 by more than ``tol``;
+    Raises ValueError when the norm deviates from 1 by more than 1e-9;
     callers that want to accept approximately-unit input should normalize
     explicitly before calling.
     """
@@ -103,8 +101,8 @@ def as_unit_vector(v, tol: float = 1e-9) -> np.ndarray:
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("vector has non-finite entries")
     norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"vector norm {norm} deviates from 1 by more than {tol}")
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"vector norm {norm} deviates from 1 by more than 1e-09")
     return arr
 
 

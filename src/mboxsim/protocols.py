@@ -78,7 +78,6 @@ __all__ = [
     "round_uniform_block",
     "run_batch",
     "symmetrize",
-    "tb_round",
 ]
 
 PROTOCOL_IDS = ("p1", "p2", "tb")
@@ -254,18 +253,6 @@ def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
     alpha = np.where((alpha0 == -1) & (r < spec.f_a), np.int8(1), alpha0)
     beta = np.where((beta0 == -1) & (r < spec.f_b), np.int8(1), beta0)
     return alpha, beta
-
-
-def tb_round(u, v, lambda1, lambda2):
-    """One round of the one-bit kernel: E over lambda1,2 of alpha*beta is u.v."""
-    u = as_unit_vector(u)
-    v = as_unit_vector(v)
-    lambda1 = as_unit_vector(lambda1)
-    lambda2 = as_unit_vector(lambda2)
-    alpha = sgn(float(u @ lambda1))
-    cbit = alpha * sgn(float(u @ lambda2))
-    beta = sgn(float(v @ lambda1) + cbit * float(v @ lambda2))
-    return alpha, beta, cbit
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ __all__ = [
     "joint_local_product",
     "joint_nl",
     "joint_qm",
-    "pre_flip_correlation_nl",
-    "pre_flip_correlation_qm",
+    "pre_flip_correlation",
     "rotate_pi_about_x",
     "slice_threshold",
 ]
@@ -305,7 +304,14 @@ def branch_pairing(param: EntanglementParam, a, b, same_branch: bool, protocol: 
     return aux_axis_alice_nl(param, a), b_rot
 
 
-def _pre_flip_correlation(param: EntanglementParam, a, b, protocol: str) -> float:
+def pre_flip_correlation(param: EntanglementParam, a, b, protocol: str) -> float:
+    """Pre-flip correlation that the protocol's flip maps exactly onto its target.
+
+    For p1 the (c a_z, c b_z) flip lands on the quantum correlation C, for p2
+    the F-flip on the nonlocal correlation G.  Requires symmetrized settings:
+    branch_pairing on the branch the box picks (a_z <= b_z) with
+    flip_exact_axis, which covers p2's four band cases.
+    """
     a = as_unit_vector(a)
     b = as_unit_vector(b)
     if a[2] < 0.0 or b[2] < 0.0:
@@ -314,22 +320,3 @@ def _pre_flip_correlation(param: EntanglementParam, a, b, protocol: str) -> floa
     # A dot product of unit vectors, clamped: rounding can carry it just
     # past +-1, and the flip algebra rejects correlations outside [-1, 1].
     return min(1.0, max(-1.0, float(x @ y)))
-
-
-def pre_flip_correlation_qm(param: EntanglementParam, a, b) -> float:
-    """Pre-flip correlation that the (c a_z, c b_z) flip maps exactly onto C.
-
-    Requires symmetrized settings: branch_pairing of p1 on the branch the box
-    picks (a_z <= b_z) with flip_exact_axis.
-    """
-    return _pre_flip_correlation(param, a, b, "p1")
-
-
-def pre_flip_correlation_nl(param: EntanglementParam, a, b) -> float:
-    """Pre-flip correlation that the F-flip maps exactly onto G.
-
-    Requires symmetrized settings: branch_pairing of p2, all four band cases,
-    on the branch the box picks (a_z <= b_z) with flip_exact_axis.
-    """
-    return _pre_flip_correlation(param, a, b, "p2")
-

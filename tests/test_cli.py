@@ -281,6 +281,23 @@ class TestOracle:
         assert "claimed scalar product: 1.0" in out
         assert "residual: 0.5" in out
 
+    @pytest.mark.parametrize(
+        "protocol,gamma,a,b,branch",
+        [("p1", "0", "0,0,1", "1,0,0", "pq-"), ("p1", "1e-12", "1,0,0", "0,0,1", "pq+"),
+         ("p2", "1e-12", "1,0,0", "0,0,1", "pq-")],
+    )
+    def test_degenerate_axis_leaves_the_claim_undefined(self, capsys, protocol, gamma, a, b, branch):
+        # the engine falls back to the setting, so the oracle is defined there
+        argv = [
+            "oracle", "mu-average", "--protocol", protocol, "--gamma", gamma,
+            "--a", a, "--b", b, "--branch", branch,
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("oracle (normalize): ")
+        assert lines[1].startswith("claimed scalar product: undefined (axis construction degenerate")
+        assert len(lines) == 2
+
     def test_reflects_into_upper_hemisphere(self, capsys):
         argv = [
             "oracle", "mu-average",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mboxsim.geometry import Completion, X_HAT, Z_HAT, sample_unit_sphere
+from mboxsim.geometry import Completion, X_HAT, Z_HAT, sample_unit_sphere, sgn
 from mboxsim.protocols import (
     FlipSpec,
     PROTOCOL_IDS,
@@ -17,7 +17,6 @@ from mboxsim.protocols import (
     round_directions,
     run_batch,
     symmetrize,
-    tb_round,
 )
 from mboxsim.quantum import EntanglementParam, aux_axis
 
@@ -36,6 +35,14 @@ def rr_from(slots: dict[int, float]) -> RoundRandomness:
 def random_rr(n: int, key: int) -> RoundRandomness:
     g = np.random.Generator(np.random.Philox(key=key))
     return RoundRandomness.from_uniform_block(g.random((n, UNIFORMS_PER_ROUND)))
+
+
+def tb_round(u, v, lambda1, lambda2):
+    """Scalar reference for one round of the one-bit kernel: returns (alpha, beta, cbit)."""
+    alpha = sgn(float(u @ lambda1))
+    cbit = alpha * sgn(float(u @ lambda2))
+    beta = sgn(float(v @ lambda1) + cbit * float(v @ lambda2))
+    return alpha, beta, cbit
 
 
 def mu_signs(down=()) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mboxsim.geometry import X_HAT, Y_HAT, Z_HAT, sample_unit_sphere
+from mboxsim.geometry import X_HAT, Z_HAT, sample_unit_sphere
 from mboxsim.quantum import (
     DegenerateAxisError,
     EntanglementParam,
@@ -20,14 +20,14 @@ from mboxsim.quantum import (
     joint_local_product,
     joint_nl,
     joint_qm,
-    pre_flip_correlation_nl,
-    pre_flip_correlation_qm,
+    pre_flip_correlation,
     rotate_pi_about_x,
     slice_threshold,
 )
 
 PI8 = math.pi / 8
 PI4 = math.pi / 4
+Y_HAT = np.array([0.0, 1.0, 0.0])
 
 
 def random_settings(n, key):
@@ -308,9 +308,9 @@ class TestPreFlipCorrelation:
     def test_requires_symmetrized(self):
         param = EntanglementParam(PI8)
         with pytest.raises(ValueError):
-            pre_flip_correlation_qm(param, [0.0, 0.0, -1.0], Z_HAT)
+            pre_flip_correlation(param, [0.0, 0.0, -1.0], Z_HAT, "p1")
         with pytest.raises(ValueError):
-            pre_flip_correlation_nl(param, Z_HAT, [0.0, 0.0, -1.0])
+            pre_flip_correlation(param, Z_HAT, [0.0, 0.0, -1.0], "p2")
 
     def test_flip_lands_on_quantum_correlation(self):
         # moment identity: with flips (c az, c bz), the post-flip correlation
@@ -319,7 +319,7 @@ class TestPreFlipCorrelation:
             param = EntanglementParam(gamma)
             c = param.cos2g
             for a, b in self.symmetrized_settings(25, key=31):
-                c0 = pre_flip_correlation_qm(param, a, b)
+                c0 = pre_flip_correlation(param, a, b, "p1")
                 fa, fb = c * a[2], c * b[2]
                 got = min(fa, fb) + (1 - max(fa, fb)) * c0
                 want = correlation(param, a, b)
@@ -329,7 +329,7 @@ class TestPreFlipCorrelation:
         for gamma in (PI8, 3 * PI8 / 2):
             param = EntanglementParam(gamma)
             for a, b in self.symmetrized_settings(25, key=32):
-                c0 = pre_flip_correlation_nl(param, a, b)
+                c0 = pre_flip_correlation(param, a, b, "p2")
                 fa = epr2_flip_probability(param, a[2])
                 fb = epr2_flip_probability(param, b[2])
                 got = min(fa, fb) + (1 - max(fa, fb)) * c0
@@ -342,7 +342,7 @@ class TestPreFlipCorrelation:
         param = EntanglementParam(PI8)
         a = np.array([-0.9498845440455933, -0.312444417695568, 0.009891351483639507])
         b = np.array([0.9498845440455933, -0.312444417695568, 0.009891351483639507])
-        assert pre_flip_correlation_nl(param, a, b) == -1.0
+        assert pre_flip_correlation(param, a, b, "p2") == -1.0
 
 
 class TestBranchPairing:

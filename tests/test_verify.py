@@ -12,7 +12,6 @@ from mboxsim import protocols, verify
 from mboxsim.geometry import (
     Completion,
     X_HAT,
-    Y_HAT,
     Z_HAT,
     complete_rows,
     sample_unit_sphere,
@@ -27,7 +26,7 @@ from mboxsim.quantum import (
     epr2_correlation,
     epr2_flip_probability,
     joint_qm,
-    pre_flip_correlation_nl,
+    pre_flip_correlation,
     rotate_pi_about_x,
 )
 from mboxsim.runtime import ExperimentConfig, run_experiment
@@ -41,7 +40,6 @@ from mboxsim.verify import (
     compare,
     _stats_from_batch,
     estimate_joint_from_counts,
-    estimate_mean,
     exact_mu_average,
     flip_moments_claim,
     flip_moments_exact,
@@ -59,6 +57,16 @@ from mboxsim.verify import (
 
 PI8 = math.pi / 8
 PI4 = math.pi / 4
+Y_HAT = np.array([0.0, 1.0, 0.0])
+
+
+def estimate_mean(values) -> EstimateWithError:
+    """Reference estimator: sample mean with the sample sd over sqrt(n)."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    if n < 2:
+        raise ValueError(f"need n >= 2 samples, got {n}")
+    return EstimateWithError(float(values.mean()), float(values.std(ddof=1)) / math.sqrt(n), n)
 
 
 class TestEstimators:
@@ -340,7 +348,7 @@ class TestFlipMoments:
         param = EntanglementParam(PI8)
         a = np.array([-0.9498845440455933, -0.312444417695568, 0.009891351483639507])
         b = np.array([0.9498845440455933, -0.312444417695568, 0.009891351483639507])
-        c0 = pre_flip_correlation_nl(param, a, b)
+        c0 = pre_flip_correlation(param, a, b, "p2")
         f_a = epr2_flip_probability(param, a[2])
         f_b = epr2_flip_probability(param, b[2])
         _, _, m_ab = flip_moments_exact(c0, f_a, f_b)
@@ -474,11 +482,14 @@ class TestRealizedJoint:
         return tuple((tuple(a), tuple(b)) for a, b in pairs)
 
     def test_is_a_distribution(self):
-        for gamma in (PI8, PI4):
+        # the gamma edges: 0 (p1 only; the pair (z, z) has a degenerate
+        # alternate axis there) and pi/4 both as a float and in decimal
+        settings = self.settings() + (((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),)
+        for gamma in (0.0, PI8, PI4, 0.7853981634):
             param = EntanglementParam(gamma)
-            for a, b in self.settings():
+            for a, b in settings:
                 for strategy in Completion:
-                    for protocol in ("p1", "p2"):
+                    for protocol in ("p1", "p2") if gamma > 0.0 else ("p1",):
                         joint = realized_joint(param, a, b, strategy, protocol)
                         joint.validate(tol=1e-12)
                         if protocol == "p1":
@@ -520,10 +531,19 @@ class TestEpr2Suite:
         with pytest.raises(ValueError):
             suite_epr2(gamma=0.0)
 
+    def test_refused_nonlocal_entry_fails_the_check(self):
+        # at gamma = 1e-9 joint_nl refuses a grid pair's negative entry; the
+        # suite reports that as a FAIL naming the entry instead of raising
+        checks = {c.name: c for c in suite_epr2(gamma=1e-9, grid_n=20)}
+        nonneg = checks["epr2-nl-nonnegative[gamma=0.000000]"]
+        assert not nonneg.passed
+        assert "negative probability entry -4.79" in nonneg.detail
+        assert "a = (0.3122, 0, 0.95)" in nonneg.detail
+
 
 class TestClaimResidualReport:
     def test_deterministic_and_nonzero(self):
-        kwargs = dict(gammas=(PI8,), n_settings=5, seed=DEFAULT_SEED)
+        kwargs = dict(n_settings=5, seed=DEFAULT_SEED)
         one = claim_residual_report(**kwargs)
         two = claim_residual_report(**kwargs)
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
@@ -535,14 +555,18 @@ class TestClaimResidualReport:
                     assert entry["max_residual"] > 0.01
 
     def test_structure(self):
-        report = claim_residual_report(gammas=(PI8,), n_settings=2, protocols=("p1",))
-        assert report["protocols"] == ["p1"]
+        report = claim_residual_report(n_settings=2)
+        assert report["gammas"] == [PI8, PI4]
+        assert report["protocols"] == ["p1", "p2"]
         assert set(report["strategies"]) == {"normalize", "ortho", "ortho-sign"}
+        for per_gamma in report["strategies"].values():
+            assert list(per_gamma) == [repr(PI8), repr(PI4)]
+            assert all(list(per_protocol) == ["p1", "p2"] for per_protocol in per_gamma.values())
 
     def test_rejects_no_settings(self):
         # a maximum over no settings would read as an exact identity at setting 0
         with pytest.raises(ValueError, match="need n_settings >= 1"):
-            claim_residual_report(gammas=(PI8,), n_settings=0)
+            claim_residual_report(n_settings=0)
 
 
 class TestSuites:
@@ -584,14 +608,18 @@ class TestSuites:
         assert all(c.passed for c in checks), [str(c) for c in checks]
 
     def test_suite_oracle_small(self):
-        checks = suite_oracle(gamma=PI8, n_settings=2, rounds=150_000, protocols=("p1",))
-        assert len(checks) == 3
+        checks = suite_oracle(gamma=PI8, n_settings=2, rounds=150_000)
+        assert [c.name for c in checks] == [
+            f"oracle-vs-mc[{protocol},{strategy.value}]"
+            for protocol in ("p1", "p2")
+            for strategy in Completion
+        ]
         assert all(c.passed for c in checks), [str(c) for c in checks]
         assert all("over 4 branches of 2 settings" in c.detail for c in checks)
 
     def test_suite_oracle_fails_when_nothing_compared(self):
         # one round per setting leaves every branch without a standard error
-        checks = suite_oracle(gamma=PI8, n_settings=2, rounds=1, protocols=("p1",))
+        checks = suite_oracle(gamma=PI8, n_settings=2, rounds=1)
         assert not any(c.passed for c in checks), [str(c) for c in checks]
 
     def test_suite_oracle_runs_at_the_largest_seed(self, monkeypatch):
@@ -617,7 +645,3 @@ class TestSuites:
         monkeypatch.setattr(verify, "mc_branch_correlations", sampled)
         with pytest.raises(ValueError, match="gamma > 0"):
             suite_oracle(gamma=0.0, n_settings=2, rounds=1000)
-        # gamma 0 is valid when only p1 runs
-        monkeypatch.undo()
-        checks = suite_oracle(gamma=0.0, n_settings=1, rounds=2, protocols=("p1",))
-        assert len(checks) == 3
