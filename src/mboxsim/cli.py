@@ -151,7 +151,11 @@ def cmd_simulate(args, parser) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         payload = write_report(report, args.out, args.csv)
     except OSError as exc:

@@ -14,7 +14,7 @@ correlations.  Outcomes are written alpha, beta in {-1, +1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class EntanglementParam:
     """
 
     gamma: float
+    cos2g: float = field(init=False, compare=False, repr=False)
+    sin2g: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Decimal spellings of pi/4 can land just above the float bound;
@@ -61,14 +63,12 @@ class EntanglementParam:
         if not 0.0 <= self.gamma <= math.pi / 4 + 1e-9:
             raise ValueError(f"gamma must lie in [0, pi/4], got {self.gamma}")
         object.__setattr__(self, "gamma", min(self.gamma, math.pi / 4))
+        object.__setattr__(self, "cos2g", math.cos(2.0 * self.gamma))
+        object.__setattr__(self, "sin2g", math.sin(2.0 * self.gamma))
 
-    @property
-    def cos2g(self) -> float:
-        return math.cos(2.0 * self.gamma)
 
-    @property
-    def sin2g(self) -> float:
-        return math.sin(2.0 * self.gamma)
+# How far a JointDist's sum may stray from 1, and an entry below 0, in validate.
+_VALIDATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,11 @@ class JointDist:
             raise ValueError(f"entry {arr.min()} is negative beyond reporting noise")
         return np.clip(arr, 0.0, None)
 
-    def validate(self, tol: float = 1e-9) -> "JointDist":
+    def validate(self) -> "JointDist":
         arr = self.as_array()
-        if abs(float(arr.sum()) - 1.0) > tol:
+        if abs(float(arr.sum()) - 1.0) > _VALIDATE_TOL:
             raise ValueError(f"probabilities sum to {arr.sum()}, not 1")
-        if float(arr.min()) < -tol:
+        if float(arr.min()) < -_VALIDATE_TOL:
             raise ValueError(f"negative probability entry {arr.min()}")
         return self
 

@@ -165,11 +165,14 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
 
     The work is split into fixed chunks whose randomness is addressed by
     (seed, setting, chunk); merging uses integer sums only, so worker count
-    and completion order cannot change any reported value.
+    and completion order cannot change any reported value.  Every setting's
+    target is computed before any round is sampled, so a setting whose target
+    is not a distribution raises its ValueError at once.
     """
     param = EntanglementParam(config.gamma)
     strategy = Completion(config.completion)
     settings = resolve_settings(config)
+    targets = [_target_joint(param, a, b, config.protocol) for a, b in settings]
 
     tasks = []
     for si, (a, b) in enumerate(settings):
@@ -196,10 +199,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
 
     records = []
     for si, (a, b) in enumerate(settings):
-        comparison = compare(
-            _target_joint(param, a, b, config.protocol),
-            estimate_joint_from_counts(agg[si].counts),
-        )
+        comparison = compare(targets[si], estimate_joint_from_counts(agg[si].counts))
         records.append(_record(a, b, comparison, agg[si]))
     return ComparisonReport(config=config, records=tuple(records))
 

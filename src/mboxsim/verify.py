@@ -304,6 +304,11 @@ def branch_correlation_claim(
     return float(x @ y)
 
 
+# The four (alpha0, beta0) cells of each of the three bands, in band order.
+_FLIP_A0 = np.array([-1, -1, 1, 1] * 3)
+_FLIP_B0 = np.array([-1, 1, -1, 1] * 3)
+
+
 def flip_moments_exact(
     c0: float, f_a: float, f_b: float
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -311,40 +316,35 @@ def flip_moments_exact(
 
     Computed with no sampling and no tolerance: the shared uniform r only
     matters through which of the bands [0, f_min), [f_min, f_max), [f_max, 1)
-    it falls in, so each band is evaluated once at a representative point by
+    it falls in, so each band's four pre-flip cells go once through
     correlated_flip, the flip rule run_batch applies to every sampled round,
-    then weighted by its exact width.  The pre-flip signs carry the
-    zero-marginal weights (1 + a*b*c0)/4.
+    at the band's lower end.  Every float is an integer over a power of two,
+    so over the largest of the three denominators D, f_min, f_max and c0 are
+    integers and so is each band's width.  A cell weighs width * (1 + alpha0
+    beta0 c0)/4, and each moment is one integer sum over 4 D^2.
     """
     if not -1.0 <= c0 <= 1.0:
         raise ValueError(f"pre-flip correlation must lie in [-1, 1], got {c0}")
     spec = FlipSpec(f_a, f_b)
     lo = min(f_a, f_b)
     hi = max(f_a, f_b)
-    bands = [
-        (width, rep)
-        for width, rep in (
-            (Fraction(lo), 0.0),
-            (Fraction(hi) - Fraction(lo), lo),
-            (1 - Fraction(hi), hi),
-        )
-        if width != 0
-    ]
-    # the four (alpha0, beta0) cells of every band through the flip rule at once
-    a0 = np.tile([-1, -1, 1, 1], len(bands))
-    b0 = np.tile([-1, 1, -1, 1], len(bands))
-    alpha, beta = correlated_flip(a0, b0, spec, np.repeat([rep for _, rep in bands], 4))
-    # A band's cells weigh width * (1 + a0*b0*c0) / 4, so each moment gains
-    # width/4 * (sum x + c0 * sum a0*b0*x) over exact integer cell sums.
-    c0_frac = Fraction(c0)
-    moments = [Fraction(0)] * 3
-    for k, (width, _) in enumerate(bands):
-        cell = slice(4 * k, 4 * k + 4)
-        for j, x in enumerate((alpha[cell], beta[cell], alpha[cell] * beta[cell])):
-            s = int(x.sum())
-            t = int((a0[cell] * b0[cell] * x).sum())
-            moments[j] += width * (s + t * c0_frac) / 4
-    return tuple(moments)
+    ratios = [x.as_integer_ratio() for x in (lo, hi, c0)]
+    d = max(den for _, den in ratios)
+    lo_n, hi_n, c_n = (num * (d // den) for num, den in ratios)
+    bands = [(w, rep) for w, rep in ((lo_n, 0.0), (hi_n - lo_n, lo), (d - hi_n, hi)) if w]
+    n = 4 * len(bands)
+    r = np.array([rep for _, rep in bands for _ in range(4)])
+    alpha, beta = (x.tolist() for x in correlated_flip(_FLIP_A0[:n], _FLIP_B0[:n], spec, r))
+    # Over a band's cells (alpha0*beta0 = +1, -1, -1, +1), sum x + c0 * sum
+    # alpha0*beta0*x is (s*d + t*c_n)/d for the integer sums s and t.
+    nums = [0, 0, 0]
+    for k, (w, _) in enumerate(bands):
+        a, b = alpha[4 * k : 4 * k + 4], beta[4 * k : 4 * k + 4]
+        for j, x in enumerate((a, b, [u * v for u, v in zip(a, b)])):
+            s = x[0] + x[1] + x[2] + x[3]
+            t = x[0] - x[1] - x[2] + x[3]
+            nums[j] += w * (s * d + t * c_n)
+    return tuple(Fraction(num, 4 * d * d) for num in nums)
 
 
 def flip_moments_claim(

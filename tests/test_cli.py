@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from jsonschema.validators import validator_for
 
-from mboxsim import __version__, cli
+from mboxsim import __version__, cli, runtime
 from mboxsim.cli import main, report_schema
 from mboxsim.protocols import STREAM
 from mboxsim.runtime import CHUNK, SETTINGS_CSV_HEADER
@@ -80,6 +80,26 @@ class TestSimulate:
         argv = simulate_args(tmp_path, **{"--protocol": "p2", "--gamma": "0.0"})
         assert main(argv) == 2
         assert "protocol 2 requires gamma > 0" in capsys.readouterr().err
+
+    def test_target_not_a_distribution_is_an_error_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # at gamma = 1e-9 the nonlocal target of this pair has an entry near -1e-8
+        def sampled(*args):
+            raise AssertionError("sampled before computing the targets")
+
+        monkeypatch.setattr(runtime, "run_batch", sampled)
+        settings = tmp_path / "s.csv"
+        settings.write_text(",".join(SETTINGS_CSV_HEADER) + "\n0.3122,0,0.95,-0.3122,0,0.95\n")
+        out = tmp_path / "r.json"
+        argv = simulate_args(tmp_path, **{
+            "--protocol": "p2", "--gamma": "1e-9", "--rounds": "1000",
+            "--settings": str(settings), "--out": str(out),
+        })
+        with pytest.warns(UserWarning, match="normalizing"):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: negative probability entry")
+        assert "Traceback" not in captured.err and "wrote" not in captured.out
+        assert not out.exists()
 
     def test_bad_random_count(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,15 @@ from mboxsim.geometry import (
     sign_array,
     spherical_grid,
 )
-from mboxsim.protocols import CHUNK, RoundRandomness, UNIFORMS_PER_ROUND, run_batch, symmetrize
+from mboxsim.protocols import (
+    CHUNK,
+    FlipSpec,
+    RoundRandomness,
+    UNIFORMS_PER_ROUND,
+    correlated_flip,
+    run_batch,
+    symmetrize,
+)
 from mboxsim.quantum import (
     EntanglementParam,
     JointDist,
@@ -67,6 +75,53 @@ def estimate_mean(values) -> EstimateWithError:
     if n < 2:
         raise ValueError(f"need n >= 2 samples, got {n}")
     return EstimateWithError(float(values.mean()), float(values.std(ddof=1)) / math.sqrt(n), n)
+
+
+def flip_moments_reference(c0: float, f_a: float, f_b: float) -> tuple[Fraction, Fraction, Fraction]:
+    """Reference flip algebra: Fraction band widths times numpy cell sums.
+
+    The shared uniform matters only through its band [0, f_min), [f_min,
+    f_max) or [f_max, 1); each band's four pre-flip cells go through
+    correlated_flip at the band's lower end and weigh width * (1 + a0*b0*c0)/4.
+    """
+    if not -1.0 <= c0 <= 1.0:
+        raise ValueError(f"pre-flip correlation must lie in [-1, 1], got {c0}")
+    spec = FlipSpec(f_a, f_b)
+    lo = min(f_a, f_b)
+    hi = max(f_a, f_b)
+    bands = [
+        (width, rep)
+        for width, rep in (
+            (Fraction(lo), 0.0),
+            (Fraction(hi) - Fraction(lo), lo),
+            (1 - Fraction(hi), hi),
+        )
+        if width != 0
+    ]
+    a0 = np.tile([-1, -1, 1, 1], len(bands))
+    b0 = np.tile([-1, 1, -1, 1], len(bands))
+    alpha, beta = correlated_flip(a0, b0, spec, np.repeat([rep for _, rep in bands], 4))
+    c0_frac = Fraction(c0)
+    moments = [Fraction(0)] * 3
+    for k, (width, _) in enumerate(bands):
+        cell = slice(4 * k, 4 * k + 4)
+        for j, x in enumerate((alpha[cell], beta[cell], alpha[cell] * beta[cell])):
+            s = int(x.sum())
+            t = int((a0[cell] * b0[cell] * x).sum())
+            moments[j] += width * (s + t * c0_frac) / 4
+    return tuple(moments)
+
+
+def _bob_flips_at_f_b(alpha0, beta0, spec, r):
+    """Mutant flip rule: Bob flips on r <= f_b instead of r < f_b."""
+    alpha, _ = correlated_flip(alpha0, beta0, spec, r)
+    return alpha, np.where((beta0 == -1) & (r <= spec.f_b), 1, beta0)
+
+
+def _alice_reads_f_b(alpha0, beta0, spec, r):
+    """Mutant flip rule: Alice compares r against Bob's f_b."""
+    _, beta = correlated_flip(alpha0, beta0, spec, r)
+    return np.where((alpha0 == -1) & (r < spec.f_b), 1, alpha0), beta
 
 
 class TestEstimators:
@@ -360,6 +415,48 @@ class TestFlipMoments:
         with pytest.raises(ValueError):
             flip_moments_exact(1.5, 0.5, 0.5)
 
+    @staticmethod
+    def assert_reference_fractions(c0, f_a, f_b):
+        got = flip_moments_exact(c0, f_a, f_b)
+        assert got == flip_moments_reference(c0, f_a, f_b)
+        assert all(type(m) is Fraction for m in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_equals_reference(self, c0, f_a, f_b):
+        self.assert_reference_fractions(c0, f_a, f_b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_empty_middle_band_equals_reference(self, c0, f):
+        self.assert_reference_fractions(c0, f, f)
+
+    def test_edge_values_equal_reference(self):
+        edges = (0.0, 1.0, 5e-324, 0.9999999999999999)
+        for c0 in (-1.0, 0.0, 1.0, 1e-300):
+            for f_a in edges:
+                for f_b in edges:
+                    self.assert_reference_fractions(c0, f_a, f_b)
+
+    @pytest.mark.parametrize("mutant", [_bob_flips_at_f_b, _alice_reads_f_b])
+    def test_suite_fails_under_a_mutant_flip_rule(self, monkeypatch, mutant):
+        monkeypatch.setattr(verify, "correlated_flip", mutant)
+        checks = {check.name: check for check in suite_flip(trials=50)}
+        assert not checks["flip-moments-exact"].passed
+
+    def test_one_flip_rule_call_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return correlated_flip(*args)
+
+        monkeypatch.setattr(verify, "correlated_flip", counted)
+        for c0, f_a, f_b in ((0.5, 0.25, 0.75), (0.5, 0.3, 0.3), (0.25, 0.0, 0.0), (-0.5, 1.0, 1.0)):
+            calls.clear()
+            flip_moments_exact(c0, f_a, f_b)
+            assert len(calls) == 1
+
 
 class TestMcRoundMoments:
     def test_shape(self):
@@ -491,7 +588,9 @@ class TestRealizedJoint:
                 for strategy in Completion:
                     for protocol in ("p1", "p2") if gamma > 0.0 else ("p1",):
                         joint = realized_joint(param, a, b, strategy, protocol)
-                        joint.validate(tol=1e-12)
+                        probs = joint.as_array()
+                        assert abs(float(probs.sum()) - 1.0) <= 1e-12
+                        assert float(probs.min()) >= -1e-12
                         if protocol == "p1":
                             # the flip alone sets the marginals
                             assert joint.mean_alpha == pytest.approx(param.cos2g * a[2], abs=1e-12)
