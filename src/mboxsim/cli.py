@@ -124,6 +124,7 @@ def _parse_gamma(parser: argparse.ArgumentParser, gamma: float, entangled: bool,
 def cmd_simulate(args, parser) -> int:
     if args.csv is not None and Path(args.csv).resolve() == Path(args.out).resolve():
         parser.error(f"--csv and --out name the same file: {args.csv!r}")
+    source = None
     if args.settings.startswith("random:"):
         try:
             n = int(args.settings.split(":", 1)[1])
@@ -132,13 +133,10 @@ def cmd_simulate(args, parser) -> int:
         if n < 1:
             parser.error(f"--settings random:N needs integer N >= 1, got {args.settings!r}")
         source = {"random_settings": n}
-    else:
-        try:
-            source = {"settings": load_settings_csv(args.settings)}
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    # A settings-file, config, target or output-file error exits 2 on one line.
     try:
+        if source is None:
+            source = {"settings": load_settings_csv(args.settings)}
         config = ExperimentConfig(
             protocol=args.protocol,
             gamma=args.gamma,
@@ -147,18 +145,9 @@ def cmd_simulate(args, parser) -> int:
             completion=args.completion,
             **source,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         report = run_experiment(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         payload = write_report(report, args.out, args.csv)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

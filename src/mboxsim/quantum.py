@@ -6,6 +6,10 @@ their direction sums, and the local/nonlocal split of the joint distribution
 (EPR2 decomposition) together with the slice geometry that drives protocol 2's
 branching.
 
+A distribution over (alpha, beta) is a float array of four probabilities in
+the one outcome order (+,+), (+,-), (-,+), (-,-), as _joint_from_moments
+builds it; checked_distribution holds the rule for when it is one.
+
 Notation used throughout: ``g`` is the state parameter in [0, pi/4],
 ``c = cos(2g)`` scales the marginals, ``s = sin(2g)`` scales the equatorial
 correlations.  Outcomes are written alpha, beta in {-1, +1}.
@@ -23,10 +27,10 @@ from .geometry import as_unit_vector, sgn
 __all__ = [
     "DegenerateAxisError",
     "EntanglementParam",
-    "JointDist",
     "aux_axis",
     "aux_axis_alice_nl",
     "branch_pairing",
+    "checked_distribution",
     "correlation",
     "epr2_correlation",
     "epr2_flip_probability",
@@ -67,56 +71,26 @@ class EntanglementParam:
         object.__setattr__(self, "sin2g", math.sin(2.0 * self.gamma))
 
 
-# How far a JointDist's sum may stray from 1, and an entry below 0, in validate.
-_VALIDATE_TOL = 1e-9
+def _joint_from_moments(mean_a: float, mean_b: float, corr: float) -> np.ndarray:
+    """The joint law of (alpha, beta) with these means and correlation."""
+    return np.array([
+        0.25 * (1.0 + mean_a + mean_b + corr),
+        0.25 * (1.0 + mean_a - mean_b - corr),
+        0.25 * (1.0 - mean_a + mean_b - corr),
+        0.25 * (1.0 - mean_a - mean_b + corr),
+    ])
 
 
-@dataclass(frozen=True)
-class JointDist:
-    """Joint distribution over (alpha, beta) in {+1, -1}^2.
-
-    Field order is (alpha, beta) = (+,+), (+,-), (-,+), (-,-).
-    """
-
-    pp: float
-    pm: float
-    mp: float
-    mm: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.pp, self.pm, self.mp, self.mm])
-
-    def clamped(self) -> np.ndarray:
-        """Entries with float-noise negatives (>= -1e-12) clipped to 0 for reporting."""
-        arr = self.as_array()
-        if float(arr.min()) < -1e-12:
-            raise ValueError(f"entry {arr.min()} is negative beyond reporting noise")
-        return np.clip(arr, 0.0, None)
-
-    def validate(self) -> "JointDist":
-        arr = self.as_array()
-        if abs(float(arr.sum()) - 1.0) > _VALIDATE_TOL:
-            raise ValueError(f"probabilities sum to {arr.sum()}, not 1")
-        if float(arr.min()) < -_VALIDATE_TOL:
-            raise ValueError(f"negative probability entry {arr.min()}")
-        return self
-
-    @property
-    def mean_alpha(self) -> float:
-        return self.pp + self.pm - self.mp - self.mm
-
-    @property
-    def mean_beta(self) -> float:
-        return self.pp - self.pm + self.mp - self.mm
-
-
-def _joint_from_moments(mean_a: float, mean_b: float, corr: float) -> JointDist:
-    return JointDist(
-        pp=0.25 * (1.0 + mean_a + mean_b + corr),
-        pm=0.25 * (1.0 + mean_a - mean_b - corr),
-        mp=0.25 * (1.0 - mean_a + mean_b - corr),
-        mm=0.25 * (1.0 - mean_a - mean_b + corr),
-    )
+def checked_distribution(probs) -> np.ndarray:
+    """The four entries with float-noise negatives clipped to 0, or ValueError
+    if they are not a distribution: a sum more than 1e-9 from 1, or an entry
+    below -1e-12."""
+    probs = np.asarray(probs, dtype=float)
+    if abs(float(probs.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+    if float(probs.min()) < -1e-12:
+        raise ValueError(f"negative probability entry {probs.min()}")
+    return np.clip(probs, 0.0, None)
 
 
 def correlation(param: EntanglementParam, a, b) -> float:
@@ -127,7 +101,7 @@ def correlation(param: EntanglementParam, a, b) -> float:
     return float(a[2] * b[2] + s * (a[0] * b[0] - a[1] * b[1]))
 
 
-def joint_qm(param: EntanglementParam, a, b) -> JointDist:
+def joint_qm(param: EntanglementParam, a, b) -> np.ndarray:
     """Quantum joint distribution: marginals c*a_z, c*b_z, correlation above."""
     a = as_unit_vector(a)
     b = as_unit_vector(b)
@@ -258,20 +232,20 @@ def epr2_correlation(param: EntanglementParam, a, b) -> float:
     return float(a[0] * b[0] - a[1] * b[1] + (a[2] * b[2] - om * fa * fb) / s)
 
 
-def joint_nl(param: EntanglementParam, a, b) -> JointDist:
+def joint_nl(param: EntanglementParam, a, b) -> np.ndarray:
     """Nonlocal part of the decomposition: marginals F(a_z), F(b_z) and
-    correlation G, validated non-negative."""
+    correlation G.  Near gamma = 0 an entry can fall below 0, which
+    checked_distribution refuses."""
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    dist = _joint_from_moments(
+    return _joint_from_moments(
         epr2_flip_probability(param, a[2]),
         epr2_flip_probability(param, b[2]),
         epr2_correlation(param, a, b),
     )
-    return dist.validate()
 
 
-def joint_local_product(param: EntanglementParam, a, b) -> JointDist:
+def joint_local_product(param: EntanglementParam, a, b) -> np.ndarray:
     """Local part in product form: 1/4 (1 + alpha f(az)) (1 + beta f(bz))."""
     _require_entangled(param)
     a = as_unit_vector(a)

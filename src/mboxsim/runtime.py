@@ -11,6 +11,7 @@ pure function of the config.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -28,7 +29,13 @@ from .protocols import (
     round_uniform_block,
     run_batch,
 )
-from .quantum import EntanglementParam, JointDist, _joint_from_moments, joint_nl, joint_qm
+from .quantum import (
+    EntanglementParam,
+    _joint_from_moments,
+    checked_distribution,
+    joint_nl,
+    joint_qm,
+)
 from .verify import (
     ChunkStats,
     ComparisonReport,
@@ -151,13 +158,23 @@ def load_settings_csv(path) -> tuple:
     return tuple(pairs)
 
 
-def _target_joint(param: EntanglementParam, a, b, protocol: str) -> JointDist:
+def _target_joint(param: EntanglementParam, a, b, protocol: str) -> np.ndarray:
     if protocol == "p1":
-        return joint_qm(param, a, b)
-    if protocol == "p2":
-        return joint_nl(param, a, b)
-    # Kernel rounds reproduce zero marginals with correlation a.b.
-    return _joint_from_moments(0.0, 0.0, float(np.asarray(a) @ np.asarray(b)))
+        joint = joint_qm(param, a, b)
+    elif protocol == "p2":
+        joint = joint_nl(param, a, b)
+    else:
+        # Kernel rounds reproduce zero marginals with correlation a.b.
+        joint = _joint_from_moments(0.0, 0.0, float(np.asarray(a) @ np.asarray(b)))
+    return checked_distribution(joint)
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    # One pool per worker count, kept for the life of the process: with a
+    # fresh pool per call, the last call's threads are still exiting when the
+    # next call's start, and the two race for the allocator's arenas.
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
@@ -166,8 +183,9 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     The work is split into fixed chunks whose randomness is addressed by
     (seed, setting, chunk); merging uses integer sums only, so worker count
     and completion order cannot change any reported value.  Every setting's
-    target is computed before any round is sampled, so a setting whose target
-    is not a distribution raises its ValueError at once.
+    target goes through quantum.checked_distribution before any round is
+    sampled, so a target that is not a distribution raises its ValueError at
+    once.
     """
     param = EntanglementParam(config.gamma)
     strategy = Completion(config.completion)
@@ -193,9 +211,8 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             si, stats = run_task(task)
             agg[si].add(stats)
     else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for si, stats in pool.map(run_task, tasks):
-                agg[si].add(stats)
+        for si, stats in _pool(config.workers).map(run_task, tasks):
+            agg[si].add(stats)
 
     records = []
     for si, (a, b) in enumerate(settings):

@@ -82,7 +82,9 @@ class TestSimulate:
         assert "protocol 2 requires gamma > 0" in capsys.readouterr().err
 
     def test_target_not_a_distribution_is_an_error_before_sampling(self, tmp_path, capsys, monkeypatch):
-        # at gamma = 1e-9 the nonlocal target of this pair has an entry near -1e-8
+        # the smallest entry of this pair's nonlocal target is near -1e-8 at
+        # gamma = 1e-9, and -4.07e-12 at gamma = 1e-7: between -1e-9 and the
+        # -1e-12 bound, and refused all the same
         def sampled(*args):
             raise AssertionError("sampled before computing the targets")
 
@@ -90,16 +92,17 @@ class TestSimulate:
         settings = tmp_path / "s.csv"
         settings.write_text(",".join(SETTINGS_CSV_HEADER) + "\n0.3122,0,0.95,-0.3122,0,0.95\n")
         out = tmp_path / "r.json"
-        argv = simulate_args(tmp_path, **{
-            "--protocol": "p2", "--gamma": "1e-9", "--rounds": "1000",
-            "--settings": str(settings), "--out": str(out),
-        })
-        with pytest.warns(UserWarning, match="normalizing"):
-            assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: negative probability entry")
-        assert "Traceback" not in captured.err and "wrote" not in captured.out
-        assert not out.exists()
+        for gamma in ("1e-9", "1e-7"):
+            argv = simulate_args(tmp_path, **{
+                "--protocol": "p2", "--gamma": gamma, "--rounds": "1000",
+                "--settings": str(settings), "--out": str(out),
+            })
+            with pytest.warns(UserWarning, match="normalizing"):
+                assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: negative probability entry"), gamma
+            assert "Traceback" not in captured.err and "wrote" not in captured.out
+            assert not out.exists()
 
     def test_bad_random_count(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -173,6 +176,10 @@ class TestGoldenReports:
     # boundary.  A change to these bytes is a report format or stream break:
     # bump the package version and pin the new digests.
     GOLDEN = {
+        ("p1", "normalize"): (
+            "09993f29d3aa4c080d81bb8c14d2a31543fdf250ef7573f87a7fbddd3156af8a",
+            "cb1ed6cf3c650dda074e28e4ca837445bd2adc9b14fdd6e702c7f06c79cbb5d3",
+        ),
         ("p1", "ortho"): (
             "0c215569ef767e53b85988848280cfe292ae3f96eff687919dff72ad0eff0140",
             "129dacd87350ab9a178a6896eeecacd8e954b712c3b56ef06af9f92cdedffd55",
@@ -180,6 +187,10 @@ class TestGoldenReports:
         ("p1", "ortho-sign"): (
             "0733982073cdece95aa7a3c99397294c86482315cdbfa6160189258e3e4def4c",
             "129dacd87350ab9a178a6896eeecacd8e954b712c3b56ef06af9f92cdedffd55",
+        ),
+        ("p2", "normalize"): (
+            "acd484fa2c9bca734dc0dc5606b394c647cf18eed536621f5f6fcf0d22398da5",
+            "7af87e27d5c722508fa40dd3ef2d8798bdb64b1f0b68da219dbc7005ff8fdadb",
         ),
         ("p2", "ortho"): (
             "efa8faed7cbe623445531a592858afde3b2835065c2774e9419e9e07b76915d6",
@@ -195,23 +206,64 @@ class TestGoldenReports:
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
         assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == __version__
 
+    # Small runs, at least one per protocol, on explicit settings at the
+    # edges: a tie a_z == b_z, negative z components and a z-axis setting.
+    # At gamma = 0 the z-axis setting's alternate axis is degenerate,
+    # 0.7853981634 is pi/4 in decimal, and a single round leaves pre_flip
+    # null.  The digests are 0.11.0's bytes, unchanged since.
+    EDGE_SETTINGS = "0.6,0,0.8,0,0.6,0.8\n0.6,0,-0.8,-0.48,0.6,-0.64\n0,0,1,0.8,0,-0.6\n"
+    EDGE = {
+        ("p1", "0.0", 3000, "normalize"): (
+            "cc0ed86e6426fc162aa611ffc2ccfd0ff3e2d7406326d71833f08350bbc20eb0",
+            "9153fecab04bcdb1b96cc04bd3414c73c96ed37bd6df9851e2d35b2ad031cf49",
+        ),
+        ("p1", "0.7853981634", 3000, "ortho"): (
+            "5645753cda8a845c573b4e810b5d06f4ec762b51d0faf9a6b4aab5c4f86cd007",
+            "b09b9a4c04ec5ce38cfba67ec400377554d8a1de80fac7a06cb0dc5422ee7e92",
+        ),
+        ("p2", "0.7853981634", 3000, "normalize"): (
+            "9c13dc255fe40c7e854d3f826f774e16a2a58aad93e1ec6ae45d4c7b59cf0005",
+            "e95eea8c9bcea91576af10043ae49236dc5d1ac3b263597485e22bfc9d2c1300",
+        ),
+        ("p2", repr(PI8), 1, "ortho"): (
+            "93ea1a3eba60f0f2ccd87b6d30b051785af7c538139b90b7e77713e140a62965",
+            "ffccbfe21fd3a3ffef212b46b49cf26c7ef4b15d920362292248934268681183",
+        ),
+        ("tb", "0.0", 3000, "normalize"): (
+            "06d86921c8e6cf3aa9f19ec2edde5bf6f3dfb9b5f79247286af0c39dbc6bc378",
+            "b05bc4f00f148cbbb7da339591173cbd5a4d83fb3991aff960b3eee134af536f",
+        ),
+    }
+
     @staticmethod
-    def golden_run(tmp_path, protocol, completion):
-        """The JSON and CSV report bytes of the pinned run."""
+    def golden_run(
+        tmp_path, protocol, completion, gamma=repr(PI8), settings="random:3", rounds=CHUNK + 2048
+    ):
+        """The JSON and CSV report bytes of a pinned run."""
         out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
         argv = simulate_args(tmp_path, **{
-            "--protocol": protocol, "--gamma": repr(PI8), "--settings": "random:3",
-            "--rounds": str(CHUNK + 2048), "--seed": "20260816",
+            "--protocol": protocol, "--gamma": gamma, "--settings": settings,
+            "--rounds": str(rounds), "--seed": "20260816",
             "--completion": completion, "--out": str(out), "--csv": str(csv_path),
         })
         assert main(argv) == 0
         return out.read_bytes(), csv_path.read_bytes()
 
+    @staticmethod
+    def digests(reports):
+        return tuple(hashlib.sha256(data).hexdigest() for data in reports)
+
     @pytest.mark.parametrize("protocol,completion", sorted(GOLDEN))
     def test_report_digests(self, tmp_path, protocol, completion):
         reports = self.golden_run(tmp_path, protocol, completion)
-        digests = tuple(hashlib.sha256(data).hexdigest() for data in reports)
-        assert digests == self.GOLDEN[(protocol, completion)]
+        assert self.digests(reports) == self.GOLDEN[(protocol, completion)]
+
+    @pytest.mark.parametrize("protocol,gamma,rounds,completion", sorted(EDGE))
+    def test_edge_report_digests(self, tmp_path, protocol, gamma, rounds, completion):
+        settings = tmp_path / "s.csv"
+        settings.write_text(",".join(SETTINGS_CSV_HEADER) + "\n" + self.EDGE_SETTINGS)
+        reports = self.golden_run(tmp_path, protocol, completion, gamma, str(settings), rounds)
+        assert self.digests(reports) == self.EDGE[(protocol, gamma, rounds, completion)]
 
     @pytest.mark.parametrize("protocol", ["p1", "p2"])
     def test_ortho_sign_reports_are_ortho(self, tmp_path, protocol):

@@ -7,10 +7,10 @@ from mboxsim.geometry import X_HAT, Z_HAT, sample_unit_sphere
 from mboxsim.quantum import (
     DegenerateAxisError,
     EntanglementParam,
-    JointDist,
     aux_axis,
     aux_axis_alice_nl,
     branch_pairing,
+    checked_distribution,
     correlation,
     epr2_correlation,
     epr2_flip_probability,
@@ -58,36 +58,36 @@ class TestEntanglementParam:
             assert p.sin2g >= 0.0
 
 
-class TestJointDist:
-    def test_validate_and_sum(self):
-        d = JointDist(0.5, 0.0, 0.0, 0.5).validate()
-        assert sum(d.as_array()) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            JointDist(0.6, 0.6, 0.0, 0.0).validate()
-        with pytest.raises(ValueError):
-            JointDist(0.5, -0.1, 0.3, 0.3).validate()
+class TestCheckedDistribution:
+    def test_refuses_a_sum_off_one(self):
+        assert checked_distribution([0.5, 0.0, 0.0, 0.5]).tolist() == [0.5, 0.0, 0.0, 0.5]
+        with pytest.raises(ValueError, match="sum to"):
+            checked_distribution([0.6, 0.6, 0.0, 0.0])
+        with pytest.raises(ValueError, match="sum to"):
+            checked_distribution([0.5, 0.0, 0.0, 0.5 + 2e-9])
 
-    def test_clamped_clips_float_noise_only(self):
-        d = JointDist(0.5 + 1e-13, -1e-13, 0.0, 0.5)
-        arr = d.clamped()
+    def test_clips_float_noise_only(self):
+        arr = checked_distribution([0.5 + 1e-13, -1e-13, 0.0, 0.5])
         assert np.all(arr >= 0.0)
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            JointDist(0.5, -1e-6, 0.0, 0.5).clamped()
+        # any entry below -1e-12 is refused, even one far inside the sum's 1e-9
+        for entry in (-1e-6, -1e-9, -4.07e-12):
+            with pytest.raises(ValueError, match="negative probability entry"):
+                checked_distribution([0.5 - entry, entry, 0.0, 0.5])
 
 
 class TestJointQm:
     def test_product_state_aligned(self):
         d = joint_qm(EntanglementParam(0.0), Z_HAT, Z_HAT)
-        assert d.as_array() == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
+        assert d == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
     def test_maximal_aligned(self):
         d = joint_qm(EntanglementParam(PI4), Z_HAT, Z_HAT)
-        assert d.as_array() == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-15)
+        assert d == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-15)
 
     def test_maximal_x_y_uniform(self):
         d = joint_qm(EntanglementParam(PI4), X_HAT, Y_HAT)
-        assert d.as_array() == pytest.approx([0.25] * 4, abs=1e-15)
+        assert d == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_marginals_exact(self):
         for param, (a, b) in zip(
@@ -95,17 +95,16 @@ class TestJointQm:
             random_settings(3, key=21),
         ):
             d = joint_qm(param, a, b)
-            assert d.mean_alpha == pytest.approx(param.cos2g * a[2], abs=1e-12)
-            assert d.mean_beta == pytest.approx(param.cos2g * b[2], abs=1e-12)
+            assert d @ [1, 1, -1, -1] == pytest.approx(param.cos2g * a[2], abs=1e-12)
+            assert d @ [1, -1, 1, -1] == pytest.approx(param.cos2g * b[2], abs=1e-12)
 
     def test_alice_reflection_symmetry(self):
         param = EntanglementParam(PI8)
         for a, b in random_settings(20, key=22):
             d = joint_qm(param, a, b)
             r = joint_qm(param, -a, b)
-            # negating a swaps alpha outcomes
-            assert d.pp == pytest.approx(r.mp, abs=1e-15)
-            assert d.pm == pytest.approx(r.mm, abs=1e-15)
+            # negating a swaps alpha outcomes: (+,+) with (-,+), (+,-) with (-,-)
+            assert d[:2] == pytest.approx(r[2:], abs=1e-15)
 
 
 class TestCorrelation:
@@ -247,7 +246,7 @@ class TestJointNl:
         big_f = epr2_flip_probability(param, 1.0)
         d = joint_nl(param, Z_HAT, Z_HAT)
         want = [0.5 * (1 + big_f), 0.0, 0.0, 0.5 * (1 - big_f)]
-        assert d.as_array() == pytest.approx(want, abs=1e-12)
+        assert d == pytest.approx(want, abs=1e-12)
 
     def test_equatorial_scalar_product_form(self):
         param = EntanglementParam(PI8)
@@ -257,13 +256,13 @@ class TestJointNl:
         d = joint_nl(param, a, b)
         dot = float(a @ bp)
         want = [(1 + dot) / 4, (1 - dot) / 4, (1 - dot) / 4, (1 + dot) / 4]
-        assert d.as_array() == pytest.approx(want, abs=1e-12)
+        assert d == pytest.approx(want, abs=1e-12)
 
     def test_equals_qm_at_pi_over_4(self):
         param = EntanglementParam(PI4)
         for a, b in random_settings(20, key=27):
-            nl = joint_nl(param, a, b).as_array()
-            qm = joint_qm(param, a, b).as_array()
+            nl = joint_nl(param, a, b)
+            qm = joint_qm(param, a, b)
             assert np.max(np.abs(nl - qm)) <= 1e-12
 
 
@@ -273,9 +272,9 @@ class TestDecomposition:
             param = EntanglementParam(gamma)
             s = param.sin2g
             for a, b in random_settings(30, key=28):
-                qm = joint_qm(param, a, b).as_array()
-                loc = joint_local_product(param, a, b).as_array()
-                nl = joint_nl(param, a, b).as_array()
+                qm = joint_qm(param, a, b)
+                loc = joint_local_product(param, a, b)
+                nl = joint_nl(param, a, b)
                 assert np.max(np.abs(qm - ((1 - s) * loc + s * nl))) <= 1e-12
 
     def test_local_equatorial_uniform(self):
@@ -283,11 +282,11 @@ class TestDecomposition:
         a = np.array([math.cos(0.4), math.sin(0.4), 0.0])
         b = np.array([math.cos(2.0), math.sin(2.0), 0.0])
         d = joint_local_product(param, a, b)
-        assert d.as_array() == pytest.approx([0.25] * 4, abs=1e-15)
+        assert d == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_local_aligned_z_deterministic(self):
         d = joint_local_product(EntanglementParam(PI8), Z_HAT, Z_HAT)
-        assert d.as_array() == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
+        assert d == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
     def test_requires_partial_entanglement(self):
         with pytest.raises(ValueError):
