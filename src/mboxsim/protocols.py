@@ -49,7 +49,6 @@ from .geometry import (
     complete_rows,
     sgn,
     sign_array,
-    unit_vector_from_uniforms,
 )
 from .quantum import (
     DegenerateAxisError,
@@ -83,7 +82,8 @@ __all__ = [
 PROTOCOL_IDS = ("p1", "p2", "tb")
 
 # Fixed per-round layout of the uniform stream (one row of 24 doubles):
-# 0,1 lambda1 | 2,3 lambda2 | 4..17 mu_1..mu_7 as (polar, azimuth) pairs |
+# 0,1 lambda1 | 2,3 lambda2 as (polar, azimuth) pairs, see _lambda_rows |
+# 4..17 mu_1..mu_7 as (polar, azimuth) pairs |
 # 18 flip coupler | 19 box coin | 20..23 unread.
 # The protocols read mu_i only through sgn(z . mu_i), which is the sign of
 # its polar slot's z = 1 - 2u, so the azimuth slots are never read.
@@ -161,6 +161,27 @@ class FlipSpec:
                 raise ValueError(f"{name} must lie in [0, 1], got {f}")
 
 
+def _lambda_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Shared unit vectors lambda from polar slots u1 and azimuth slots u2, one row each.
+
+    geometry.unit_vector_from_uniforms's map with the azimuth trig in float32:
+    z = 1 - 2 u1 and rho = sqrt(1 - z^2) are float64, and bit-identical to
+    it; phi = 2 pi u2 is rounded to float32 once, so x and y differ from the
+    float64 build by at most ~2.5e-7.  The kernel reads lambda only through
+    sgn(u . lambda), which this can change only where |u . lambda| < ~2.5e-7.
+    numpy's float32 cos and sin run many times faster than its float64 ones,
+    which were most of a round's expansion.
+    """
+    out = np.empty((u1.shape[0], 3))
+    z = out[:, 2]
+    np.subtract(1.0, 2.0 * u1, out=z)
+    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    phi = (2.0 * np.pi * u2).astype(np.float32)
+    np.multiply(rho, np.cos(phi), out=out[:, 0])
+    np.multiply(rho, np.sin(phi), out=out[:, 1])
+    return out
+
+
 @dataclass
 class RoundRandomness:
     """Array form of per-round randomness, one row per round.
@@ -188,8 +209,8 @@ class RoundRandomness:
         down = (u[:, 4:17] > 0.5)[:, _SIGN_SLOTS - 4]
         # copies, so no view keeps the row block alive while the batch runs
         return cls(
-            lam1=unit_vector_from_uniforms(u[:, 0], u[:, 1]),
-            lam2=unit_vector_from_uniforms(u[:, 2], u[:, 3]),
+            lam1=_lambda_rows(u[:, 0], u[:, 1]),
+            lam2=_lambda_rows(u[:, 2], u[:, 3]),
             flip_r=u[:, 18].copy(),
             box_u=u[:, 19].copy(),
             signs=(down * _SIGN_BITS).sum(axis=1, dtype=np.uint16),
@@ -241,7 +262,8 @@ def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
     events nested rather than independent, which is what turns a zero-marginal
     correlation C0 into moments (f_a, f_b, f_min + (1 - f_max) C0).  Works
     elementwise on sign arrays and uniforms of one shape and returns the
-    flipped (alpha, beta) arrays; run_batch applies it to whole batches.
+    flipped (alpha, beta) arrays.  run_batch applies the same rule, _flip, to
+    whole batches without the input checks.
     """
     alpha0 = np.asarray(alpha0)
     beta0 = np.asarray(beta0)
@@ -250,6 +272,12 @@ def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
         raise ValueError("outputs must be signs")
     if not np.all((r >= 0.0) & (r < 1.0)):
         raise ValueError("r must lie in [0, 1)")
+    return _flip(alpha0, beta0, spec, r)
+
+
+def _flip(alpha0: np.ndarray, beta0: np.ndarray, spec: FlipSpec, r: np.ndarray):
+    """correlated_flip's rule without its input checks.  run_batch calls it
+    directly: its signs come from sign_array and its r from [0, 1) slots."""
     alpha = np.where((alpha0 == -1) & (r < spec.f_a), np.int8(1), alpha0)
     beta = np.where((beta0 == -1) & (r < spec.f_b), np.int8(1), beta0)
     return alpha, beta
@@ -452,7 +480,7 @@ def run_batch(
         _rowdot(v_rows, rr.lam1), _rowdot(v_rows, rr.lam2),
     )
 
-    alpha_sym, beta_sym = correlated_flip(alpha0, beta0, flip_spec(param, a1, b1, protocol), rr.flip_r)
+    alpha_sym, beta_sym = _flip(alpha0, beta0, flip_spec(param, a1, b1, protocol), rr.flip_r)
 
     return BatchOutcome(
         alpha=(sign_a * alpha_sym).astype(np.int8),

@@ -184,13 +184,21 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     (seed, setting, chunk); merging uses integer sums only, so worker count
     and completion order cannot change any reported value.  Every setting's
     target goes through quantum.checked_distribution before any round is
-    sampled, so a target that is not a distribution raises its ValueError at
-    once.
+    sampled, so a target that is not a distribution raises its ValueError,
+    naming the setting's index, a and b, at once.
     """
     param = EntanglementParam(config.gamma)
     strategy = Completion(config.completion)
     settings = resolve_settings(config)
-    targets = [_target_joint(param, a, b, config.protocol) for a, b in settings]
+    targets = []
+    for si, (a, b) in enumerate(settings):
+        try:
+            targets.append(_target_joint(param, a, b, config.protocol))
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc}, in the target of setting {si}: "
+                f"a = {[float(x) for x in a]}, b = {[float(x) for x in b]}"
+            ) from None
 
     tasks = []
     for si, (a, b) in enumerate(settings):

@@ -104,6 +104,29 @@ class TestSimulate:
             assert "Traceback" not in captured.err and "wrote" not in captured.out
             assert not out.exists()
 
+    def test_refused_target_names_its_setting(self, tmp_path, capsys, monkeypatch):
+        # epr2's grid pair at gamma = 1e-6: the nonlocal target's smallest
+        # entry is -2.8e-12, and the error says which setting it belongs to
+        def sampled(*args):
+            raise AssertionError("sampled before computing the targets")
+
+        monkeypatch.setattr(runtime, "run_batch", sampled)
+        a = "0.31224989991991997,0,0.95"
+        b = "-0.31224989991991997,3.823958404710114e-17,0.95"
+        settings = tmp_path / "s.csv"
+        settings.write_text(",".join(SETTINGS_CSV_HEADER) + f"\n0,0,1,0.6,0,0.8\n{a},{b}\n")
+        argv = simulate_args(tmp_path, **{
+            "--protocol": "p2", "--gamma": "1e-6", "--rounds": "4000000",
+            "--settings": str(settings),
+        })
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: negative probability entry -2.82"), err
+        assert (
+            "in the target of setting 1: a = [0.31224989991991997, 0.0, 0.95], "
+            "b = [-0.31224989991991997, 3.823958404710114e-17, 0.95]"
+        ) in err
+
     def test_bad_random_count(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(simulate_args(tmp_path, **{"--settings": "random:0"}))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mboxsim.geometry import Completion, X_HAT, Z_HAT, sample_unit_sphere, sgn
+from mboxsim.geometry import (
+    Completion,
+    X_HAT,
+    Z_HAT,
+    sample_unit_sphere,
+    sgn,
+    unit_vector_from_uniforms,
+)
 from mboxsim.protocols import (
+    CHUNK,
     FlipSpec,
     PROTOCOL_IDS,
     RoundRandomness,
@@ -14,7 +23,9 @@ from mboxsim.protocols import (
     alice_direction_rows,
     bob_direction_rows,
     correlated_flip,
+    flip_spec,
     round_directions,
+    round_uniform_block,
     run_batch,
     symmetrize,
 )
@@ -82,8 +93,46 @@ class TestRoundRandomness:
         assert rr.box_u[0] == 0.0
         assert rr.signs[0] == 0
         rr = rr_from({0: 0.5, 1: 0.25, 2: 1.0, 3: 0.0})
-        assert rr.lam1[0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
-        assert rr.lam2[0] == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
+        # lambda's azimuth trig is float32: cos(pi/2) reads -4.4e-8 there
+        assert rr.lam1[0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-6)
+        assert rr.lam2[0] == pytest.approx([0.0, 0.0, -1.0], abs=1e-6)
+
+    def test_lambda_matches_float64_sphere_map(self):
+        # over one whole chunk, against the float64 map on the same slots:
+        # z is the same float, x and y move by float32 rounding of the trig
+        u = round_uniform_block(7, 0, 0, CHUNK)
+        rr = RoundRandomness.from_uniform_block(u)
+        for lam, slots in ((rr.lam1, (0, 1)), (rr.lam2, (2, 3))):
+            ref = unit_vector_from_uniforms(u[:, slots[0]], u[:, slots[1]])
+            assert lam.dtype == np.float64 and lam.shape == (CHUNK, 3)
+            assert np.array_equal(lam[:, 2], ref[:, 2])
+            assert np.abs(lam[:, :2] - ref[:, :2]).max() <= 5e-7
+            assert np.abs(np.linalg.norm(lam, axis=1) - 1.0).max() <= 1e-6
+
+    def test_float32_azimuth_keeps_kernel_signs(self):
+        # a kernel sign can move only where |u . lambda| < ~2.5e-7: over
+        # 2^21 rounds per protocol, float32 and float64 lambda give the same
+        # (alpha0, cbit, beta0) in all but at most 2 rounds
+        param = EntanglementParam(PI8)
+        g = np.random.Generator(np.random.Philox(key=76))
+        pairs = [(sample_unit_sphere(g), sample_unit_sphere(g)) for _ in range(4)]
+        differ = dict.fromkeys(PROTOCOL_IDS, 0)
+        for si, (a, b) in enumerate(pairs):
+            for start in range(0, 8 * CHUNK, CHUNK):
+                u = round_uniform_block(11, si, start, CHUNK)
+                rr = RoundRandomness.from_uniform_block(u)
+                rr64 = dataclasses.replace(
+                    rr,
+                    lam1=unit_vector_from_uniforms(u[:, 0], u[:, 1]),
+                    lam2=unit_vector_from_uniforms(u[:, 2], u[:, 3]),
+                )
+                for protocol in PROTOCOL_IDS:
+                    one = run_batch(param, a, b, rr, Completion.NORMALIZE, protocol)
+                    two = run_batch(param, a, b, rr64, Completion.NORMALIZE, protocol)
+                    differ[protocol] += int(np.count_nonzero(
+                        (one.alpha0 != two.alpha0) | (one.cbit != two.cbit) | (one.beta0 != two.beta0)
+                    ))
+        assert sum(differ.values()) <= 2, differ
 
     def test_mu_sign_slots(self):
         # polar slots 4, 6, ..., 16 carry the signs (u <= 1/2 means z >= 0)
@@ -441,6 +490,18 @@ class TestRunBatch:
             two = run_batch(param, a, b, rr, Completion.ORTHO_SIGN, protocol)
             for name in ("alpha", "beta", "alpha0", "beta0", "p", "q", "cbit"):
                 assert np.array_equal(getattr(one, name), getattr(two, name)), (gamma, protocol, a, name)
+
+    @pytest.mark.parametrize("protocol", ["p1", "p2"])
+    def test_flip_is_correlated_flip(self, protocol):
+        # run_batch applies correlated_flip's rule, without its input checks
+        rr = random_rr(5000, key=77)
+        param = EntanglementParam(PI8)
+        a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, -0.8])
+        out = run_batch(param, a, b, rr, Completion.NORMALIZE, protocol)
+        a1, b1, sign_a, sign_b = symmetrize(a, b)
+        alpha, beta = correlated_flip(out.alpha0, out.beta0, flip_spec(param, a1, b1, protocol), rr.flip_r)
+        assert np.array_equal(out.alpha, sign_a * alpha)
+        assert np.array_equal(out.beta, sign_b * beta)
 
     def test_degenerate_axis_falls_back(self):
         # gamma = 0 makes Alice's alternate axis undefined at a = z; the
