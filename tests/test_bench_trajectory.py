@@ -40,7 +40,8 @@ def test_build_keeps_medians_quartiles_counts_and_layers():
     assert (doc["version"], doc["git_head"]) == ("0.0.1", "abc")
     assert doc["host"]["nproc"] >= 1
     assert set(doc["known_misreadings"]) == {
-        "cli.validate_ms_per_op", "runtime.draw_ns_per_round", "runtime.unexited_threads_per_op",
+        "cli.validate_ms_per_op", "runtime.draw_ns_per_round", "runtime.uniform_bytes_per_round",
+        "runtime.unexited_threads_per_op",
         "protocols.directions_ns_per_round", "geometry.complete_ns_per_round",
     }
 
