@@ -2,16 +2,21 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from mboxsim import __version__, cli, runtime
 from mboxsim.cli import main, report_schema
+from mboxsim.geometry import Completion
 from mboxsim.protocols import STREAM
-from mboxsim.runtime import CHUNK, SETTINGS_CSV_HEADER
+from mboxsim.runtime import CHUNK, SETTINGS_CSV_HEADER, ExperimentConfig, run_experiment
+from mboxsim.verify import report_to_json_dict
 
 PI8 = math.pi / 8
 
@@ -173,6 +178,27 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and "wrote" not in captured.out
         assert not out.exists()
 
+    def test_workers_leave_the_report_bytes(self, tmp_path):
+        # six chunks over two threads, against the serial path
+        reports = []
+        for workers in ("1", "2"):
+            out, csv_path = tmp_path / f"r{workers}.json", tmp_path / f"r{workers}.csv"
+            argv = simulate_args(tmp_path, **{
+                "--protocol": "p1", "--gamma": repr(PI8), "--settings": "random:3",
+                "--rounds": str(CHUNK + 100), "--out": str(out), "--csv": str(csv_path),
+                "--workers": workers,
+            })
+            assert main(argv) == 0
+            reports.append((out.read_bytes(), csv_path.read_bytes()))
+        assert reports[0] == reports[1]
+
+    def test_zero_workers_is_an_error(self, tmp_path, capsys):
+        assert main(simulate_args(tmp_path, **{"--workers": "0"})) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: workers must be >= 1, got 0\n"
+        assert "wrote" not in captured.out
+        assert not (tmp_path / "r.json").exists()
+
     def test_schema_passes_its_metaschema(self):
         # simulate validates against the schema without re-checking the
         # schema itself, so that check lives here
@@ -300,6 +326,158 @@ class TestGoldenReports:
         assert sign["config"]["completion"] == "ortho-sign"
         sign["config"]["completion"] = "ortho"
         assert sign == json.loads(ortho_json)
+
+
+# Each node of a report is set to each of these in turn by the mutation corpus.
+MUTANT_VALUES = (
+    None, True, False, 0, 1, -1, 7, -3, 1.0, 0.5, -0.5, 1.5, math.nan, math.inf,
+    "", "p1", "random:2", [], [0.0, 0.0, 1.0], {},
+)
+
+
+def mutations(doc):
+    """Mutate doc in place, yield a label for each mutant, and restore it.
+
+    Every entry of every object and array is set to each MUTANT_VALUES
+    member and deleted, and every object gains an extra key and every array
+    a copy of its last item.
+    """
+    containers = []
+
+    def walk(x, where):
+        if isinstance(x, (dict, list)):
+            containers.append((x, where))
+            for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
+                walk(v, f"{where}/{k}")
+
+    walk(doc, "")
+    for c, where in containers:
+        for k in list(c) if isinstance(c, dict) else range(len(c)):
+            old = c[k]
+            for v in MUTANT_VALUES:
+                c[k] = v
+                yield f"{where}/{k} = {v!r}"
+            if isinstance(c, dict):
+                del c[k]
+                yield f"del {where}/{k}"
+                c[k] = old
+            else:
+                c.pop(k)
+                yield f"del {where}/{k}"
+                c.insert(k, old)
+        if isinstance(c, dict):
+            c["extra"] = 0
+            yield f"{where}/extra = 0"
+            del c["extra"]
+        else:
+            c.append(c[-1] if c else 0)
+            yield f"{where} + one item"
+            c.pop()
+
+
+def passes(check, doc) -> bool:
+    try:
+        check(doc)
+    except jsonschema.ValidationError:
+        return False
+    return True
+
+
+def small_report(protocol, rounds) -> dict:
+    """A one-record report as JSON loads it back."""
+    config = ExperimentConfig(
+        protocol=protocol, gamma=0.7853981634, rounds=rounds, seed=5, random_settings=1
+    )
+    return json.loads(json.dumps(report_to_json_dict(run_experiment(config))))
+
+
+class TestReportCheck:
+    """simulate's self-check, compiled from the schema, against jsonschema."""
+
+    SCHEMA = report_schema()
+    IS_VALID = validator_for(SCHEMA)(SCHEMA).is_valid
+    EDGE_ROWS = TestGoldenReports.EDGE_SETTINGS.splitlines()
+
+    # p1 over two rounds reports a pre_flip object, p2 over one round null.
+    @pytest.mark.parametrize("protocol,rounds", [("p1", 2), ("p2", 1)])
+    def test_agrees_with_jsonschema_on_mutants(self, protocol, rounds):
+        check = cli._compile(self.SCHEMA)
+        doc = small_report(protocol, rounds)
+        valid = []
+        for label in mutations(doc):
+            valid.append(self.IS_VALID(doc))
+            assert passes(check, doc) == valid[-1], label
+        for v in MUTANT_VALUES:  # the whole document replaced
+            assert not passes(check, v) and not self.IS_VALID(v)
+        # the corpus holds mutants on both sides of the line
+        assert 100 < sum(valid) < len(valid) - 500
+
+    def test_violation_names_path_and_keyword(self):
+        doc = small_report("p1", 2)
+        doc["records"][0]["tv"] = 1.5
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            cli._report_validator()(doc)
+        assert exc.value.message == (
+            "$.records[0].tv: maximum: 1.5 is greater than the maximum of 1"
+        )
+
+    REFUSED = {
+        "multipleOf": (("properties", "config", "properties", "gamma"), "multipleOf", 0.5),
+        "format": (("properties", "config", "properties", "settings_source"), "format", "uri"),
+        "additionalProperties {}": (("properties", "summary"), "additionalProperties", {}),
+        "type list": (("properties", "config", "properties", "gamma"), "type", ["number", "null"]),
+        "enum with a bool": (
+            ("$defs", "record", "properties", "branches", "items", "properties", "p"),
+            "enum", [True, 1],
+        ),
+        "remote $ref": (("properties", "records", "items"), "$ref", "record.json#/x"),
+        "dangling $ref": (("properties", "records", "items"), "$ref", "#/$defs/nothing"),
+        "draft-07": ((), "$schema", "http://json-schema.org/draft-07/schema#"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(REFUSED))
+    def test_unsupported_form_is_refused_at_compile_time(self, edit):
+        path, key, value = self.REFUSED[edit]
+        schema = report_schema()
+        node = schema
+        for part in path:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(jsonschema.SchemaError):
+            cli._compile(schema)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        protocol=st.sampled_from(("p1", "p2", "tb")),
+        completion=st.sampled_from([c.value for c in Completion]),
+        gamma=st.sampled_from(("0.0", "0.7853981634")),
+        rounds=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+        more_rows=st.lists(st.sampled_from(EDGE_ROWS[1:]), max_size=2),
+    )
+    @example(protocol="p2", completion="ortho", gamma="0.7853981634", rounds=1, seed=0, more_rows=[])
+    @example(protocol="p1", completion="normalize", gamma="0.0", rounds=3, seed=0, more_rows=[])
+    def test_edge_reports_pass_both_checks(self, protocol, completion, gamma, rounds, seed, more_rows):
+        # every run has the tie a_z == b_z (the first edge row); p2 needs gamma > 0
+        assume(protocol != "p2" or gamma != "0.0")
+        with tempfile.TemporaryDirectory() as tmp:
+            settings_csv = Path(tmp) / "s.csv"
+            settings_csv.write_text(
+                "\n".join([",".join(SETTINGS_CSV_HEADER), self.EDGE_ROWS[0], *more_rows]) + "\n"
+            )
+            argv = simulate_args(Path(tmp), **{
+                "--protocol": protocol, "--gamma": gamma, "--settings": str(settings_csv),
+                "--rounds": str(rounds), "--seed": str(seed), "--completion": completion,
+            })
+            assert main(argv) == 0
+            payload = json.loads((Path(tmp) / "r.json").read_text())
+        assert self.IS_VALID(payload)
+        cli._report_validator()(payload)
+        # both arms of pre_flip's oneOf; at rounds = 1, a branch seen once
+        for record in payload["records"]:
+            assert (record["pre_flip"] is None) == (rounds == 1)
+            branched = 0 if protocol == "tb" else rounds
+            assert sum(b["n"] for b in record["branches"]) == branched
 
 
 class TestVerify:

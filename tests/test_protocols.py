@@ -275,6 +275,16 @@ class TestCorrelatedFlip:
             correlated_flip(np.array([1, -1]), np.array([1, 2]), spec, np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             correlated_flip(np.array([1, -1]), np.array([1, 1]), spec, np.array([0.1, np.nan]))
+        # an int8 square would wrap 127 to 1; a range check by floor must see
+        # the tiny negative and the infinity
+        with pytest.raises(ValueError):
+            correlated_flip(np.int8([1, 127]), np.int8([1, 1]), spec, np.array([0.1, 0.2]))
+        with pytest.raises(ValueError):
+            correlated_flip(np.int8([1, -1]), np.int8([-128, 1]), spec, np.array([0.1, 0.2]))
+        for bad_r in (-1e-300, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                correlated_flip(np.array([1, -1]), np.array([1, 1]), spec, np.array([0.1, bad_r]))
+        assert correlated_flip(-1, -1, spec, -0.0) == (1, 1)
         with pytest.raises(ValueError):
             FlipSpec(-0.1, 0.5)
         with pytest.raises(ValueError):
