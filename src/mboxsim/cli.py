@@ -289,18 +289,16 @@ def _one_of(subs, schema, root, refs):
 
 
 def _ref(ref, schema, root, refs):
-    # A local JSON pointer, compiled once however often it is referenced;
-    # the look-up at call time lets a definition refer to itself.
+    # A flat local pointer (#/$defs/name), compiled once however often it is
+    # referenced.  A self-referring definition recurses here at compile time.
     _need(isinstance(ref, str) and ref.startswith("#/"), "$ref", ref)
     if ref not in refs:
         target = root
         for part in ref[2:].split("/"):
-            part = part.replace("~1", "/").replace("~0", "~")
             _need(isinstance(target, dict) and part in target, "$ref", ref)
             target = target[part]
-        refs[ref] = None
         refs[ref] = _node(target, root, refs)
-    return lambda x: refs[ref](x)
+    return refs[ref]
 
 
 _KEYWORDS = {
@@ -342,10 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--completion", required=True, choices=_COMPLETION_TAGS)
     sim.add_argument("--out", required=True, help="JSON report path")
     sim.add_argument("--csv", default=None, help="optional flat CSV report path")
-    sim.add_argument(
-        "--workers", type=int, default=1,
-        help="threads that sample chunks (default 1); the report does not depend on it",
-    )
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
@@ -415,7 +409,6 @@ def cmd_simulate(args, parser) -> int:
             rounds=args.rounds,
             seed=args.seed,
             completion=args.completion,
-            workers=args.workers,
             **source,
         )
         report = run_experiment(config)

@@ -270,8 +270,14 @@ def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
     r = np.asarray(r)
     # One comparison per check, |x| == 1 and floor(r) == 0 (NaN fails both),
     # reduced by the array's own .all(): on the twelve cells the exact flip
-    # algebra passes, numpy's per-call overhead is the whole cost.
-    if not ((np.abs(alpha0) == 1).all() and (np.abs(beta0) == 1).all()):
+    # algebra passes, numpy's per-call overhead is the whole cost.  Signs are
+    # integers or reals: ±1j, or an object array holding it, has |x| == 1 too.
+    if not (
+        alpha0.dtype.kind in "iuf"
+        and beta0.dtype.kind in "iuf"
+        and (np.abs(alpha0) == 1).all()
+        and (np.abs(beta0) == 1).all()
+    ):
         raise ValueError("outputs must be signs")
     if not (np.floor(r) == 0).all():
         raise ValueError("r must lie in [0, 1)")

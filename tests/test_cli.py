@@ -178,27 +178,6 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and "wrote" not in captured.out
         assert not out.exists()
 
-    def test_workers_leave_the_report_bytes(self, tmp_path):
-        # six chunks over two threads, against the serial path
-        reports = []
-        for workers in ("1", "2"):
-            out, csv_path = tmp_path / f"r{workers}.json", tmp_path / f"r{workers}.csv"
-            argv = simulate_args(tmp_path, **{
-                "--protocol": "p1", "--gamma": repr(PI8), "--settings": "random:3",
-                "--rounds": str(CHUNK + 100), "--out": str(out), "--csv": str(csv_path),
-                "--workers": workers,
-            })
-            assert main(argv) == 0
-            reports.append((out.read_bytes(), csv_path.read_bytes()))
-        assert reports[0] == reports[1]
-
-    def test_zero_workers_is_an_error(self, tmp_path, capsys):
-        assert main(simulate_args(tmp_path, **{"--workers": "0"})) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: workers must be >= 1, got 0\n"
-        assert "wrote" not in captured.out
-        assert not (tmp_path / "r.json").exists()
-
     def test_schema_passes_its_metaschema(self):
         # simulate validates against the schema without re-checking the
         # schema itself, so that check lives here
@@ -444,6 +423,13 @@ class TestReportCheck:
             node = node[part]
         node[key] = value
         with pytest.raises(jsonschema.SchemaError):
+            cli._compile(schema)
+
+    def test_self_referring_definition_fails_to_compile(self):
+        # refs compile eagerly, so a cycle cannot leave a node unchecked
+        schema = report_schema()
+        schema["$defs"]["record"]["properties"]["branches"]["items"] = {"$ref": "#/$defs/record"}
+        with pytest.raises(RecursionError):
             cli._compile(schema)
 
     @settings(max_examples=30, deadline=None)

@@ -285,6 +285,12 @@ class TestCorrelatedFlip:
             with pytest.raises(ValueError):
                 correlated_flip(np.array([1, -1]), np.array([1, 1]), spec, np.array([0.1, bad_r]))
         assert correlated_flip(-1, -1, spec, -0.0) == (1, 1)
+        # ±1j has modulus 1 but is not a sign, in a complex or an object array
+        for bad in (np.array([1, 1j]), np.array([1, -1j], dtype=object), 1j):
+            with pytest.raises(ValueError):
+                correlated_flip(bad, np.array([1, 1]), spec, np.array([0.1, 0.2]))
+            with pytest.raises(ValueError):
+                correlated_flip(np.array([1, 1]), bad, spec, np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             FlipSpec(-0.1, 0.5)
         with pytest.raises(ValueError):
