@@ -1,15 +1,21 @@
-"""Batch execution: settings sweeps over deterministic streams.
+"""Batch execution: settings sweeps over deterministic streams, and the report.
 
 Every round's randomness comes from protocols.round_uniform_block, a
 counter-style stream keyed by (seed, setting index, chunk index).  A worker
 that is handed chunk k of setting i regenerates exactly those rows no matter
-which thread it runs on or how many peers it has, and per-setting
-aggregation is one integer histogram (verify.ChunkStats), so the report is a
-pure function of the config.
+which thread it runs on or how many peers it has.  sample_settings is the one
+sampler: it turns every sampled chunk, for run_experiment and for verify's
+Monte Carlo alike, into one integer histogram (ChunkStats), so a setting's
+aggregate is a pure function of (seed, setting index, rounds).
+
+The report format lives here too: a record's sample and comparison fields,
+the record itself, the JSON document and its CSV projection.  This module
+imports nothing from verify; verify samples through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -17,7 +23,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +31,7 @@ from .geometry import Completion, as_unit_vector, sample_unit_sphere
 from .protocols import (
     CHUNK,
     PROTOCOL_IDS,
+    STREAM,
     RoundRandomness,
     round_uniform_block,
     run_batch,
@@ -36,22 +43,21 @@ from .quantum import (
     joint_nl,
     joint_qm,
 )
-from .verify import (
-    ChunkStats,
-    ComparisonReport,
-    _stats_from_batch,
-    compare,
-    estimate_joint_from_counts,
-    report_csv_rows,
-    report_to_json_dict,
-    sign_mean_estimate,
-)
 
 __all__ = [
+    "ChunkStats",
+    "ComparisonReport",
+    "EstimateWithError",
     "ExperimentConfig",
+    "compare",
+    "estimate_joint_from_counts",
     "load_settings_csv",
+    "report_csv_rows",
+    "report_to_json_dict",
     "resolve_settings",
     "run_experiment",
+    "sample_settings",
+    "sign_mean_estimate",
     "write_report",
 ]
 
@@ -169,12 +175,139 @@ def _target_joint(param: EntanglementParam, a, b, protocol: str) -> np.ndarray:
     return checked_distribution(joint)
 
 
+@dataclass(frozen=True)
+class EstimateWithError:
+    """Sample mean with its standard error (sample sd over sqrt(n))."""
+
+    mean: float
+    stderr: float
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"need n >= 2 samples, got {self.n}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.stderr)):
+            raise ValueError("estimate must be finite")
+        if self.stderr < 0.0:
+            raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
+
+
+def sign_mean_estimate(total: int, n: int) -> EstimateWithError:
+    """Estimate for a +-1 variable given its exact integer sum."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 samples, got {n}")
+    mean = total / n
+    var = max(0.0, (1.0 - mean * mean) * n / (n - 1))
+    return EstimateWithError(mean=mean, stderr=math.sqrt(var / n), n=n)
+
+
+def _z_floor(stderr: float, n: int) -> float:
+    # A degenerate sample (all outcomes equal) has stderr 0; floor at 1/n so
+    # z-scores stay finite, which errs on the side of flagging mismatches.
+    return max(stderr, 1.0 / n)
+
+
+# Each output sign's value, +1 or -1, at every (alpha0, beta0, alpha, beta) cell.
+_CELL_SIGNS = dict(zip(("alpha0", "beta0", "alpha", "beta"), 1 - 2 * np.indices((2, 2, 2, 2))))
+
+
+@dataclass(eq=False)
+class ChunkStats:
+    """The transcript histogram of sampled rounds; every aggregate is a projection.
+
+    hist counts rounds over (p, q, alpha0, beta0, alpha, beta), with p and q
+    = -1, 0, +1 at index 0, 1, 2 (tb's p = q = 0 is the middle cell) and a
+    sign -1 at index 1.  Merging is one integer add, so it is order-independent.
+    """
+
+    hist: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 2, 2, 2, 2), np.int64))
+
+    def add(self, other: "ChunkStats") -> "ChunkStats":
+        self.hist += other.hist
+        return self
+
+    @property
+    def n(self) -> int:
+        return int(self.hist.sum())
+
+    @property
+    def counts(self) -> list[int]:
+        """(alpha, beta) counts in the outcome order (+,+), (+,-), (-,+), (-,-)."""
+        return self.hist.sum(axis=(0, 1, 2, 3)).reshape(4).tolist()
+
+    def _by_branch(self, *names: str) -> np.ndarray:
+        # per-(p, q) sums of the product of the named signs; no name counts rounds
+        weight = math.prod((_CELL_SIGNS[name] for name in names), start=1)
+        return (self.hist * weight).sum(axis=(2, 3, 4, 5))
+
+    def sign_sum(self, *names: str) -> int:
+        """Sum over the rounds of the product of the named output signs."""
+        return int(self._by_branch(*names).sum())
+
+    @property
+    def branches(self) -> dict:
+        """{(p, q): (rounds, sum of alpha0 * beta0)} per realized p1/p2 branch, sorted."""
+        rounds, corr = self._by_branch(), self._by_branch("alpha0", "beta0")
+        return {
+            (p, q): (int(rounds[p + 1, q + 1]), int(corr[p + 1, q + 1]))
+            for p in (-1, 1)
+            for q in (-1, 1)
+            if rounds[p + 1, q + 1]
+        }
+
+
+def _stats_from_batch(out) -> ChunkStats:
+    idx = (out.p + 1).astype(np.int16) * 3 + (out.q + 1)
+    for x in (out.alpha0, out.beta0, out.alpha, out.beta):
+        idx = idx * 2 + (x < 0)
+    hist = np.bincount(idx, minlength=3 * 3 * 16).astype(np.int64, copy=False)
+    return ChunkStats(hist.reshape(3, 3, 2, 2, 2, 2))
+
+
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
     # One pool per worker count, kept for the life of the process: with a
     # fresh pool per call, the last call's threads are still exiting when the
     # next call's start, and the two race for the allocator's arenas.
     return ThreadPoolExecutor(max_workers=workers)
+
+
+def sample_settings(
+    param: EntanglementParam,
+    pairs,
+    strategy: Completion,
+    protocol: str,
+    rounds: int,
+    seed: int,
+    workers: int = 1,
+    first_index: int = 0,
+) -> list[ChunkStats]:
+    """Histogram rounds [0, rounds) of each (a, b) in pairs, chunk by chunk.
+
+    Pair i reads the addressed stream of (seed, first_index + i), so its
+    histogram equals, integer for integer, that of setting first_index + i
+    in a run_experiment with the same seed.  Chunks run in order on the
+    calling thread when workers == 1, else on the kept pool; merging is an
+    integer add, so the worker count cannot change any count.
+    """
+
+    def run_chunk(task):
+        i, a, b, start, m = task
+        rr = RoundRandomness.from_uniform_block(
+            round_uniform_block(seed, first_index + i, start, m)
+        )
+        return i, _stats_from_batch(run_batch(param, a, b, rr, strategy, protocol))
+
+    tasks = [
+        (i, a, b, start, min(CHUNK, rounds - start))
+        for i, (a, b) in enumerate(pairs)
+        for start in range(0, rounds, CHUNK)
+    ]
+    stats = [ChunkStats() for _ in pairs]
+    chunks = map(run_chunk, tasks) if workers == 1 else _pool(workers).map(run_chunk, tasks)
+    for i, chunk in chunks:
+        stats[i].add(chunk)
+    return stats
 
 
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
@@ -188,7 +321,6 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     naming the setting's index, a and b, at once.
     """
     param = EntanglementParam(config.gamma)
-    strategy = Completion(config.completion)
     settings = resolve_settings(config)
     targets = []
     for si, (a, b) in enumerate(settings):
@@ -200,36 +332,42 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
                 f"a = {[float(x) for x in a]}, b = {[float(x) for x in b]}"
             ) from None
 
-    tasks = []
-    for si, (a, b) in enumerate(settings):
-        for start in range(0, config.rounds, CHUNK):
-            tasks.append((si, a, b, start, min(CHUNK, config.rounds - start)))
-
-    def run_task(task):
-        si, a, b, start, m = task
-        rr = RoundRandomness.from_uniform_block(
-            round_uniform_block(config.seed, si, start, m)
-        )
-        out = run_batch(param, a, b, rr, strategy, config.protocol)
-        return si, _stats_from_batch(out)
-
-    agg = [ChunkStats() for _ in settings]
-    if config.workers == 1:
-        for task in tasks:
-            si, stats = run_task(task)
-            agg[si].add(stats)
-    else:
-        for si, stats in _pool(config.workers).map(run_task, tasks):
-            agg[si].add(stats)
-
-    records = []
-    for si, (a, b) in enumerate(settings):
-        comparison = compare(targets[si], estimate_joint_from_counts(agg[si].counts))
-        records.append(_record(a, b, comparison, agg[si]))
+    agg = sample_settings(
+        param, settings, Completion(config.completion), config.protocol,
+        config.rounds, config.seed, config.workers,
+    )
+    records = (_record(a, b, t, stats) for (a, b), t, stats in zip(settings, targets, agg))
     return ComparisonReport(config=config, records=tuple(records))
 
 
-def _record(a, b, comparison: dict, stats: ChunkStats) -> dict:
+def estimate_joint_from_counts(counts) -> dict:
+    """A record's sample fields from its four (alpha, beta) counts: the
+    round count, the counts, the frequencies and their multinomial errors."""
+    counts = [int(c) for c in counts]
+    if len(counts) != 4 or any(c < 0 for c in counts):
+        raise ValueError(f"need 4 nonnegative outcome counts, got {counts!r}")
+    n = sum(counts)
+    if n < 1:
+        raise ValueError("need at least one round")
+    freqs = [c / n for c in counts]
+    stderr = [math.sqrt(f * (1.0 - f) / n) for f in freqs]
+    return {"n": n, "counts": counts, "empirical": freqs, "stderr": stderr}
+
+
+def compare(target: np.ndarray, sample: dict) -> dict:
+    """A record's comparison fields: the sample fields plus the target (a
+    checked_distribution), the total-variation distance and the worst z."""
+    diff = np.abs(target - np.array(sample["empirical"]))
+    zs = [d / _z_floor(se, sample["n"]) for d, se in zip(diff.tolist(), sample["stderr"])]
+    return {
+        **sample,
+        "target": target.tolist(),
+        "tv": 0.5 * float(diff.sum()),
+        "max_abs_z": max(zs),
+    }
+
+
+def _record(a, b, target: np.ndarray, stats: ChunkStats) -> dict:
     """One setting's entry under the JSON report's "records", as written."""
     # A single-round record has no standard error to report.
     n = stats.n
@@ -250,31 +388,103 @@ def _record(a, b, comparison: dict, stats: ChunkStats) -> dict:
     return {
         "a": [float(x) for x in a],
         "b": [float(x) for x in b],
-        **comparison,
+        **compare(target, estimate_joint_from_counts(stats.counts)),
         "pre_flip": pre_flip,
         "branches": branches,
     }
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """A run's config and its per-setting records.
+
+    Each record is the very dict the JSON report lists under "records";
+    run_experiment builds it once, and the JSON and CSV writers only read it.
+    """
+
+    config: ExperimentConfig
+    records: tuple[dict, ...]
+
+    @property
+    def max_tv(self) -> float:
+        return max((r["tv"] for r in self.records), default=0.0)
+
+    @property
+    def max_abs_z(self) -> float:
+        return max((r["max_abs_z"] for r in self.records), default=0.0)
+
+
+def report_to_json_dict(report: ComparisonReport) -> dict:
+    config = report.config
+    return {
+        "config": {
+            "stream": STREAM,
+            "protocol": config.protocol,
+            "gamma": config.gamma,
+            "completion": config.completion,
+            "seed": config.seed,
+            "rounds": config.rounds,
+            "settings_source": config.settings_source,
+        },
+        "summary": {
+            "n_settings": len(report.records),
+            "max_tv": report.max_tv,
+            "max_abs_z": report.max_abs_z,
+        },
+        "records": list(report.records),
+    }
+
+
+_CSV_HEADER = [
+    "ax", "ay", "az", "bx", "by", "bz",
+    "n", "tv", "max_abs_z",
+    "target_pp", "target_pm", "target_mp", "target_mm",
+    "emp_pp", "emp_pm", "emp_mp", "emp_mm",
+    "alpha0_mean", "beta0_mean",
+]
+
+
+def report_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
+    """Flat per-setting rows for the CSV sibling: a projection of the JSON records."""
+    rows = []
+    for rec in report.records:
+        pre = rec["pre_flip"]
+        rows.append(
+            rec["a"]
+            + rec["b"]
+            + [rec["n"], rec["tv"], rec["max_abs_z"]]
+            + rec["target"]
+            + rec["empirical"]
+            + (["", ""] if pre is None else [pre["alpha0_mean"], pre["beta0_mean"]])
+        )
+    return list(_CSV_HEADER), rows
 
 
 def write_report(report: ComparisonReport, out_path, csv_path=None) -> dict:
     """Serialize the report to JSON (and optionally CSV); returns the dict.
 
     json.dumps with sorted keys and repr floats keeps the bytes a pure
-    function of the report content.  If the CSV cannot be written, the JSON
-    is removed again before the OSError propagates: no half a report.
+    function of the report content.  If either file cannot be written in
+    full, every file this call opened is removed again before the OSError
+    propagates: no half a report.
     """
     payload = report_to_json_dict(report)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    with open(out_path, "w") as fh:
-        fh.write(text)
-    if csv_path is not None:
-        header, rows = report_csv_rows(report)
-        try:
+    opened = []
+    try:
+        with open(out_path, "w") as fh:
+            opened.append(out_path)
+            fh.write(text)
+        if csv_path is not None:
+            header, rows = report_csv_rows(report)
             with open(csv_path, "w", newline="") as fh:
+                opened.append(csv_path)
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 writer.writerows(rows)
-        except OSError:
-            os.remove(out_path)
-            raise
+    except OSError:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     return payload

@@ -1,9 +1,11 @@
-"""Estimators, exact oracles, and the comparison machinery.
+"""Exact oracles, Monte Carlo estimates, and the named check suites.
 
 Three kinds of evidence live here, kept deliberately separate:
 
-* statistical estimates from sampled rounds (multinomial frequencies and
-  sign-variable means, always with standard errors);
+* statistical estimates from sampled rounds (sign-variable means, always
+  with standard errors), histogrammed by runtime.sample_settings, the
+  sampler behind every report, so a suite's rounds are those a
+  run_experiment at the same seed and setting index samples;
 * exact oracles that bypass sampling entirely: sign-tuple enumeration for
   the direction averages, product-grid quadrature for the one-bit kernel
   (an n x n node grid summed exactly by sorting and counting),
@@ -15,8 +17,6 @@ Whether the claimed per-branch direction-average identity survives a
 realizable completion strategy is exactly what claim_residual_report
 measures; nothing in this module treats that identity as an axiom.
 
-Sums over sampled rounds are accumulated as integers (the outputs are
-signs), so aggregation is exact and order-independent by construction.
 Distributions over (alpha, beta), sampled frequencies and exact laws alike,
 are plain arrays in quantum's outcome order (+,+), (+,-), (-,+), (-,-).
 """
@@ -24,9 +24,8 @@ are plain arrays in quantum's outcome order (+,+), (+,-), (-,+), (-,-).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,20 +37,17 @@ from .geometry import (
     sign_array,
     spherical_grid,
 )
-# alice_direction_rows and bob_direction_rows are not called here (the oracle
-# reaches them through direction_table), but stay importable from this module:
-# perfbench/tracing.py wraps them under verify as well as under protocols.
+# alice_direction_rows, bob_direction_rows and run_batch are not called here
+# (the oracle reaches the first two through direction_table, and sampling goes
+# through runtime), but stay importable from this module: perfbench/tracing.py
+# wraps them under verify as well as under protocols and runtime.
 from .protocols import (  # noqa: F401
-    CHUNK,
-    STREAM,
     FlipSpec,
-    RoundRandomness,
     alice_direction_rows,
     bob_direction_rows,
     correlated_flip,
     direction_table,
     flip_spec,
-    round_uniform_block,
     run_batch,
     symmetrize,
 )
@@ -70,19 +66,20 @@ from .quantum import (
     pre_flip_correlation,
     slice_threshold,
 )
-
-if TYPE_CHECKING:
-    from .runtime import ExperimentConfig
+# EstimateWithError and report_to_json_dict stay importable here for perfbench.
+from .runtime import (  # noqa: F401
+    _CELL_SIGNS,
+    EstimateWithError,
+    _z_floor,
+    report_to_json_dict,
+    sample_settings,
+    sign_mean_estimate,
+)
 
 __all__ = [
     "CheckResult",
-    "ChunkStats",
-    "ComparisonReport",
-    "EstimateWithError",
     "branch_correlation_claim",
     "claim_residual_report",
-    "compare",
-    "estimate_joint_from_counts",
     "exact_mu_average",
     "flip_moments_claim",
     "flip_moments_exact",
@@ -90,9 +87,6 @@ __all__ = [
     "mc_round_moments",
     "quadrature_kernel",
     "realized_joint",
-    "report_csv_rows",
-    "report_to_json_dict",
-    "sign_mean_estimate",
     "suite_epr2",
     "suite_flip",
     "suite_kernel",
@@ -106,11 +100,6 @@ DEFAULT_SEED = 20260816
 _BRANCH_PROTOCOLS = ("p1", "p2")
 
 
-# ---------------------------------------------------------------------------
-# Estimation primitives.
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """One named pass/fail verdict with a human-readable residual line."""
@@ -121,65 +110,6 @@ class CheckResult:
 
     def __str__(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class EstimateWithError:
-    """Sample mean with its standard error (sample sd over sqrt(n))."""
-
-    mean: float
-    stderr: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2 samples, got {self.n}")
-        if not (math.isfinite(self.mean) and math.isfinite(self.stderr)):
-            raise ValueError("estimate must be finite")
-        if self.stderr < 0.0:
-            raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
-
-
-def sign_mean_estimate(total: int, n: int) -> EstimateWithError:
-    """Estimate for a +-1 variable given its exact integer sum."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 samples, got {n}")
-    mean = total / n
-    var = max(0.0, (1.0 - mean * mean) * n / (n - 1))
-    return EstimateWithError(mean=mean, stderr=math.sqrt(var / n), n=n)
-
-
-def _z_floor(stderr: float, n: int) -> float:
-    # A degenerate sample (all outcomes equal) has stderr 0; floor at 1/n so
-    # z-scores stay finite, which errs on the side of flagging mismatches.
-    return max(stderr, 1.0 / n)
-
-
-def estimate_joint_from_counts(counts) -> dict:
-    """A record's sample fields from its four (alpha, beta) counts: the
-    round count, the counts, the frequencies and their multinomial errors."""
-    counts = [int(c) for c in counts]
-    if len(counts) != 4 or any(c < 0 for c in counts):
-        raise ValueError(f"need 4 nonnegative outcome counts, got {counts!r}")
-    n = sum(counts)
-    if n < 1:
-        raise ValueError("need at least one round")
-    freqs = [c / n for c in counts]
-    stderr = [math.sqrt(f * (1.0 - f) / n) for f in freqs]
-    return {"n": n, "counts": counts, "empirical": freqs, "stderr": stderr}
-
-
-def compare(target: np.ndarray, sample: dict) -> dict:
-    """A record's comparison fields: the sample fields plus the target (a
-    checked_distribution), the total-variation distance and the worst z."""
-    diff = np.abs(target - np.array(sample["empirical"]))
-    zs = [d / _z_floor(se, sample["n"]) for d, se in zip(diff.tolist(), sample["stderr"])]
-    return {
-        **sample,
-        "target": target.tolist(),
-        "tv": 0.5 * float(diff.sum()),
-        "max_abs_z": max(zs),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -373,90 +303,8 @@ def realized_joint(
 
 
 # ---------------------------------------------------------------------------
-# The Monte Carlo accumulator over the batch engine.
+# Monte Carlo estimates through runtime's sampler.
 # ---------------------------------------------------------------------------
-
-# Each output sign's value, +1 or -1, at every (alpha0, beta0, alpha, beta) cell.
-_CELL_SIGNS = dict(zip(("alpha0", "beta0", "alpha", "beta"), 1 - 2 * np.indices((2, 2, 2, 2))))
-
-
-@dataclass(eq=False)
-class ChunkStats:
-    """The transcript histogram of sampled rounds; every aggregate is a projection.
-
-    hist counts rounds over (p, q, alpha0, beta0, alpha, beta), with p and q
-    = -1, 0, +1 at index 0, 1, 2 (tb's p = q = 0 is the middle cell) and a
-    sign -1 at index 1.  Merging is one integer add, so it is order-independent.
-    """
-
-    hist: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 2, 2, 2, 2), np.int64))
-
-    def add(self, other: "ChunkStats") -> "ChunkStats":
-        self.hist += other.hist
-        return self
-
-    @property
-    def n(self) -> int:
-        return int(self.hist.sum())
-
-    @property
-    def counts(self) -> list[int]:
-        """(alpha, beta) counts in the outcome order (+,+), (+,-), (-,+), (-,-)."""
-        return self.hist.sum(axis=(0, 1, 2, 3)).reshape(4).tolist()
-
-    def _by_branch(self, *names: str) -> np.ndarray:
-        # per-(p, q) sums of the product of the named signs; no name counts rounds
-        weight = math.prod((_CELL_SIGNS[name] for name in names), start=1)
-        return (self.hist * weight).sum(axis=(2, 3, 4, 5))
-
-    def sign_sum(self, *names: str) -> int:
-        """Sum over the rounds of the product of the named output signs."""
-        return int(self._by_branch(*names).sum())
-
-    @property
-    def branches(self) -> dict:
-        """{(p, q): (rounds, sum of alpha0 * beta0)} per realized p1/p2 branch, sorted."""
-        rounds, corr = self._by_branch(), self._by_branch("alpha0", "beta0")
-        return {
-            (p, q): (int(rounds[p + 1, q + 1]), int(corr[p + 1, q + 1]))
-            for p in (-1, 1)
-            for q in (-1, 1)
-            if rounds[p + 1, q + 1]
-        }
-
-
-def _stats_from_batch(out) -> ChunkStats:
-    idx = (out.p + 1).astype(np.int16) * 3 + (out.q + 1)
-    for x in (out.alpha0, out.beta0, out.alpha, out.beta):
-        idx = idx * 2 + (x < 0)
-    hist = np.bincount(idx, minlength=3 * 3 * 16).astype(np.int64, copy=False)
-    return ChunkStats(hist.reshape(3, 3, 2, 2, 2, 2))
-
-
-def _sample_setting(
-    param: EntanglementParam,
-    a,
-    b,
-    strategy: Completion,
-    protocol: str,
-    rounds: int,
-    seed: int,
-    setting_index: int = 0,
-) -> ChunkStats:
-    """Aggregate rounds [0, rounds) of one setting, chunk by chunk.
-
-    The rows come from the addressed stream of (seed, setting_index), so the
-    result equals, integer for integer, the aggregate of that setting in a
-    run_experiment report with the same seed.
-    """
-    stats = ChunkStats()
-    for start in range(0, rounds, CHUNK):
-        rr = RoundRandomness.from_uniform_block(
-            round_uniform_block(seed, setting_index, start, min(CHUNK, rounds - start))
-        )
-        out = run_batch(param, a, b, rr, strategy, protocol)
-        stats.add(_stats_from_batch(out))
-    return stats
 
 
 def mc_round_moments(
@@ -469,7 +317,7 @@ def mc_round_moments(
     seed: int,
 ) -> dict:
     """MC means of the pre-flip outputs alpha0, beta0 and the final alpha, beta."""
-    stats = _sample_setting(param, a, b, strategy, protocol, rounds, seed)
+    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed)
     return {key: sign_mean_estimate(stats.sign_sum(key), rounds) for key in _CELL_SIGNS}
 
 
@@ -489,7 +337,7 @@ def mc_branch_correlations(
     two); with the box-bit pairing only two of the four combinations can
     occur at a fixed setting pair.
     """
-    stats = _sample_setting(param, a, b, strategy, protocol, rounds, seed)
+    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed)
     return {
         branch: sign_mean_estimate(total, n)
         for branch, (n, total) in stats.branches.items()
@@ -562,77 +410,6 @@ def claim_residual_report(n_settings: int = 100, seed: int = DEFAULT_SEED) -> di
 
 
 # ---------------------------------------------------------------------------
-# Comparison reports (consumed by the runtime and the CLI).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """A run's config and its per-setting records.
-
-    Each record is the very dict the JSON report lists under "records";
-    run_experiment builds it once, and the JSON and CSV writers only read it.
-    """
-
-    config: ExperimentConfig
-    records: tuple[dict, ...]
-
-    @property
-    def max_tv(self) -> float:
-        return max((r["tv"] for r in self.records), default=0.0)
-
-    @property
-    def max_abs_z(self) -> float:
-        return max((r["max_abs_z"] for r in self.records), default=0.0)
-
-
-def report_to_json_dict(report: ComparisonReport) -> dict:
-    config = report.config
-    return {
-        "config": {
-            "stream": STREAM,
-            "protocol": config.protocol,
-            "gamma": config.gamma,
-            "completion": config.completion,
-            "seed": config.seed,
-            "rounds": config.rounds,
-            "settings_source": config.settings_source,
-        },
-        "summary": {
-            "n_settings": len(report.records),
-            "max_tv": report.max_tv,
-            "max_abs_z": report.max_abs_z,
-        },
-        "records": list(report.records),
-    }
-
-
-_CSV_HEADER = [
-    "ax", "ay", "az", "bx", "by", "bz",
-    "n", "tv", "max_abs_z",
-    "target_pp", "target_pm", "target_mp", "target_mm",
-    "emp_pp", "emp_pm", "emp_mp", "emp_mm",
-    "alpha0_mean", "beta0_mean",
-]
-
-
-def report_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
-    """Flat per-setting rows for the CSV sibling: a projection of the JSON records."""
-    rows = []
-    for rec in report.records:
-        pre = rec["pre_flip"]
-        rows.append(
-            rec["a"]
-            + rec["b"]
-            + [rec["n"], rec["tv"], rec["max_abs_z"]]
-            + rec["target"]
-            + rec["empirical"]
-            + (["", ""] if pre is None else [pre["alpha0_mean"], pre["beta0_mean"]])
-        )
-    return list(_CSV_HEADER), rows
-
-
-# ---------------------------------------------------------------------------
 # Named check suites (shared by the CLI and the acceptance tests).
 # ---------------------------------------------------------------------------
 
@@ -695,9 +472,8 @@ def suite_kernel(
     exact_one = quadrature_kernel([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], n_nodes=1000)
     pointwise = abs(exact_one - 1.0)
     u0 = sample_unit_sphere(g)
-    aligned = RoundRandomness.from_uniform_block(round_uniform_block(seed, 0, 0, 100))
-    out = run_batch(param, u0, u0, aligned, strategy, "tb")
-    if np.any(out.alpha * out.beta != 1):
+    [aligned] = sample_settings(param, [(u0, u0)], strategy, "tb", 100, seed)
+    if aligned.sign_sum("alpha", "beta") != 100:
         pointwise = math.inf
     checks = [
         CheckResult(
@@ -711,8 +487,8 @@ def suite_kernel(
     pairs.append((np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])))
     worst_z = 0.0
     worst_quad = 0.0
-    for i, (u, v) in enumerate(pairs):
-        stats = _sample_setting(param, u, v, strategy, "tb", rounds, seed, setting_index=i + 1)
+    sampled = sample_settings(param, pairs, strategy, "tb", rounds, seed, first_index=1)
+    for (u, v), stats in zip(pairs, sampled):
         est = sign_mean_estimate(stats.sign_sum("alpha", "beta"), rounds)
         analytic = float(u @ v)
         z = abs(est.mean - analytic) / _z_floor(est.stderr, rounds)

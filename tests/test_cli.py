@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,8 +18,13 @@ from mboxsim import __version__, cli, runtime
 from mboxsim.cli import main, report_schema
 from mboxsim.geometry import Completion
 from mboxsim.protocols import STREAM
-from mboxsim.runtime import CHUNK, SETTINGS_CSV_HEADER, ExperimentConfig, run_experiment
-from mboxsim.verify import report_to_json_dict
+from mboxsim.runtime import (
+    CHUNK,
+    SETTINGS_CSV_HEADER,
+    ExperimentConfig,
+    report_to_json_dict,
+    run_experiment,
+)
 
 PI8 = math.pi / 8
 
@@ -176,6 +184,28 @@ class TestSimulate:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "wrote" not in captured.out
+        assert not out.exists()
+
+    def test_file_size_limit_leaves_no_half_report(self, tmp_path):
+        # a child whose files may not grow past 2000 bytes fails mid-report
+        # (EFBIG), as on a full disk, and must not leave the truncated JSON
+        pytest.importorskip("resource")
+        code = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (2000, 2000))\n"
+            "from mboxsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "r.json"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", code, *simulate_args(tmp_path, **{"--out": str(out)})],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and "wrote" not in done.stdout
         assert not out.exists()
 
     def test_schema_passes_its_metaschema(self):

@@ -1,5 +1,10 @@
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -7,18 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mboxsim
+from mboxsim import runtime
 from mboxsim.cli import report_schema
+from mboxsim.geometry import Completion
+from mboxsim.quantum import EntanglementParam
 from mboxsim.runtime import (
     CHUNK,
     ExperimentConfig,
     SETTINGS_CSV_HEADER,
     load_settings_csv,
+    report_csv_rows,
+    report_to_json_dict,
     resolve_settings,
     round_uniform_block,
     run_experiment,
+    sample_settings,
     write_report,
 )
-from mboxsim.verify import report_csv_rows, report_to_json_dict
 
 PI8 = math.pi / 8
 PI4 = math.pi / 4
@@ -219,7 +230,93 @@ class TestRunExperiment:
         assert report.config.settings_source == "explicit:1"
 
 
+class TestSampleSettings:
+    def test_first_index_addresses_the_setting_stream(self, monkeypatch):
+        # pair i of a call reads setting first_index + i, so sampling the
+        # last setting alone reproduces run_experiment's histogram of it
+        k = 2
+        config = ExperimentConfig(
+            protocol="p2", gamma=PI8, rounds=3000, seed=17,
+            settings=(), random_settings=k + 1, completion="ortho",
+        )
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append(sample_settings(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(runtime, "sample_settings", recorded)
+        report = run_experiment(config)
+        [in_run] = seen
+        pair = resolve_settings(config)[k]
+        [alone] = sample_settings(
+            EntanglementParam(PI8), [pair], Completion.ORTHO, "p2", 3000, 17, first_index=k
+        )
+        assert np.array_equal(alone.hist, in_run[k].hist)
+        assert alone.counts == report.records[k]["counts"]
+        assert not np.array_equal(alone.hist, in_run[k - 1].hist)
+
+    def test_worker_count_is_invisible(self):
+        # CHUNK + 5 rounds make two chunks per pair, so the pool has four tasks
+        rounds = CHUNK + 5
+        pairs = resolve_settings(tb_config(settings=(), random_settings=2))
+        args = (EntanglementParam(PI8), pairs, Completion.NORMALIZE, "p1", rounds, 21)
+        serial = sample_settings(*args, workers=1)
+        pooled = sample_settings(*args, workers=2)
+        assert [s.n for s in serial] == [rounds, rounds]
+        assert all(np.array_equal(s.hist, p.hist) for s, p in zip(serial, pooled))
+
+    def test_runtime_does_not_import_verify(self):
+        # verify samples through runtime, never the other way round
+        code = "import sys, mboxsim.runtime; print('mboxsim.verify' in sys.modules)"
+        src = str(Path(mboxsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
+
+
+class _FullDisk:
+    """A text file that takes `room` characters, then fails as a full disk does."""
+
+    def __init__(self, fh, room: int):
+        self.fh = fh
+        self.room = room
+
+    def write(self, text: str) -> int:
+        if len(text) > self.room:
+            self.fh.write(text[: self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
 class TestWriteReport:
+    @pytest.mark.parametrize("full", ["json", "csv"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, full):
+        # a write that fails part way removes every file the call opened
+        out = tmp_path / "r.json"
+        csv_path = tmp_path / "r.csv"
+        report = run_experiment(tb_config())
+
+        def open_on_full_disk(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return _FullDisk(fh, 100) if Path(path).suffix == f".{full}" else fh
+
+        monkeypatch.setattr(runtime, "open", open_on_full_disk, raising=False)
+        with pytest.raises(OSError) as failed:
+            write_report(report, out, csv_path)
+        assert failed.value.errno == errno.ENOSPC
+        assert not out.exists() and not csv_path.exists()
+
     def test_json_and_csv(self, tmp_path):
         config = ExperimentConfig(
             protocol="p1", gamma=PI8, rounds=2000, seed=5,

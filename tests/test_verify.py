@@ -36,17 +36,21 @@ from mboxsim.quantum import (
     pre_flip_correlation,
     rotate_pi_about_x,
 )
-from mboxsim.runtime import ExperimentConfig, run_experiment
+from mboxsim.runtime import (
+    ChunkStats,
+    EstimateWithError,
+    ExperimentConfig,
+    _stats_from_batch,
+    compare,
+    estimate_joint_from_counts,
+    run_experiment,
+    sign_mean_estimate,
+)
 from mboxsim.verify import (
     CheckResult,
-    ChunkStats,
     DEFAULT_SEED,
-    EstimateWithError,
     branch_correlation_claim,
     claim_residual_report,
-    compare,
-    _stats_from_batch,
-    estimate_joint_from_counts,
     exact_mu_average,
     flip_moments_claim,
     flip_moments_exact,
@@ -54,7 +58,6 @@ from mboxsim.verify import (
     mc_round_moments,
     quadrature_kernel,
     realized_joint,
-    sign_mean_estimate,
     suite_epr2,
     suite_flip,
     suite_kernel,

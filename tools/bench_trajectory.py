@@ -45,14 +45,6 @@ KNOWN_MISREADINGS = {
         "reads 0: the tracer wraps cli.jsonschema.validate, which the CLI has "
         "not called since 0.6.0 (it validates through cli._report_validator)"
     ),
-    "runtime.draw_ns_per_round": (
-        "reads 0 in a traced verify run: the tracer does not patch "
-        "verify.round_uniform_block, through which verify draws its rounds"
-    ),
-    "runtime.uniform_bytes_per_round": (
-        "reads 0 in a traced verify run, for the same reason as "
-        "runtime.draw_ns_per_round"
-    ),
     "runtime.unexited_threads_per_op": (
         "counts the kept run_experiment pool's live threads as still exiting; "
         "since 0.12.0 the pool lives for the process and no thread exits"
