@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure (a FAIL line, or a report that
 fails its schema self-check), 2 usage, config or output-file error.  Every
 subcommand is deterministic given its flags; there are no environment knobs.
+
+verify and oracle only map flags onto the library: the suites and the oracle
+hold their own defaults and rules, and a ValueError from them exits 2.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .protocols import symmetrize
 from .quantum import DegenerateAxisError, EntanglementParam
 from .runtime import ExperimentConfig, load_settings_csv, run_experiment, write_report
 from .verify import (
-    DEFAULT_SEED,
     branch_correlation_claim,
     exact_mu_average,
     suite_epr2,
@@ -319,6 +321,17 @@ _KEYWORDS = {
 }
 
 
+# Each suite and the keyword each flag it reads maps onto; any other flag is a
+# usage error.
+_SUITES = {
+    "kernel": (suite_kernel, {"rounds": "rounds", "seed": "seed"}),
+    "flip": (suite_flip, {"rounds": "trials", "seed": "seed"}),
+    "epr2": (suite_epr2, {"gamma": "gamma", "grid": "grid_n"}),
+    "mbox": (suite_mbox, {"rounds": "rounds", "seed": "seed"}),
+    "oracle": (suite_oracle, {"gamma": "gamma", "rounds": "rounds", "seed": "seed"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mboxsim",
@@ -343,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
-    ver.add_argument("suite", choices=("kernel", "flip", "epr2", "mbox", "oracle"))
+    ver.add_argument("suite", choices=tuple(_SUITES))
     ver.add_argument("--gamma", type=float, default=None, help="epr2 and oracle only")
-    ver.add_argument("--grid", type=int, default=None, help="epr2 only (default 20)")
+    ver.add_argument("--grid", type=int, default=None, help="epr2 only")
     ver.add_argument("--rounds", type=int, default=None, help="every suite but epr2")
     ver.add_argument("--seed", type=int, default=None, help="every suite but epr2")
     ver.set_defaults(func=cmd_verify)
@@ -375,16 +388,6 @@ def _parse_vec(parser: argparse.ArgumentParser, text: str, flag: str) -> np.ndar
     if not math.isfinite(norm) or norm <= 0.0:
         parser.error(f"{flag} is not a direction: {text!r}")
     return v / norm
-
-
-def _parse_gamma(parser: argparse.ArgumentParser, gamma: float, entangled: bool, who: str):
-    try:
-        param = EntanglementParam(gamma)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if entangled and param.sin2g <= 0.0:
-        parser.error(f"{who} requires gamma > 0")
-    return param
 
 
 def cmd_simulate(args, parser) -> int:
@@ -428,52 +431,19 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-# The flags each suite reads; giving it any other is a usage error.
-_SUITE_FLAGS = {
-    "mbox": ("rounds", "seed"),
-    "kernel": ("rounds", "seed"),
-    "flip": ("rounds", "seed"),
-    "epr2": ("gamma", "grid"),
-    "oracle": ("gamma", "rounds", "seed"),
-}
-
-
 def cmd_verify(args, parser) -> int:
+    suite, keywords = _SUITES[args.suite]
+    kwargs = {}
     for flag in ("gamma", "grid", "rounds", "seed"):
-        if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.suite]:
-            parser.error(f"the {args.suite} suite does not read --{flag}")
-    # A standard error needs two rounds; the kernel and oracle suites estimate one.
-    min_rounds = 2 if args.suite in ("kernel", "oracle") else 1
-    if args.rounds is not None and args.rounds < min_rounds:
-        parser.error(
-            f"--rounds must be >= {min_rounds} for the {args.suite} suite, got {args.rounds}"
-        )
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        parser.error(f"--seed must fit in 64 bits, got {args.seed}")
-    if args.grid is not None and args.grid < 10:
-        parser.error(f"--grid must be >= 10, got {args.grid}")
-    if args.gamma is not None:
-        # epr2 and oracle run the nonlocal-part protocol or its decomposition
-        _parse_gamma(parser, args.gamma, True, f"the {args.suite} suite")
-    if args.rounds is not None:
-        rounds = args.rounds
-    else:
-        rounds = 1000 if args.suite == "flip" else 200_000
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    if args.suite == "mbox":
-        checks = suite_mbox(rounds=rounds, seed=seed)
-    elif args.suite == "kernel":
-        checks = suite_kernel(rounds=rounds, seed=seed)
-    elif args.suite == "flip":
-        checks = suite_flip(trials=rounds, seed=seed)
-    elif args.suite == "epr2":
-        checks = suite_epr2(gamma=args.gamma, grid_n=20 if args.grid is None else args.grid)
-    else:
-        checks = suite_oracle(
-            gamma=args.gamma if args.gamma is not None else math.pi / 8,
-            rounds=rounds,
-            seed=seed,
-        )
+        value = getattr(args, flag)
+        if value is not None:
+            if flag not in keywords:
+                parser.error(f"the {args.suite} suite does not read --{flag}")
+            kwargs[keywords[flag]] = value
+    try:
+        checks = suite(**kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
     for check in checks:
         print(check)
     return 0 if all(c.passed for c in checks) else 1
@@ -482,14 +452,17 @@ def cmd_verify(args, parser) -> int:
 def cmd_oracle(args, parser) -> int:
     a = _parse_vec(parser, args.a, "--a")
     b = _parse_vec(parser, args.b, "--b")
-    param = _parse_gamma(parser, args.gamma, args.protocol == "p2", "protocol 2")
     # The branch average lives in the reflected frame (both z >= 0).
     a, b, sign_a, sign_b = symmetrize(a, b)
+    p, q = (1, 1) if args.branch_label == "pq+" else (1, -1)
+    try:
+        param = EntanglementParam(args.gamma)
+        oracle = exact_mu_average(param, a, b, Completion(args.completion), p, q, args.protocol)
+    except ValueError as exc:
+        parser.error(str(exc))
     reflected = [name for name, sign in (("a", sign_a), ("b", sign_b)) if sign < 0]
     if reflected:
         print(f"note: reflected {', '.join(reflected)} into the upper hemisphere")
-    p, q = (1, 1) if args.branch_label == "pq+" else (1, -1)
-    oracle = exact_mu_average(param, a, b, Completion(args.completion), p, q, args.protocol)
     print(f"oracle ({args.completion}): {oracle!r}")
     try:
         claim = branch_correlation_claim(param, a, b, p, q, args.protocol)

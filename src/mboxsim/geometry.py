@@ -140,10 +140,8 @@ def spherical_grid(n: int, phase: float = 0.0) -> np.ndarray:
     if n < 2:
         raise ValueError(f"spherical_grid needs n >= 2, got {n}")
     i = np.arange(n, dtype=float)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    phi = 2.0 * np.pi * (i / _GOLDEN + phase)
-    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    # z = 1 - (2i + 1)/n exactly: halving the fraction only lowers its exponent
+    return unit_vector_from_uniforms((2.0 * i + 1.0) / (2 * n), i / _GOLDEN + phase)
 
 
 def _normalize_rows(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:

@@ -76,6 +76,7 @@ __all__ = [
     "round_directions",
     "round_uniform_block",
     "run_batch",
+    "seeded_generator",
     "symmetrize",
 ]
 
@@ -104,6 +105,19 @@ CHUNK = 65536
 STREAM = f"philox/chunk{CHUNK}/row{UNIFORMS_PER_ROUND}"
 
 
+def _check_seed(seed: int) -> int:
+    """The seed, if it fits a key's 64-bit low word.  Philox takes 128-bit keys,
+    so a larger seed would key a nonzero high word, which round streams own."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    return seed
+
+
+def seeded_generator(seed: int) -> np.random.Generator:
+    """The stream keyed by the bare seed: settings draws and the suites' inputs."""
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+
+
 def _chunk_key(seed: int, setting_index: int, chunk_index: int) -> np.ndarray:
     """128-bit stream key, unique per (seed, setting, chunk).
 
@@ -116,7 +130,13 @@ def _chunk_key(seed: int, setting_index: int, chunk_index: int) -> np.ndarray:
     if not 0 <= chunk_index < 2**32:
         raise ValueError(f"chunk_index out of range: {chunk_index}")
     hi = ((setting_index + 1) << 32) | chunk_index
-    return np.array([seed, hi], dtype=np.uint64)
+    return np.array([_check_seed(seed), hi], dtype=np.uint64)
+
+
+def _check_p2_gamma(param: EntanglementParam, protocol: str) -> None:
+    # p2 samples the nonlocal part of the state, which a product state lacks
+    if protocol == "p2" and param.sin2g <= 0.0:
+        raise ValueError("protocol 2 requires gamma > 0")
 
 
 def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -> np.ndarray:
@@ -389,8 +409,10 @@ def direction_table(
     unread mu signs are +1.  Row j * 2^k + i of u holds branch p[j] under
     tuple i, and the same row of v holds branch q[j].  run_batch gathers
     each round's rows from this table, and exact_mu_average averages u.v
-    over it, so sampler and oracle share one construction.
+    over it, so sampler and oracle share one construction, and both refuse
+    p2 at gamma = 0 here.
     """
+    _check_p2_gamma(param, protocol)
     k = _MU_SIGNS[protocol]
     tuples = np.arange(len(p) << k) % (1 << k)
     mu_sign = np.ones((tuples.size, 7), dtype=np.int8)
@@ -471,9 +493,6 @@ def run_batch(
             alpha=alpha, beta=beta, alpha0=alpha, beta0=beta,
             p=zero_sign, q=zero_sign, cbit=cbit,
         )
-
-    if protocol == "p2" and param.sin2g <= 0.0:
-        raise ValueError("the nonlocal-part protocol requires gamma > 0")
 
     a1, b1, sign_a, sign_b = symmetrize(a, b)
 

@@ -33,8 +33,11 @@ from .protocols import (
     PROTOCOL_IDS,
     STREAM,
     RoundRandomness,
+    _check_p2_gamma,
+    _check_seed,
     round_uniform_block,
     run_batch,
+    seeded_generator,
 )
 from .quantum import (
     EntanglementParam,
@@ -88,11 +91,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        EntanglementParam(self.gamma)
-        if self.protocol == "p2" and self.gamma <= 0.0:
-            raise ValueError("protocol 2 requires gamma > 0")
+        _check_seed(self.seed)
+        _check_p2_gamma(EntanglementParam(self.gamma), self.protocol)
         Completion(self.completion)
         if self.random_settings < 0:
             raise ValueError(f"random_settings must be >= 0, got {self.random_settings}")
@@ -116,7 +116,7 @@ class ExperimentConfig:
 def resolve_settings(config: ExperimentConfig) -> tuple:
     """Materialize the settings list as unit-vector pairs."""
     if config.random_settings:
-        g = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
+        g = seeded_generator(config.seed)
         return tuple(
             (sample_unit_sphere(g), sample_unit_sphere(g))
             for _ in range(config.random_settings)

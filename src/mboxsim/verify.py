@@ -43,17 +43,20 @@ from .geometry import (
 # wraps them under verify as well as under protocols and runtime.
 from .protocols import (  # noqa: F401
     FlipSpec,
+    _check_p2_gamma,
     alice_direction_rows,
     bob_direction_rows,
     correlated_flip,
     direction_table,
     flip_spec,
     run_batch,
+    seeded_generator,
     symmetrize,
 )
 from .quantum import (
     EntanglementParam,
     _joint_from_moments,
+    _require_entangled,
     aux_axis,
     branch_pairing,
     checked_distribution,
@@ -351,7 +354,7 @@ def mc_branch_correlations(
 
 
 def _reflected_setting_pairs(n_settings: int, seed: int) -> list:
-    g = np.random.Generator(np.random.Philox(key=seed))
+    g = seeded_generator(seed)
     pairs = []
     for _ in range(n_settings):
         a1, b1, _, _ = symmetrize(sample_unit_sphere(g), sample_unit_sphere(g))
@@ -414,10 +417,12 @@ def claim_residual_report(n_settings: int = 100, seed: int = DEFAULT_SEED) -> di
 # ---------------------------------------------------------------------------
 
 
-def suite_mbox(rounds: int = 1_000_000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Exhaustive XOR contract on a 21x21 input grid plus output uniformity."""
+def suite_mbox(rounds: int = 200_000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Exhaustive XOR contract on a 21x21 input grid, plus output uniformity
+    over `rounds` box calls (default 200 000)."""
     if rounds < 1:
         raise ValueError(f"need rounds >= 1, got {rounds}")
+    g = seeded_generator(seed)
     grid = np.linspace(0.0, 1.0, 21)
     bad = 0
     for x in grid.tolist():
@@ -434,7 +439,6 @@ def suite_mbox(rounds: int = 1_000_000, seed: int = DEFAULT_SEED) -> list[CheckR
             f"{bad} violations over {grid.size * grid.size} inputs x 2 coins",
         )
     ]
-    g = np.random.Generator(np.random.Philox(key=seed))
     u = g.random(rounds)
     ones = sum(outcome_from_uniform(0.3, 0.7, float(ui)).m for ui in u.tolist())
     z = abs(ones / rounds - 0.5) / (0.5 / math.sqrt(rounds))
@@ -450,22 +454,23 @@ def suite_mbox(rounds: int = 1_000_000, seed: int = DEFAULT_SEED) -> list[CheckR
 
 def suite_kernel(
     n_pairs: int = 20,
-    rounds: int = 1_000_000,
+    rounds: int = 200_000,
     n_nodes: int = 10_000,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     """Kernel triangle: MC, quadrature, and the analytic value u.v agree.
 
-    The aligned check reads setting index 0 of the seed's round streams and
-    pair i reads index i + 1, so each pair's rounds are those a tb run of
-    run_experiment would sample there.
+    Each pair samples `rounds` tb rounds (default 200 000).  The aligned
+    check reads setting index 0 of the seed's round streams and pair i reads
+    index i + 1, so each pair's rounds are those a tb run of run_experiment
+    would sample there.
     """
     # A standard error needs two rounds; the quadrature needs 1000 nodes.
     if rounds < 2:
         raise ValueError(f"need rounds >= 2, got {rounds}")
     if n_nodes < 1000:
         raise ValueError(f"need n_nodes >= 1000, got {n_nodes}")
-    g = np.random.Generator(np.random.Philox(key=seed))
+    g = seeded_generator(seed)
     param = EntanglementParam(0.0)
     strategy = Completion.NORMALIZE  # tb builds no directions
 
@@ -516,7 +521,7 @@ def suite_flip(trials: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult
     """Exact enumeration vs closed-form flip moments, rational arithmetic."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    g = np.random.Generator(np.random.Philox(key=seed))
+    g = seeded_generator(seed)
     worst = Fraction(0)
     for _ in range(trials):
         c0 = float(g.uniform(-1.0, 1.0))
@@ -563,14 +568,14 @@ def suite_epr2(gamma: float | None = None, grid_n: int = 20) -> list[CheckResult
     if grid_n < 10:
         raise ValueError(f"need grid_n >= 10, got {grid_n}")
     gammas = _EPR2_GAMMAS if gamma is None else (gamma,)
+    params = [EntanglementParam(gm) for gm in gammas]
+    for param in params:
+        _require_entangled(param)
     a_grid = spherical_grid(grid_n)
     b_grid = spherical_grid(grid_n, phase=0.5)
     n_pairs = len(a_grid) * len(b_grid)
     checks = []
-    for gm in gammas:
-        param = EntanglementParam(gm)
-        if param.sin2g <= 0.0:
-            raise ValueError("decomposition suite requires gamma > 0")
+    for gm, param in zip(gammas, params):
         s = param.sin2g
         om = 1.0 - s
         t = slice_threshold(param)
@@ -643,13 +648,16 @@ def suite_epr2(gamma: float | None = None, grid_n: int = 20) -> list[CheckResult
 def suite_oracle(
     gamma: float = math.pi / 8,
     n_settings: int = 10,
-    rounds: int = 1_000_000,
+    rounds: int = 200_000,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
-    """Sampled branch correlations of p1 and p2 vs the exact enumeration oracle."""
+    """Sampled branch correlations of p1 and p2 vs the exact enumeration oracle,
+    `rounds` per setting (default 200 000)."""
     param = EntanglementParam(gamma)
-    if gamma <= 0.0:
-        raise ValueError("protocol 2 requires gamma > 0")
+    _check_p2_gamma(param, "p2")
+    # A standard error needs two rounds.
+    if rounds < 2:
+        raise ValueError(f"need rounds >= 2, got {rounds}")
     pairs = _reflected_setting_pairs(n_settings, seed)
     checks = []
     case = 0

@@ -21,7 +21,7 @@ from mboxsim.boxes import outcome_from_uniform
 from mboxsim.geometry import Completion, sample_unit_sphere
 from mboxsim.protocols import RoundRandomness, round_uniform_block, run_batch
 from mboxsim.quantum import EntanglementParam
-from mboxsim.runtime import CHUNK, ExperimentConfig, run_experiment, write_report
+from mboxsim.runtime import CHUNK, ExperimentConfig, _z_floor, run_experiment, write_report
 from mboxsim.verify import (
     DEFAULT_SEED,
     claim_residual_report,
@@ -92,7 +92,7 @@ def test_criterion_04_pre_flip_nullity(criterion):
                 )
                 for key in ("alpha0", "beta0"):
                     est = stats[key]
-                    z = abs(est.mean) / max(est.stderr, 1.0 / est.n)
+                    z = abs(est.mean) / _z_floor(est.stderr, est.n)
                     if z > worst:
                         worst = z
                         worst_case = f"{key}[{protocol},{strategy.value}]"
@@ -120,7 +120,7 @@ def test_criterion_05_post_flip_marginals(criterion):
             )
             for key, target in (("alpha", param.cos2g * a[2]), ("beta", param.cos2g * b[2])):
                 est = stats[key]
-                z = abs(est.mean - target) / max(est.stderr, 1.0 / est.n)
+                z = abs(est.mean - target) / _z_floor(est.stderr, est.n)
                 worst = max(worst, z)
     elapsed = time.perf_counter() - t0
     ok = worst <= 4.0 and elapsed < 180.0

@@ -527,6 +527,7 @@ class TestVerify:
             ["epr2", "--gamma", "2"],
             ["oracle", "--gamma", "-1"],
             ["oracle", "--gamma", "0", "--rounds", "2"],  # p2 needs gamma > 0
+            ["oracle", "--rounds", "1"],  # no standard error from one round
             ["mbox", "--seed", "-1"],  # numpy rejects a negative key
             ["flip", "--seed", "-1"],
             ["kernel", "--seed", str(2**64)],  # overflows a 64-bit stream key

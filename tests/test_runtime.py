@@ -276,6 +276,12 @@ class TestSampleSettings:
         )
         assert done.stdout.strip() == "False"
 
+    def test_only_protocols_builds_a_philox_stream(self):
+        # every seeded stream goes through protocols' one seed check
+        package = Path(mboxsim.__file__).parent
+        keyed = sorted(f.name for f in package.glob("*.py") if "np.random.Philox(" in f.read_text())
+        assert keyed == ["protocols.py"]
+
 
 class _FullDisk:
     """A text file that takes `room` characters, then fails as a full disk does."""

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,7 +45,9 @@ from mboxsim.runtime import (
     _stats_from_batch,
     compare,
     estimate_joint_from_counts,
+    resolve_settings,
     run_experiment,
+    sample_settings,
     sign_mean_estimate,
 )
 from mboxsim.verify import (
@@ -289,6 +293,11 @@ class TestExactMuAverage:
             exact_mu_average(param, Z_HAT, Z_HAT, Completion.NORMALIZE, 1, 1, "tb")
         with pytest.raises(ValueError, match="symmetrized"):
             exact_mu_average(param, [0.0, 0.0, -1.0], Z_HAT, Completion.NORMALIZE, 1, 1, "p1")
+
+    def test_p2_needs_entanglement_as_the_sampler_does(self):
+        # run_batch refuses it in the same direction_table
+        with pytest.raises(ValueError, match="protocol 2 requires gamma > 0"):
+            exact_mu_average(EntanglementParam(0.0), Z_HAT, X_HAT, Completion.NORMALIZE, 1, 1, "p2")
 
     def test_mismatched_branches_agree(self):
         # (p, q) = (1, -1) and (-1, 1) relabel the mu bundle onto each other
@@ -719,9 +728,19 @@ class TestSuites:
         assert all("over 4 branches of 2 settings" in c.detail for c in checks)
 
     def test_suite_oracle_fails_when_nothing_compared(self):
-        # one round per setting leaves every branch without a standard error
-        checks = suite_oracle(gamma=PI8, n_settings=2, rounds=1)
+        # no settings leave every check without a branch to compare
+        checks = suite_oracle(gamma=PI8, n_settings=0, rounds=2)
         assert not any(c.passed for c in checks), [str(c) for c in checks]
+        assert all("over 0 branches" in c.detail for c in checks)
+
+    def test_suite_oracle_checks_rounds_before_sampling(self, monkeypatch):
+        # a standard error needs two rounds
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled before checking rounds")
+
+        monkeypatch.setattr(verify, "mc_branch_correlations", sampled)
+        with pytest.raises(ValueError, match="need rounds >= 2, got 1"):
+            suite_oracle(gamma=PI8, n_settings=2, rounds=1)
 
     def test_suite_oracle_runs_at_the_largest_seed(self, monkeypatch):
         # each case's seed, seed + 7919 case, wraps modulo 2^64
@@ -746,3 +765,34 @@ class TestSuites:
         monkeypatch.setattr(verify, "mc_branch_correlations", sampled)
         with pytest.raises(ValueError, match="gamma > 0"):
             suite_oracle(gamma=0.0, n_settings=2, rounds=1000)
+
+
+_SEED_PAIR = (np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8]))
+
+# Every entry point that keys a stream by a caller's seed, at the smallest size.
+_SEEDED = {
+    "sample_settings": lambda seed: sample_settings(
+        EntanglementParam(PI8), [_SEED_PAIR], Completion.NORMALIZE, "p1", 10, seed
+    ),
+    "mc_round_moments": lambda seed: mc_round_moments(
+        EntanglementParam(PI8), *_SEED_PAIR, Completion.NORMALIZE, "p1", 10, seed
+    ),
+    "resolve_settings": lambda seed: resolve_settings(
+        SimpleNamespace(random_settings=2, settings=(), seed=seed)
+    ),
+    "ExperimentConfig": lambda seed: ExperimentConfig(
+        protocol="p1", gamma=PI8, rounds=10, seed=seed, random_settings=1
+    ),
+    "suite_mbox": lambda seed: suite_mbox(rounds=10, seed=seed),
+    "suite_flip": lambda seed: suite_flip(trials=1, seed=seed),
+    "suite_kernel": lambda seed: suite_kernel(n_pairs=0, rounds=10, n_nodes=1000, seed=seed),
+    "suite_oracle": lambda seed: suite_oracle(n_settings=1, rounds=100, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("entry", sorted(_SEEDED))
+def test_seed_outside_64_bits_is_refused(entry, seed):
+    # Philox would take 2^64 as a 128-bit key and run; -1 does not fit a uint64
+    with pytest.raises(ValueError, match=re.escape(f"seed must fit in 64 bits, got {seed}")):
+        _SEEDED[entry](seed)
