@@ -443,7 +443,9 @@ def cmd_verify(args, parser) -> int:
     try:
         checks = suite(**kwargs)
     except ValueError as exc:
-        parser.error(str(exc))
+        # name the flag the user typed, not the suite's keyword behind it
+        flags = {keyword: f"--{flag}" for flag, keyword in keywords.items()}
+        parser.error(re.sub(rf"\b({'|'.join(flags)})\b", lambda m: flags[m[1]], str(exc)))
     for check in checks:
         print(check)
     return 0 if all(c.passed for c in checks) else 1

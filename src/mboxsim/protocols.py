@@ -96,6 +96,10 @@ UNIFORMS_PER_ROUND = 24
 _SIGN_SLOTS = np.array([4, 6, 8, 10, 12, 14, 16])
 _SIGN_BITS = (1 << np.arange(_SIGN_SLOTS.size)).astype(np.uint16)
 
+# Philox counter steps per row: each step yields four 64-bit words, one per
+# double, so a row's 24 doubles are six steps.
+_STEPS_PER_ROW = UNIFORMS_PER_ROUND // 4
+
 # Rows per derived stream key.  Part of the stream layout: changing it
 # changes which uniforms a given round sees, so it is fixed, not tunable.
 CHUNK = 65536
@@ -147,8 +151,9 @@ def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -
     setting index, chunk index), with the round's offset inside its chunk
     fixed by CHUNK.  Rows are addressed by absolute round index; any
     contiguous request returns the same values regardless of how other
-    rounds were or will be generated.  Requests not aligned to the chunk
-    layout pay for the skipped prefix rows.
+    rounds were or will be generated.  A request that starts inside a chunk
+    advances the chunk's Philox counter past the rows before it, so it
+    draws only the rows it returns.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
@@ -157,8 +162,9 @@ def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -
     while pos < end:
         chunk_index, offset = divmod(pos, CHUNK)
         take = min(CHUNK - offset, end - pos)
-        g = np.random.Generator(np.random.Philox(key=_chunk_key(seed, setting_index, chunk_index)))
-        blocks.append(g.random((offset + take, UNIFORMS_PER_ROUND))[offset:])
+        bitgen = np.random.Philox(key=_chunk_key(seed, setting_index, chunk_index))
+        bitgen.advance(_STEPS_PER_ROW * offset)
+        blocks.append(np.random.Generator(bitgen).random((take, UNIFORMS_PER_ROUND)))
         pos += take
     if len(blocks) == 1:
         # the common case, one request inside one chunk: no copy

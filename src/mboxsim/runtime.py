@@ -6,7 +6,9 @@ that is handed chunk k of setting i regenerates exactly those rows no matter
 which thread it runs on or how many peers it has.  sample_settings is the one
 sampler: it turns every sampled chunk, for run_experiment and for verify's
 Monte Carlo alike, into one integer histogram (ChunkStats), so a setting's
-aggregate is a pure function of (seed, setting index, rounds).
+aggregate is a pure function of (seed, setting index, rounds).  It runs a
+chunk as cache-sized sub-blocks, and hands the chunks of a request that
+spans two or more of them to one kept thread pool.
 
 The report format lives here too: a record's sample and comparison fields,
 the record itself, the JSON document and its CSV projection.  This module
@@ -264,6 +266,12 @@ def _stats_from_batch(out) -> ChunkStats:
     return ChunkStats(hist.reshape(3, 3, 2, 2, 2, 2))
 
 
+# Rows drawn and run at once inside a chunk: 16 384 rows of 24 doubles are
+# 3 MiB, and a smaller batch pays run_batch's per-call set-up more often.
+# It only schedules work; the stream's layout is CHUNK.
+SUB_BLOCK = 16384
+
+
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
     # One pool per worker count, kept for the life of the process: with a
@@ -286,25 +294,36 @@ def sample_settings(
 
     Pair i reads the addressed stream of (seed, first_index + i), so its
     histogram equals, integer for integer, that of setting first_index + i
-    in a run_experiment with the same seed.  Chunks run in order on the
-    calling thread when workers == 1, else on the kept pool; merging is an
-    integer add, so the worker count cannot change any count.
+    in a run_experiment with the same seed.  A chunk is drawn and run as
+    SUB_BLOCK-row sub-blocks, so its working set stays a few MiB.  The
+    chunks run on the kept pool when workers > 1 and the request spans two
+    or more chunks, else in order on the calling thread; merging is an
+    integer add, so neither the sub-block size nor the worker count can
+    change any count.
     """
 
     def run_chunk(task):
-        i, a, b, start, m = task
-        rr = RoundRandomness.from_uniform_block(
-            round_uniform_block(seed, first_index + i, start, m)
-        )
-        return i, _stats_from_batch(run_batch(param, a, b, rr, strategy, protocol))
+        i, a, b, start, end = task
+        stats = ChunkStats()
+        for pos in range(start, end, SUB_BLOCK):
+            rr = RoundRandomness.from_uniform_block(
+                round_uniform_block(seed, first_index + i, pos, min(SUB_BLOCK, end - pos))
+            )
+            stats.add(_stats_from_batch(run_batch(param, a, b, rr, strategy, protocol)))
+        return i, stats
 
     tasks = [
-        (i, a, b, start, min(CHUNK, rounds - start))
+        (i, a, b, start, min(start + CHUNK, rounds))
         for i, (a, b) in enumerate(pairs)
         for start in range(0, rounds, CHUNK)
     ]
     stats = [ChunkStats() for _ in pairs]
-    chunks = map(run_chunk, tasks) if workers == 1 else _pool(workers).map(run_chunk, tasks)
+    # One chunk has nothing to share out, and a pool thread that ran it would
+    # cost its own allocator arena.
+    if workers == 1 or len(tasks) < 2:
+        chunks = map(run_chunk, tasks)
+    else:
+        chunks = _pool(workers).map(run_chunk, tasks)
     for i, chunk in chunks:
         stats[i].add(chunk)
     return stats

@@ -4,8 +4,8 @@ Three kinds of evidence live here, kept deliberately separate:
 
 * statistical estimates from sampled rounds (sign-variable means, always
   with standard errors), histogrammed by runtime.sample_settings, the
-  sampler behind every report, so a suite's rounds are those a
-  run_experiment at the same seed and setting index samples;
+  sampler behind every report, on every usable core, so a suite's rounds
+  are those a run_experiment at the same seed and setting index samples;
 * exact oracles that bypass sampling entirely: sign-tuple enumeration for
   the direction averages, product-grid quadrature for the one-bit kernel
   (an n x n node grid summed exactly by sorting and counting),
@@ -24,6 +24,7 @@ are plain arrays in quantum's outcome order (+,+), (+,-), (-,+), (-,-).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,6 +99,13 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260816
+
+# The cores this process may run on; a Monte Carlo request that spans two or
+# more chunks runs on all of them.
+if hasattr(os, "sched_getaffinity"):
+    _CORES = len(os.sched_getaffinity(0))
+else:
+    _CORES = os.cpu_count() or 1
 
 # The protocols whose rounds take a box branch: the oracles' domain.
 _BRANCH_PROTOCOLS = ("p1", "p2")
@@ -320,7 +328,7 @@ def mc_round_moments(
     seed: int,
 ) -> dict:
     """MC means of the pre-flip outputs alpha0, beta0 and the final alpha, beta."""
-    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed)
+    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed, _CORES)
     return {key: sign_mean_estimate(stats.sign_sum(key), rounds) for key in _CELL_SIGNS}
 
 
@@ -340,7 +348,7 @@ def mc_branch_correlations(
     two); with the box-bit pairing only two of the four combinations can
     occur at a fixed setting pair.
     """
-    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed)
+    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed, _CORES)
     return {
         branch: sign_mean_estimate(total, n)
         for branch, (n, total) in stats.branches.items()
@@ -477,7 +485,7 @@ def suite_kernel(
     exact_one = quadrature_kernel([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], n_nodes=1000)
     pointwise = abs(exact_one - 1.0)
     u0 = sample_unit_sphere(g)
-    [aligned] = sample_settings(param, [(u0, u0)], strategy, "tb", 100, seed)
+    [aligned] = sample_settings(param, [(u0, u0)], strategy, "tb", 100, seed, _CORES)
     if aligned.sign_sum("alpha", "beta") != 100:
         pointwise = math.inf
     checks = [
@@ -492,7 +500,7 @@ def suite_kernel(
     pairs.append((np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])))
     worst_z = 0.0
     worst_quad = 0.0
-    sampled = sample_settings(param, pairs, strategy, "tb", rounds, seed, first_index=1)
+    sampled = sample_settings(param, pairs, strategy, "tb", rounds, seed, _CORES, 1)
     for (u, v), stats in zip(pairs, sampled):
         est = sign_mean_estimate(stats.sign_sum("alpha", "beta"), rounds)
         analytic = float(u @ v)

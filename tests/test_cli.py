@@ -542,6 +542,20 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["flip", "--rounds", "0"], "need --rounds >= 1, got 0"),  # suite_flip's trials
+            (["epr2", "--grid", "5"], "need --grid >= 10, got 5"),  # suite_epr2's grid_n
+        ],
+        ids=["flip --rounds", "epr2 --grid"],
+    )
+    def test_error_names_the_flag_typed(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv,flag",
         [
             (["flip", "--gamma", "0.3", "--rounds", "3"], "--gamma"),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -266,6 +267,45 @@ class TestSampleSettings:
         assert [s.n for s in serial] == [rounds, rounds]
         assert all(np.array_equal(s.hist, p.hist) for s, p in zip(serial, pooled))
 
+    # (sub-block rows, rounds): a sub-block of 1 or 7 rows makes a call per
+    # few rounds, so it gets a short request; the others cross a chunk
+    # boundary, and 40 000 rows leave a short last sub-block in a full chunk.
+    @settings(max_examples=20, deadline=None)
+    @given(
+        protocol=st.sampled_from(("p1", "p2", "tb")),
+        split=st.one_of(
+            st.tuples(st.sampled_from((1, 7)), st.integers(1, 40)),
+            st.tuples(
+                st.sampled_from((4096, 16384, 40_000, CHUNK)),
+                st.integers(CHUNK // 2, CHUNK + 2000),
+            ),
+        ),
+        workers=st.sampled_from((1, 2)),
+    )
+    def test_histogram_does_not_depend_on_the_split(self, protocol, split, workers):
+        sub_block, rounds = split
+        pairs = resolve_settings(tb_config(settings=(), random_settings=2, seed=5))
+        args = (EntanglementParam(PI8), pairs, Completion.ORTHO, protocol, rounds, 23)
+        with pytest.MonkeyPatch.context() as mp:
+            # the reference draws and runs each chunk whole, on this thread
+            mp.setattr(runtime, "SUB_BLOCK", CHUNK)
+            whole = sample_settings(*args, workers=1)
+            mp.setattr(runtime, "SUB_BLOCK", sub_block)
+            split_up = sample_settings(*args, workers=workers)
+        assert [s.n for s in split_up] == [rounds, rounds]
+        assert all(np.array_equal(w.hist, s.hist) for w, s in zip(whole, split_up))
+
+    def test_one_chunk_stays_on_the_calling_thread(self, monkeypatch):
+        # a pool thread would cost its own allocator arena for nothing
+        def no_pool(workers):
+            raise AssertionError("a one-chunk request reached the pool")
+
+        monkeypatch.setattr(runtime, "_pool", no_pool)
+        pairs = resolve_settings(tb_config())
+        args = (EntanglementParam(PI8), pairs, Completion.NORMALIZE, "p1", CHUNK, 3)
+        [stats] = sample_settings(*args, workers=2)
+        assert stats.n == CHUNK
+
     def test_runtime_does_not_import_verify(self):
         # verify samples through runtime, never the other way round
         code = "import sys, mboxsim.runtime; print('mboxsim.verify' in sys.modules)"
@@ -303,6 +343,30 @@ class _FullDisk:
 
     def __exit__(self, *exc):
         self.fh.close()
+
+
+class TestMemory:
+    """tracemalloc peaks, numpy's buffers included, of the sampler's draws."""
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "tb"])
+    def test_one_chunk_peaks_below_8_mib(self, protocol):
+        # a whole chunk's rows alone are 12 MiB; sub-blocks keep a few MiB live
+        pairs = resolve_settings(tb_config())
+        args = (EntanglementParam(PI8), pairs, Completion.NORMALIZE, protocol, CHUNK, 3)
+        assert self._peak(lambda: sample_settings(*args, workers=1)) < 8 * 2**20
+
+    def test_unaligned_request_draws_only_its_rows(self):
+        # five rows are 960 bytes; drawing the chunk's prefix would be 12 MiB
+        assert self._peak(lambda: round_uniform_block(9, 0, CHUNK - 5, 5)) < 64 * 2**10
 
 
 class TestWriteReport:
