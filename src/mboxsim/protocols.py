@@ -13,7 +13,7 @@ Both entangled-state protocols follow the same skeleton per round:
    sgn(z . mu_i), which are fair and independent, so a round keeps only
    those signs, as bits, and never builds a mu vector.  At fixed settings a
    party's direction is a function of its branch sign and the sign tuple, so
-   direction_table computes it once per batch for every tuple and each round
+   direction_table computes it once per setting for every tuple and each round
    looks its direction up;
 4. Alice outputs sgn(u . lambda_1) and sends the one-bit product
    sgn(u . lambda_1) sgn(u . lambda_2); Bob outputs
@@ -38,6 +38,7 @@ average in verify enumerates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,6 +431,21 @@ def direction_table(
     return u, v
 
 
+def _key(vec) -> bytes:
+    # a setting's exact bits: unlike a tuple of floats, -0.0 and 0.0 differ
+    return np.asarray(vec, dtype=float).tobytes()
+
+
+@functools.lru_cache(maxsize=64)
+def _branch_tables(param, a: bytes, b: bytes, strategy: Completion, protocol: str):
+    # both branch signs' tables, read-only: every later batch shares them
+    u, v = direction_table(
+        param, np.frombuffer(a), np.frombuffer(b), (1, -1), (1, -1), strategy, protocol
+    )
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
 def round_directions(
     param: EntanglementParam,
     a: np.ndarray,
@@ -442,12 +458,16 @@ def round_directions(
 ):
     """Each round's u and v at symmetrized settings, looked up in direction_table.
 
+    The table is built once per (param, a, b, strategy, protocol), a and b
+    keyed by their exact bits, and the last 64 are kept: the sampler runs a
+    setting as many batches, and they all look up the same table.
+
     signs are RoundRandomness.signs.  A round's table index keeps the mu
     bits the protocol reads.  Alice's row is picked by her branch sign p and
     Bob's by his q: block 0 of the table is branch +1, block 1 is -1.
     """
     k = _MU_SIGNS[protocol]
-    u_tab, v_tab = direction_table(param, a, b, (1, -1), (1, -1), strategy, protocol)
+    u_tab, v_tab = _branch_tables(param, _key(a), _key(b), strategy, protocol)
     tuple_idx = (signs & ((1 << k) - 1)).astype(np.intp)
     u = u_tab.take(tuple_idx + ((p < 0) << k), axis=0)
     v = v_tab.take(tuple_idx + ((q < 0) << k), axis=0)
