@@ -436,7 +436,8 @@ def _key(vec) -> bytes:
     return np.asarray(vec, dtype=float).tobytes()
 
 
-@functools.lru_cache(maxsize=64)
+# A few settings at a time: the sampler runs at most one per worker at once.
+@functools.lru_cache(maxsize=16)
 def _branch_tables(param, a: bytes, b: bytes, strategy: Completion, protocol: str):
     # both branch signs' tables, read-only: every later batch shares them
     u, v = direction_table(
@@ -459,7 +460,7 @@ def round_directions(
     """Each round's u and v at symmetrized settings, looked up in direction_table.
 
     The table is built once per (param, a, b, strategy, protocol), a and b
-    keyed by their exact bits, and the last 64 are kept: the sampler runs a
+    keyed by their exact bits, and the last 16 are kept: the sampler runs a
     setting as many batches, and they all look up the same table.
 
     signs are RoundRandomness.signs.  A round's table index keeps the mu
