@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mboxsim
-from mboxsim import runtime
+from mboxsim import protocols, runtime
 from mboxsim.cli import report_schema
 from mboxsim.geometry import Completion
 from mboxsim.quantum import EntanglementParam
@@ -294,6 +294,22 @@ class TestSampleSettings:
             split_up = sample_settings(*args, workers=workers)
         assert [s.n for s in split_up] == [rounds, rounds]
         assert all(np.array_equal(w.hist, s.hist) for w, s in zip(whole, split_up))
+
+    def test_shared_direction_tables_under_thread_switching(self, monkeypatch):
+        # more workers than cores, switching often, all missing the table
+        # cache at once: the histograms still equal the serial ones
+        pairs = resolve_settings(tb_config(settings=(), random_settings=4, seed=8))
+        args = (EntanglementParam(PI8), pairs, Completion.ORTHO, "p2", CHUNK + 100, 29)
+        monkeypatch.setattr(runtime, "SUB_BLOCK", 4096)
+        serial = sample_settings(*args, workers=1)
+        protocols._branch_tables.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = sample_settings(*args, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(s.hist, p.hist) for s, p in zip(serial, pooled))
 
     def test_one_chunk_stays_on_the_calling_thread(self, monkeypatch):
         # a pool thread would cost its own allocator arena for nothing
