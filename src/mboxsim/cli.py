@@ -28,7 +28,13 @@ from jsonschema import SchemaError, ValidationError
 from .geometry import Completion
 from .protocols import symmetrize
 from .quantum import DegenerateAxisError, EntanglementParam
-from .runtime import ExperimentConfig, load_settings_csv, run_experiment, write_report
+from .runtime import (
+    ExperimentConfig,
+    load_settings_csv,
+    report_to_json_dict,
+    run_experiment,
+    write_report,
+)
 from .verify import (
     branch_correlation_claim,
     exact_mu_average,
@@ -402,7 +408,8 @@ def cmd_simulate(args, parser) -> int:
         if n < 1:
             parser.error(f"--settings random:N needs integer N >= 1, got {args.settings!r}")
         source = {"random_settings": n}
-    # A settings-file, config, target or output-file error exits 2 on one line.
+    # A settings-file, config, target or output-file error exits 2 on one line;
+    # a report that fails its own schema exits 1 and is never written.
     try:
         if source is None:
             source = {"settings": load_settings_csv(args.settings)}
@@ -415,12 +422,11 @@ def cmd_simulate(args, parser) -> int:
             **source,
         )
         report = run_experiment(config)
-        payload = write_report(report, args.out, args.csv)
+        _report_validator()(report_to_json_dict(report))
+        write_report(report, args.out, args.csv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        _report_validator()(payload)
     except jsonschema.ValidationError as exc:
         print(f"internal error: report failed schema self-check: {exc.message}", file=sys.stderr)
         return 1

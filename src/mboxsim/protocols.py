@@ -13,8 +13,9 @@ Both entangled-state protocols follow the same skeleton per round:
    sgn(z . mu_i), which are fair and independent, so a round keeps only
    those signs, as bits, and never builds a mu vector.  At fixed settings a
    party's direction is a function of its branch sign and the sign tuple, so
-   direction_table computes it once per setting for every tuple and each round
-   looks its direction up;
+   direction_table computes it once per setting for both branches and every
+   tuple, keeps the last 16 such tables, and each round looks its direction
+   up;
 4. Alice outputs sgn(u . lambda_1) and sends the one-bit product
    sgn(u . lambda_1) sgn(u . lambda_2); Bob outputs
    sgn(v . (lambda_1 + cbit lambda_2));
@@ -32,8 +33,8 @@ box and no flips.
 run_batch is the one round engine: every sampled round, in the runtime and in
 the verification suites, is a row of a batch, and a single round is a batch
 of one.  The flip rule (correlated_flip) is the one the exact flip algebra in
-verify enumerates, and direction_table is the one the exact direction
-average in verify enumerates.
+verify enumerates, and the exact direction average in verify reads the very
+arrays direction_table keeps for the sampler.
 """
 
 from __future__ import annotations
@@ -145,34 +146,25 @@ def _check_p2_gamma(param: EntanglementParam, protocol: str) -> None:
 
 
 def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -> np.ndarray:
-    """Uniform rows for rounds [start, start + count) of one setting.
+    """Uniform rows for rounds [start, start + count) of one setting, inside one chunk.
 
     Every sampled round, in the runtime and in the verification suites,
     draws its row here: a counter-style Philox stream keyed by (seed,
     setting index, chunk index), with the round's offset inside its chunk
-    fixed by CHUNK.  Rows are addressed by absolute round index; any
-    contiguous request returns the same values regardless of how other
-    rounds were or will be generated.  A request that starts inside a chunk
-    advances the chunk's Philox counter past the rows before it, so it
-    draws only the rows it returns.
+    fixed by CHUNK.  Rows are addressed by absolute round index; any span
+    inside one chunk returns the same values regardless of how other rounds
+    were or will be generated.  The request advances the chunk's Philox
+    counter past the rows before it, so it draws only the rows it returns.
+    A span that crosses a chunk boundary is refused: callers split at CHUNK.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
-    blocks = []
-    pos, end = start, start + count
-    while pos < end:
-        chunk_index, offset = divmod(pos, CHUNK)
-        take = min(CHUNK - offset, end - pos)
-        bitgen = np.random.Philox(key=_chunk_key(seed, setting_index, chunk_index))
-        bitgen.advance(_STEPS_PER_ROW * offset)
-        blocks.append(np.random.Generator(bitgen).random((take, UNIFORMS_PER_ROUND)))
-        pos += take
-    if len(blocks) == 1:
-        # the common case, one request inside one chunk: no copy
-        return blocks[0]
-    if not blocks:
-        return np.empty((0, UNIFORMS_PER_ROUND))
-    return np.concatenate(blocks)
+    chunk_index, offset = divmod(start, CHUNK)
+    if offset + count > CHUNK:
+        raise ValueError(f"rows [{start}, {start + count}) cross a chunk boundary")
+    bitgen = np.random.Philox(key=_chunk_key(seed, setting_index, chunk_index))
+    bitgen.advance(_STEPS_PER_ROW * offset)
+    return np.random.Generator(bitgen).random((count, UNIFORMS_PER_ROUND))
 
 
 @dataclass(frozen=True)
@@ -402,47 +394,39 @@ def direction_table(
     param: EntanglementParam,
     a: np.ndarray,
     b: np.ndarray,
-    p,
-    q,
     strategy: Completion,
     protocol: str,
 ):
-    """Alice's u and Bob's v at symmetrized settings for every sign tuple.
-
-    p and q are equal-length sequences of branch signs, one per table block.
+    """Alice's u and Bob's v at symmetrized settings for both branches and every sign tuple.
 
     With k the number of mu signs the protocol reads (5 for p1, 7 for p2),
     sign tuple i sets sgn(z . mu_{j+1}) to -1 exactly when bit j of i is 1;
-    unread mu signs are +1.  Row j * 2^k + i of u holds branch p[j] under
-    tuple i, and the same row of v holds branch q[j].  run_batch gathers
-    each round's rows from this table, and exact_mu_average averages u.v
-    over it, so sampler and oracle share one construction, and both refuse
-    p2 at gamma = 0 here.
+    unread mu signs are +1.  Row i of u holds Alice's branch +1 under tuple
+    i and row 2^k + i her branch -1; v holds Bob's branches the same way.
+    run_batch gathers each round's rows from these arrays (round_directions),
+    and exact_mu_average averages u.v over their branch blocks, so sampler and
+    oracle read one construction, and both refuse p2 at gamma = 0 here.
+
+    The read-only arrays are built once per (param, a, b, strategy, protocol),
+    a and b keyed by their exact bits, and the last 16 are kept.  Code that
+    patches a direction builder must clear _branch_tables around the patch.
     """
-    _check_p2_gamma(param, protocol)
-    k = _MU_SIGNS[protocol]
-    tuples = np.arange(len(p) << k) % (1 << k)
-    mu_sign = np.ones((tuples.size, 7), dtype=np.int8)
-    mu_sign[:, :k] = 1 - 2 * ((tuples[:, None] >> np.arange(k)) & 1)
-    p_rows = np.repeat(np.asarray(p, dtype=np.int8), 1 << k)
-    q_rows = np.repeat(np.asarray(q, dtype=np.int8), 1 << k)
-    u = alice_direction_rows(param, a, p_rows, mu_sign, strategy, protocol)
-    v = bob_direction_rows(param, b, q_rows, mu_sign, strategy, protocol)
-    return u, v
-
-
-def _key(vec) -> bytes:
-    # a setting's exact bits: unlike a tuple of floats, -0.0 and 0.0 differ
-    return np.asarray(vec, dtype=float).tobytes()
+    a, b = (np.asarray(vec, dtype=float).tobytes() for vec in (a, b))
+    return _branch_tables(param, a, b, strategy, protocol)
 
 
 # A few settings at a time: the sampler runs at most one per worker at once.
+# The keys are bytes, not tuples of floats, so that -0.0 and 0.0 differ.
 @functools.lru_cache(maxsize=16)
 def _branch_tables(param, a: bytes, b: bytes, strategy: Completion, protocol: str):
-    # both branch signs' tables, read-only: every later batch shares them
-    u, v = direction_table(
-        param, np.frombuffer(a), np.frombuffer(b), (1, -1), (1, -1), strategy, protocol
-    )
+    _check_p2_gamma(param, protocol)
+    k = _MU_SIGNS[protocol]
+    tuples = np.arange(2 << k) % (1 << k)
+    mu_sign = np.ones((tuples.size, 7), dtype=np.int8)
+    mu_sign[:, :k] = 1 - 2 * ((tuples[:, None] >> np.arange(k)) & 1)
+    branch = np.repeat(np.array([1, -1], dtype=np.int8), 1 << k)
+    u = alice_direction_rows(param, np.frombuffer(a), branch, mu_sign, strategy, protocol)
+    v = bob_direction_rows(param, np.frombuffer(b), branch, mu_sign, strategy, protocol)
     u.flags.writeable = v.flags.writeable = False
     return u, v
 
@@ -457,18 +441,14 @@ def round_directions(
     strategy: Completion,
     protocol: str,
 ):
-    """Each round's u and v at symmetrized settings, looked up in direction_table.
-
-    The table is built once per (param, a, b, strategy, protocol), a and b
-    keyed by their exact bits, and the last 16 are kept: the sampler runs a
-    setting as many batches, and they all look up the same table.
+    """Each round's u and v at symmetrized settings, gathered from direction_table.
 
     signs are RoundRandomness.signs.  A round's table index keeps the mu
     bits the protocol reads.  Alice's row is picked by her branch sign p and
     Bob's by his q: block 0 of the table is branch +1, block 1 is -1.
     """
     k = _MU_SIGNS[protocol]
-    u_tab, v_tab = _branch_tables(param, _key(a), _key(b), strategy, protocol)
+    u_tab, v_tab = direction_table(param, a, b, strategy, protocol)
     tuple_idx = (signs & ((1 << k) - 1)).astype(np.intp)
     u = u_tab.take(tuple_idx + ((p < 0) << k), axis=0)
     v = v_tab.take(tuple_idx + ((q < 0) << k), axis=0)
@@ -507,20 +487,20 @@ def run_batch(
     """Execute rr.n rounds at fixed settings, protocol in {"p1","p2","tb"}."""
     if protocol not in PROTOCOL_IDS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    n = rr.n
 
     if protocol == "tb":
+        a = as_unit_vector(a)
+        b = as_unit_vector(b)
         # lam @ a, not the row-wise einsum: the two round differently in the
         # last bits, and tb's report bytes are pinned to this form.
         alpha, cbit, beta = _kernel(rr.lam1 @ a, rr.lam2 @ a, rr.lam1 @ b, rr.lam2 @ b)
-        zero_sign = np.zeros(n, dtype=np.int8)
+        zero_sign = np.zeros(rr.n, dtype=np.int8)
         return BatchOutcome(
             alpha=alpha, beta=beta, alpha0=alpha, beta0=beta,
             p=zero_sign, q=zero_sign, cbit=cbit,
         )
 
+    # symmetrize validates both settings
     a1, b1, sign_a, sign_b = symmetrize(a, b)
 
     # Box stage: one call per round on (a_z, b_z). Bob inverts his bit into a

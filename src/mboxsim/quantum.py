@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boxes import compare_bit
 from .geometry import as_unit_vector, sgn
 
 __all__ = [
@@ -283,14 +284,14 @@ def pre_flip_correlation(param: EntanglementParam, a, b, protocol: str) -> float
 
     For p1 the (c a_z, c b_z) flip lands on the quantum correlation C, for p2
     the F-flip on the nonlocal correlation G.  Requires symmetrized settings:
-    branch_pairing on the branch the box picks (a_z <= b_z) with
+    branch_pairing on the branch the box picks (compare_bit: a_z <= b_z) with
     flip_exact_axis, which covers p2's four band cases.
     """
     a = as_unit_vector(a)
     b = as_unit_vector(b)
     if a[2] < 0.0 or b[2] < 0.0:
         raise ValueError("settings must be symmetrized (a_z, b_z >= 0)")
-    x, y = branch_pairing(param, a, b, a[2] <= b[2], protocol, flip_exact_axis)
+    x, y = branch_pairing(param, a, b, compare_bit(a[2], b[2]) == 1, protocol, flip_exact_axis)
     # A dot product of unit vectors, clamped: rounding can carry it just
     # past +-1, and the flip algebra rejects correlations outside [-1, 1].
     return min(1.0, max(-1.0, float(x @ y)))

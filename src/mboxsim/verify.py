@@ -196,13 +196,16 @@ def exact_mu_average(
     signs.  Averaging u.v over every sign tuple is therefore exact: 2^5
     tuples for the full-distribution protocol (which reads five of the seven
     mu signs) and 2^7 for the nonlocal-part protocol, under every completion
-    strategy.  The tuples are the rows of
-    protocols.direction_table for branch (p, q), the very table run_batch
-    looks each sampled round's directions up in, so the oracle and the
-    sampler share one direction construction.
+    strategy.  The tuples are the rows of Alice's branch-p block and Bob's
+    branch-q block of protocols.direction_table: the very arrays, cached
+    once per setting, that run_batch gathers each sampled round's directions
+    from, so the oracle and the sampler share one direction construction.
     """
     a, b = _branch_settings(a, b, p, q, protocol_id)
-    u_rows, v_rows = direction_table(param, a, b, (p,), (q,), strategy, protocol_id)
+    u, v = direction_table(param, a, b, strategy, protocol_id)
+    half = u.shape[0] // 2
+    u_rows = u[half:] if p < 0 else u[:half]
+    v_rows = v[half:] if q < 0 else v[:half]
     return float(np.einsum("ij,ij->i", u_rows, v_rows).mean())
 
 

@@ -2,11 +2,21 @@
 
 Acceptance tests record one PASS/FAIL line each; emitting them through the
 terminal-summary hook keeps them visible under pytest's output capture.
+Every test starts with an empty direction-table cache.
 """
 
 import pytest
 
+from mboxsim import protocols
+
 _criterion_lines = []
+
+
+@pytest.fixture(autouse=True)
+def _fresh_direction_tables():
+    # a table built under one test's patched direction builder must not
+    # serve the next test
+    protocols._branch_tables.cache_clear()
 
 
 @pytest.fixture

@@ -217,16 +217,19 @@ class TestSimulate:
             validator_for(schema).check_schema({**schema, "required": "records"})
 
     def test_report_failing_schema_exits_1(self, tmp_path, capsys, monkeypatch):
-        real = cli.write_report
+        # the self-check sees the payload without its summary: it fails, and
+        # neither report file is written
+        real = cli._report_validator()
 
-        def write_without_summary(*args):
-            payload = real(*args)
-            del payload["summary"]
-            return payload
+        def check_without_summary(payload):
+            real({key: value for key, value in payload.items() if key != "summary"})
 
-        monkeypatch.setattr(cli, "write_report", write_without_summary)
-        assert main(simulate_args(tmp_path)) == 1
+        monkeypatch.setattr(cli, "_report_validator", lambda: check_without_summary)
+        argv = simulate_args(tmp_path, **{"--csv": str(tmp_path / "r.csv")})
+        assert main(argv) == 1
         assert "schema self-check" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestGoldenReports:

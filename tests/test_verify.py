@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -277,6 +278,19 @@ class TestQuadratureKernel:
         assert quadrature_kernel(u, v) == pytest.approx(float(u @ v), abs=2e-3)
 
 
+def count_direction_builds(monkeypatch) -> list:
+    """Record, in order, the name of each direction builder protocols calls from now on."""
+    calls = []
+    for name in ("alice_direction_rows", "bob_direction_rows", "complete_rows"):
+
+        def counted(*args, _name=name, _real=getattr(protocols, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(protocols, name, counted)
+    return calls
+
+
 class TestExactMuAverage:
     def test_frozen_aligned_values(self):
         param = EntanglementParam(PI4)
@@ -298,6 +312,31 @@ class TestExactMuAverage:
         # run_batch refuses it in the same direction_table
         with pytest.raises(ValueError, match="protocol 2 requires gamma > 0"):
             exact_mu_average(EntanglementParam(0.0), Z_HAT, X_HAT, Completion.NORMALIZE, 1, 1, "p2")
+
+    @pytest.mark.parametrize("protocol", ["p1", "p2"])
+    def test_oracle_reads_the_sampled_table(self, monkeypatch, protocol):
+        # after a batch at a setting, the oracle at the symmetrized setting
+        # builds nothing: it averages the block the sampler gathered from
+        param = EntanglementParam(PI8)
+        a, b = np.array([0.6, 0.0, -0.8]), np.array([0.0, 0.6, 0.8])
+        rr = RoundRandomness.from_uniform_block(protocols.round_uniform_block(5, 0, 0, 64))
+        run_batch(param, a, b, rr, Completion.ORTHO, protocol)
+        calls = count_direction_builds(monkeypatch)
+        a1, b1 = symmetrize(a, b)[:2]
+        branches = [(p, q) for p in (1, -1) for q in (1, -1)]
+        oracle = [
+            exact_mu_average(param, a1, b1, Completion.ORTHO, p, q, protocol) for p, q in branches
+        ]
+        assert calls == []
+        u, v = protocols.direction_table(param, a1, b1, Completion.ORTHO, protocol)
+        assert calls == []
+        assert not (u.flags.writeable or v.flags.writeable)
+        half = 1 << {"p1": 5, "p2": 7}[protocol]
+        assert u.shape == v.shape == (2 * half, 3)
+        for (p, q), got in zip(branches, oracle):
+            u_block = u[half:] if p < 0 else u[:half]
+            v_block = v[half:] if q < 0 else v[:half]
+            assert got == float(np.einsum("ij,ij->i", u_block, v_block).mean())
 
     def test_mismatched_branches_agree(self):
         # (p, q) = (1, -1) and (-1, 1) relabel the mu bundle onto each other
@@ -326,9 +365,13 @@ class TestExactMuAverage:
                         e = party_signs.pop(0)
                         return complete_rows(w, strategy, fallback, e * np.asarray(comp_sign, dtype=float))
 
+                    # the patched builder must build the table, and its
+                    # table must not outlive the patch
                     with monkeypatch.context() as m:
                         m.setattr(protocols, "complete_rows", signed)
+                        protocols._branch_tables.cache_clear()
                         total += exact_mu_average(param, a, b, Completion.ORTHO, p, q, protocol)
+                    protocols._branch_tables.cache_clear()
                     assert not party_signs
             return total / 4.0
 
@@ -607,6 +650,13 @@ class TestRealizedJoint:
                             assert mean_a == pytest.approx(param.cos2g * a[2], abs=1e-12)
                             assert mean_b == pytest.approx(param.cos2g * b[2], abs=1e-12)
 
+    @pytest.mark.parametrize("protocol", ["p1", "p2"])
+    def test_builds_one_table(self, monkeypatch, protocol):
+        # both branches' averages read one table of the fresh setting
+        calls = count_direction_builds(monkeypatch)
+        realized_joint(EntanglementParam(PI8), *self.settings()[0], Completion.ORTHO, protocol)
+        assert calls.count("alice_direction_rows") == calls.count("bob_direction_rows") == 1
+
     def test_matches_run_experiment(self):
         # every cell of the sampled full joint against the exact one, 4 sigma
         param = EntanglementParam(PI8)
@@ -652,6 +702,15 @@ class TestEpr2Suite:
 
 
 class TestClaimResidualReport:
+    # SHA-256 of the sorted-key JSON of the 10-setting report at the default
+    # seed.  The report is pure enumeration, so a change to a direction, the
+    # claim or the settings draw shows here.  The digest is 0.15.0's bytes.
+    GOLDEN_10 = "937fb640e92b938cce6e134de00f82f7e276279303a295a04759c6564337b1ac"
+
+    def test_golden_digest(self):
+        text = json.dumps(claim_residual_report(n_settings=10), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_10
+
     def test_deterministic_and_nonzero(self):
         kwargs = dict(n_settings=5, seed=DEFAULT_SEED)
         one = claim_residual_report(**kwargs)
