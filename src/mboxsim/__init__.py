@@ -12,6 +12,6 @@ imported from there (``from mboxsim.runtime import run_experiment``); the
 package itself exports only its version.
 """
 
-__version__ = "0.15.1"
+__version__ = "0.16.0"
 
 __all__ = ["__version__"]

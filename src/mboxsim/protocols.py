@@ -32,9 +32,12 @@ box and no flips.
 
 run_batch is the one round engine: every sampled round, in the runtime and in
 the verification suites, is a row of a batch, and a single round is a batch
-of one.  The flip rule (correlated_flip) is the one the exact flip algebra in
-verify enumerates, and the exact direction average in verify reads the very
-arrays direction_table keeps for the sampler.
+of one.  A round's randomness is one row of UNIFORMS_PER_ROUND doubles from
+round_uniform_block, a PCG64DXSM stream per (seed, setting, chunk) that any
+span of rows can be drawn from alone.  The flip rule (correlated_flip) is the
+one the exact flip algebra in verify enumerates, and the exact direction
+average in verify reads the very arrays direction_table keeps for the
+sampler.
 """
 
 from __future__ import annotations
@@ -98,22 +101,18 @@ UNIFORMS_PER_ROUND = 24
 _SIGN_SLOTS = np.array([4, 6, 8, 10, 12, 14, 16])
 _SIGN_BITS = (1 << np.arange(_SIGN_SLOTS.size)).astype(np.uint16)
 
-# Philox counter steps per row: each step yields four 64-bit words, one per
-# double, so a row's 24 doubles are six steps.
-_STEPS_PER_ROW = UNIFORMS_PER_ROUND // 4
-
 # Rows per derived stream key.  Part of the stream layout: changing it
 # changes which uniforms a given round sees, so it is fixed, not tunable.
 CHUNK = 65536
 
-# The stream layout's name, echoed in every report: Philox keyed per
-# (seed, setting, chunk), CHUNK rows per key, UNIFORMS_PER_ROUND per row.
-STREAM = f"philox/chunk{CHUNK}/row{UNIFORMS_PER_ROUND}"
+# The stream layout's name, echoed in every report: PCG64DXSM seeded per
+# (seed, setting, chunk), CHUNK rows per seed, UNIFORMS_PER_ROUND per row.
+STREAM = f"pcg64dxsm/chunk{CHUNK}/row{UNIFORMS_PER_ROUND}"
 
 
 def _check_seed(seed: int) -> int:
-    """The seed, if it fits a key's 64-bit low word.  Philox takes 128-bit keys,
-    so a larger seed would key a nonzero high word, which round streams own."""
+    """The seed, if it fits in 64 bits.  Philox(key=) and SeedSequence would
+    both take a larger one, so this is the one place that bounds it."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     return seed
@@ -122,21 +121,6 @@ def _check_seed(seed: int) -> int:
 def seeded_generator(seed: int) -> np.random.Generator:
     """The stream keyed by the bare seed: settings draws and the suites' inputs."""
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
-
-
-def _chunk_key(seed: int, setting_index: int, chunk_index: int) -> np.ndarray:
-    """128-bit stream key, unique per (seed, setting, chunk).
-
-    A settings draw keyed by the bare seed has high word 0; setting_index + 1
-    keeps every round-stream key's high word nonzero, so the two can never
-    collide.
-    """
-    if not 0 <= setting_index < 2**32 - 1:
-        raise ValueError(f"setting_index out of range: {setting_index}")
-    if not 0 <= chunk_index < 2**32:
-        raise ValueError(f"chunk_index out of range: {chunk_index}")
-    hi = ((setting_index + 1) << 32) | chunk_index
-    return np.array([_check_seed(seed), hi], dtype=np.uint64)
 
 
 def _check_p2_gamma(param: EntanglementParam, protocol: str) -> None:
@@ -149,21 +133,31 @@ def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -
     """Uniform rows for rounds [start, start + count) of one setting, inside one chunk.
 
     Every sampled round, in the runtime and in the verification suites,
-    draws its row here: a counter-style Philox stream keyed by (seed,
-    setting index, chunk index), with the round's offset inside its chunk
-    fixed by CHUNK.  Rows are addressed by absolute round index; any span
-    inside one chunk returns the same values regardless of how other rounds
-    were or will be generated.  The request advances the chunk's Philox
-    counter past the rows before it, so it draws only the rows it returns.
-    A span that crosses a chunk boundary is refused: callers split at CHUNK.
+    draws its row here: one PCG64DXSM stream per (seed, setting index, chunk
+    index), seeded by numpy's SeedSequence with (setting, chunk) as its spawn
+    key, with the round's offset inside its chunk fixed by CHUNK.  Rows are
+    addressed by absolute round index; any span inside one chunk returns the
+    same values regardless of how other rounds were or will be generated.
+    Each double is one 64-bit step of the generator, so the request advances
+    the chunk's stream UNIFORMS_PER_ROUND steps per row before it and draws
+    only the rows it returns.  A span that crosses a chunk boundary is
+    refused: callers split at CHUNK.  The settings draw (seeded_generator)
+    runs on Philox, a different generator.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
     chunk_index, offset = divmod(start, CHUNK)
     if offset + count > CHUNK:
         raise ValueError(f"rows [{start}, {start + count}) cross a chunk boundary")
-    bitgen = np.random.Philox(key=_chunk_key(seed, setting_index, chunk_index))
-    bitgen.advance(_STEPS_PER_ROW * offset)
+    # The index ranges the 0.15 Philox key allowed (setting + 1 and the
+    # chunk, 32 bits each), kept so that the same runs are accepted.
+    if not 0 <= setting_index < 2**32 - 1:
+        raise ValueError(f"setting_index out of range: {setting_index}")
+    if not 0 <= chunk_index < 2**32:
+        raise ValueError(f"chunk_index out of range: {chunk_index}")
+    entropy = np.random.SeedSequence(_check_seed(seed), spawn_key=(setting_index, chunk_index))
+    bitgen = np.random.PCG64DXSM(entropy)
+    bitgen.advance(UNIFORMS_PER_ROUND * offset)
     return np.random.Generator(bitgen).random((count, UNIFORMS_PER_ROUND))
 
 
@@ -460,8 +454,14 @@ def round_directions(
 # ---------------------------------------------------------------------------
 
 
-def _rowdot(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", rows, other)
+def _rowdot(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Each round's x . lambda, for x an (n, 3) row block or one (3,) setting.
+
+    Summed column by column, so a setting gives the bits its tiled rows
+    would, and a setting costs no more than a row block: tb uses the one
+    form p1 and p2 use.
+    """
+    return rows[..., 0] * lam[:, 0] + rows[..., 1] * lam[:, 1] + rows[..., 2] * lam[:, 2]
 
 
 def _kernel(u_lam1, u_lam2, v_lam1, v_lam2):
@@ -491,9 +491,9 @@ def run_batch(
     if protocol == "tb":
         a = as_unit_vector(a)
         b = as_unit_vector(b)
-        # lam @ a, not the row-wise einsum: the two round differently in the
-        # last bits, and tb's report bytes are pinned to this form.
-        alpha, cbit, beta = _kernel(rr.lam1 @ a, rr.lam2 @ a, rr.lam1 @ b, rr.lam2 @ b)
+        alpha, cbit, beta = _kernel(
+            _rowdot(a, rr.lam1), _rowdot(a, rr.lam2), _rowdot(b, rr.lam1), _rowdot(b, rr.lam2)
+        )
         zero_sign = np.zeros(rr.n, dtype=np.int8)
         return BatchOutcome(
             alpha=alpha, beta=beta, alpha0=alpha, beta0=beta,

@@ -1,14 +1,15 @@
 """Batch execution: settings sweeps over deterministic streams, and the report.
 
 Every round's randomness comes from protocols.round_uniform_block, a
-counter-style stream keyed by (seed, setting index, chunk index).  A worker
-that is handed chunk k of setting i regenerates exactly those rows no matter
-which thread it runs on or how many peers it has.  sample_settings is the one
-sampler: it turns every sampled chunk, for run_experiment and for verify's
-Monte Carlo alike, into one integer histogram (ChunkStats), so a setting's
-aggregate is a pure function of (seed, setting index, rounds).  It runs a
-chunk as cache-sized sub-blocks, and hands the chunks of a request that
-spans two or more of them to one kept thread pool.
+PCG64DXSM stream seeded per (seed, setting index, chunk index) that starts
+at any row.  A worker that is handed chunk k of setting i regenerates
+exactly those rows no matter which thread it runs on or how many peers it
+has.  sample_settings is the one sampler: it turns every sampled chunk, for
+run_experiment and for verify's Monte Carlo alike, into one integer
+histogram (ChunkStats), so a setting's aggregate is a pure function of
+(seed, setting index, rounds).  It runs a chunk as cache-sized sub-blocks
+that add their counts into one array, and hands the chunks of a request
+that spans two or more of them to one kept thread pool.
 
 The report format lives here too: a record's sample and comparison fields,
 the record itself, the JSON document and its CSV projection.  This module
@@ -259,11 +260,11 @@ class ChunkStats:
 
 
 def _stats_from_batch(out) -> ChunkStats:
-    idx = (out.p + 1).astype(np.int16) * 3 + (out.q + 1)
+    # The cell index fits a byte (at most 143), so it is built in uint8.
+    idx = (out.p + 1).view(np.uint8) * 3 + (out.q + 1).view(np.uint8)
     for x in (out.alpha0, out.beta0, out.alpha, out.beta):
         idx = idx * 2 + (x < 0)
-    hist = np.bincount(idx, minlength=3 * 3 * 16).astype(np.int64, copy=False)
-    return ChunkStats(hist.reshape(3, 3, 2, 2, 2, 2))
+    return ChunkStats(np.bincount(idx, minlength=3 * 3 * 16).reshape(3, 3, 2, 2, 2, 2))
 
 
 # Rows drawn and run at once inside a chunk: 16 384 rows of 24 doubles are
@@ -303,14 +304,15 @@ def sample_settings(
     """
 
     def run_chunk(task):
+        # one count array per chunk; each sub-block's histogram is added in place
         i, a, b, start, end = task
-        stats = ChunkStats()
+        hist = ChunkStats().hist
         for pos in range(start, end, SUB_BLOCK):
             rr = RoundRandomness.from_uniform_block(
                 round_uniform_block(seed, first_index + i, pos, min(SUB_BLOCK, end - pos))
             )
-            stats.add(_stats_from_batch(run_batch(param, a, b, rr, strategy, protocol)))
-        return i, stats
+            hist += _stats_from_batch(run_batch(param, a, b, rr, strategy, protocol)).hist
+        return i, hist
 
     tasks = [
         (i, a, b, start, min(start + CHUNK, rounds))
@@ -324,8 +326,8 @@ def sample_settings(
         chunks = map(run_chunk, tasks)
     else:
         chunks = _pool(workers).map(run_chunk, tasks)
-    for i, chunk in chunks:
-        stats[i].add(chunk)
+    for i, hist in chunks:
+        stats[i].hist += hist
     return stats
 
 
@@ -483,12 +485,14 @@ def write_report(report: ComparisonReport, out_path, csv_path=None) -> dict:
     """Serialize the report to JSON (and optionally CSV); returns the dict.
 
     json.dumps with sorted keys and repr floats keeps the bytes a pure
-    function of the report content.  If either file cannot be written in
-    full, every file this call opened is removed again before the OSError
+    function of the report content.  The JSON is one line and a newline:
+    without indent, json uses its C encoder, several times faster on a
+    report of many settings.  If either file cannot be written in full,
+    every file this call opened is removed again before the OSError
     propagates: no half a report.
     """
     payload = report_to_json_dict(report)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True) + "\n"
     opened = []
     try:
         with open(out_path, "w") as fh:

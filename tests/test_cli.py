@@ -187,13 +187,14 @@ class TestSimulate:
         assert not out.exists()
 
     def test_file_size_limit_leaves_no_half_report(self, tmp_path):
-        # a child whose files may not grow past 2000 bytes fails mid-report
-        # (EFBIG), as on a full disk, and must not leave the truncated JSON
+        # a child whose files may not grow past 1000 bytes fails mid-report
+        # (EFBIG; the report is about 1.5 kB), as on a full disk, and must
+        # not leave the truncated JSON
         pytest.importorskip("resource")
         code = (
             "import resource, signal, sys\n"
             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
-            "resource.setrlimit(resource.RLIMIT_FSIZE, (2000, 2000))\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))\n"
             "from mboxsim.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
@@ -235,31 +236,31 @@ class TestSimulate:
 class TestGoldenReports:
     # SHA-256 of the JSON and CSV reports of a small run that crosses a chunk
     # boundary.  A change to these bytes is a report format or stream break:
-    # bump the package version and pin the new digests.
+    # bump the package version and pin the new digests (last in 0.16.0).
     GOLDEN = {
         ("p1", "normalize"): (
-            "09993f29d3aa4c080d81bb8c14d2a31543fdf250ef7573f87a7fbddd3156af8a",
-            "cb1ed6cf3c650dda074e28e4ca837445bd2adc9b14fdd6e702c7f06c79cbb5d3",
+            "0921268c6f0f0e7738e0c90f4c08580c7730aa171a84d1cbecc16ef218997ab1",
+            "ac58993d62bc352763eb646d9ec3d64c8a3438bb7f170d0ff2486a232943f720",
         ),
         ("p1", "ortho"): (
-            "0c215569ef767e53b85988848280cfe292ae3f96eff687919dff72ad0eff0140",
-            "129dacd87350ab9a178a6896eeecacd8e954b712c3b56ef06af9f92cdedffd55",
+            "75c9b4e7097a3db95aa5d719911f275e05270ff05e40ed0f67ecf22941a13943",
+            "e9f166e86142261dc6e8f64281e314be7e51e77ad405e425f69452cffd378313",
         ),
         ("p1", "ortho-sign"): (
-            "0733982073cdece95aa7a3c99397294c86482315cdbfa6160189258e3e4def4c",
-            "129dacd87350ab9a178a6896eeecacd8e954b712c3b56ef06af9f92cdedffd55",
+            "d7e90d4f57de483bde832611bae2e2d813ca6cd5817822f60f2f4bea65a52358",
+            "e9f166e86142261dc6e8f64281e314be7e51e77ad405e425f69452cffd378313",
         ),
         ("p2", "normalize"): (
-            "acd484fa2c9bca734dc0dc5606b394c647cf18eed536621f5f6fcf0d22398da5",
-            "7af87e27d5c722508fa40dd3ef2d8798bdb64b1f0b68da219dbc7005ff8fdadb",
+            "f5bd66332e38be52ff075f66f9f9b7f68b66a7166a52ff9e189008e6b79863d6",
+            "40d6da6118adb0df5bbecee5c95b6d85cc4cefdd1854d3a416d3f364c01a9daa",
         ),
         ("p2", "ortho"): (
-            "efa8faed7cbe623445531a592858afde3b2835065c2774e9419e9e07b76915d6",
-            "549460180d6108776a25ed6a4d2321ee5c77d4634e20b1bbfcba7347feb948cd",
+            "6fb9d402f0421190543170cb63361e94d7b4e314152e472193f169087db95b8e",
+            "ca22dda79faa57a16471cabeacf42d87951c059f88669f619bda89aeb2b9d673",
         ),
         ("tb", "normalize"): (
-            "6e35763fada45b8215e8b73bed1749e0f2bcfd738cb9df1a934d48fb414fa895",
-            "de340353a078f997f62d5f587e4cb76a0a489dd7c51af312ef69894db24d09be",
+            "fb639fdcbb820fbb50484645675be70723d0694dc8c1951cfa2f3bc8d27cc866",
+            "50f1f6ca4c56003703807faf2ec0520927cdcae62df8984c83aa864923a0d3e3",
         ),
     }
 
@@ -271,28 +272,28 @@ class TestGoldenReports:
     # edges: a tie a_z == b_z, negative z components and a z-axis setting.
     # At gamma = 0 the z-axis setting's alternate axis is degenerate,
     # 0.7853981634 is pi/4 in decimal, and a single round leaves pre_flip
-    # null.  The digests are 0.11.0's bytes, unchanged since.
+    # null.  The digests are 0.16.0's bytes: PCG64DXSM rows, one-line JSON.
     EDGE_SETTINGS = "0.6,0,0.8,0,0.6,0.8\n0.6,0,-0.8,-0.48,0.6,-0.64\n0,0,1,0.8,0,-0.6\n"
     EDGE = {
         ("p1", "0.0", 3000, "normalize"): (
-            "cc0ed86e6426fc162aa611ffc2ccfd0ff3e2d7406326d71833f08350bbc20eb0",
-            "9153fecab04bcdb1b96cc04bd3414c73c96ed37bd6df9851e2d35b2ad031cf49",
+            "8c12258b8855618e3a64d8101a61388c4b112121fceb454ae531f9fcc8e494f5",
+            "477ca23aa8064874a2dd4bf18ba8f753fce06433cfd6020bdcd8fe7604aa63cf",
         ),
         ("p1", "0.7853981634", 3000, "ortho"): (
-            "5645753cda8a845c573b4e810b5d06f4ec762b51d0faf9a6b4aab5c4f86cd007",
-            "b09b9a4c04ec5ce38cfba67ec400377554d8a1de80fac7a06cb0dc5422ee7e92",
+            "3bd287ff422b612060391c105dac4f909ebc1a68b2285b6cbd8b1e013998b944",
+            "a7a6bcc2dcb59c465c55c9554e8fc7983c5fdc5eebf2fa44d6ec8a96a0f891b9",
         ),
         ("p2", "0.7853981634", 3000, "normalize"): (
-            "9c13dc255fe40c7e854d3f826f774e16a2a58aad93e1ec6ae45d4c7b59cf0005",
-            "e95eea8c9bcea91576af10043ae49236dc5d1ac3b263597485e22bfc9d2c1300",
+            "13129a07bf15a130070a44f204ed86a4d7454654ce600a7e3c1dad82a3697dfe",
+            "13e917f389b87af432588d32be7af6f7e861e3f077bfe3987a57fb02590625d7",
         ),
         ("p2", repr(PI8), 1, "ortho"): (
-            "93ea1a3eba60f0f2ccd87b6d30b051785af7c538139b90b7e77713e140a62965",
-            "ffccbfe21fd3a3ffef212b46b49cf26c7ef4b15d920362292248934268681183",
+            "12d0cd13591339bf95321270bfd7bfa044a0e4a9cef368f7b6a1d19042ca650d",
+            "48afe3c416f0bc9b2d2f88f72ec4d0d214d2f09ddfaa9c2ee69a51d282a9b906",
         ),
         ("tb", "0.0", 3000, "normalize"): (
-            "06d86921c8e6cf3aa9f19ec2edde5bf6f3dfb9b5f79247286af0c39dbc6bc378",
-            "b05bc4f00f148cbbb7da339591173cbd5a4d83fb3991aff960b3eee134af536f",
+            "be80b61b32ea3cd75a262ff061bffd41181fc8d617a5ebe48d4f1e394e2874fb",
+            "fb3f6fa0fe3ec9effe2dacaff75ada14844724d54b689b68d1e7c90a65f61035",
         ),
     }
 

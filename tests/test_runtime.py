@@ -112,6 +112,18 @@ class TestUniformStream:
         b = round_uniform_block(9, 1, 0, 4)
         assert not np.array_equal(a, b)
 
+    def test_streams_of_one_seed_are_distinct(self):
+        # no value repeats across the round streams of a (setting, chunk)
+        # grid and the settings stream of the same seed
+        rows = [
+            round_uniform_block(9, setting, chunk * CHUNK, 4)
+            for setting in (0, 1, 2, 7)
+            for chunk in (0, 1, 2, 5)
+        ]
+        rows.append(protocols.seeded_generator(9).random((4, protocols.UNIFORMS_PER_ROUND)))
+        values = np.concatenate(rows).ravel()
+        assert np.unique(values).size == values.size
+
     def test_validation(self):
         with pytest.raises(ValueError):
             round_uniform_block(9, 0, -1, 4)
@@ -332,11 +344,13 @@ class TestSampleSettings:
         )
         assert done.stdout.strip() == "False"
 
-    def test_only_protocols_builds_a_philox_stream(self):
-        # every seeded stream goes through protocols' one seed check
+    def test_only_protocols_builds_a_bit_generator(self):
+        # every seeded stream goes through protocols' one seed check: the
+        # settings stream on Philox, the round streams on PCG64DXSM
         package = Path(mboxsim.__file__).parent
-        keyed = sorted(f.name for f in package.glob("*.py") if "np.random.Philox(" in f.read_text())
-        assert keyed == ["protocols.py"]
+        for generator in ("np.random.Philox(", "np.random.PCG64DXSM("):
+            keyed = sorted(f.name for f in package.glob("*.py") if generator in f.read_text())
+            assert keyed == ["protocols.py"], generator
 
 
 class _FullDisk:
