@@ -58,7 +58,7 @@ class TestSimulate:
         assert payload["config"]["settings_source"] == "random:2"
         # the stream layout is echoed, and the schema admits only this one
         assert payload["config"]["stream"] == STREAM
-        payload["config"]["stream"] = "philox/chunk65536/row7"
+        payload["config"]["stream"] = "philox/chunk65536/row24"  # the 0.15 layout
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, report_schema())
         assert csv_path.read_text().startswith("ax,")
