@@ -149,8 +149,11 @@ def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -
     chunk_index, offset = divmod(start, CHUNK)
     if offset + count > CHUNK:
         raise ValueError(f"rows [{start}, {start + count}) cross a chunk boundary")
-    # The index ranges the 0.15 Philox key allowed (setting + 1 and the
-    # chunk, 32 bits each), kept so that the same runs are accepted.
+    # Each spawn_key entry must fit one 32-bit word: SeedSequence splits a
+    # larger entry into several words, so (setting, chunk) pairs could then
+    # encode to the same word sequence and share a stream.  The setting's
+    # bound is the 0.15 key's (setting + 1 in one word), part of the inputs
+    # accepted since then.
     if not 0 <= setting_index < 2**32 - 1:
         raise ValueError(f"setting_index out of range: {setting_index}")
     if not 0 <= chunk_index < 2**32:

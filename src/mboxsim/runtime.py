@@ -7,9 +7,9 @@ exactly those rows no matter which thread it runs on or how many peers it
 has.  sample_settings is the one sampler: it turns every sampled chunk, for
 run_experiment and for verify's Monte Carlo alike, into one integer
 histogram (ChunkStats), so a setting's aggregate is a pure function of
-(seed, setting index, rounds).  It runs a chunk as cache-sized sub-blocks
-that add their counts into one array, and hands the chunks of a request
-that spans two or more of them to one kept thread pool.
+(seed, setting index, rounds).  It runs a chunk as cache-sized sub-blocks,
+and hands the chunks of a request that spans two or more of them to one
+kept thread pool.
 
 The report format lives here too: a record's sample and comparison fields,
 the record itself, the JSON document and its CSV projection.  This module
@@ -304,15 +304,14 @@ def sample_settings(
     """
 
     def run_chunk(task):
-        # one count array per chunk; each sub-block's histogram is added in place
         i, a, b, start, end = task
-        hist = ChunkStats().hist
+        stats = ChunkStats()
         for pos in range(start, end, SUB_BLOCK):
             rr = RoundRandomness.from_uniform_block(
                 round_uniform_block(seed, first_index + i, pos, min(SUB_BLOCK, end - pos))
             )
-            hist += _stats_from_batch(run_batch(param, a, b, rr, strategy, protocol)).hist
-        return i, hist
+            stats.add(_stats_from_batch(run_batch(param, a, b, rr, strategy, protocol)))
+        return i, stats
 
     tasks = [
         (i, a, b, start, min(start + CHUNK, rounds))
@@ -326,8 +325,8 @@ def sample_settings(
         chunks = map(run_chunk, tasks)
     else:
         chunks = _pool(workers).map(run_chunk, tasks)
-    for i, hist in chunks:
-        stats[i].hist += hist
+    for i, chunk in chunks:
+        stats[i].add(chunk)
     return stats
 
 

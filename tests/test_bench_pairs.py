@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -60,3 +62,26 @@ def test_runs_pair_by_seed_over_the_seeds_both_sides_ran():
     )
     assert lines[0].startswith("long: 2 pairs, failed a 0/20 b 0/20, all correct: True")
     assert "b better 2/2" in lines[1]
+
+
+def test_both_trees_must_declare_the_same_benchmark():
+    bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 35,
+             "workloads": [{"name": "long", "why": "x"}, {"name": "scan", "why": "y"}],
+             "end_to_end": [{"name": "rounds_per_s", "better": "higher", "bound": 0.25}]}
+    reworded = dict(bench, workloads=[{"name": "long", "why": "z"}, {"name": "scan", "why": "y"}])
+    assert bench_pairs.shared_benchmark(bench, reworded) is bench
+    shorter = dict(bench, run_seconds=15)
+    with pytest.raises(ValueError, match="run_seconds"):
+        bench_pairs.shared_benchmark(bench, shorter)
+    fewer = dict(bench, workloads=bench["workloads"][:1])
+    with pytest.raises(ValueError, match="workloads"):
+        bench_pairs.shared_benchmark(bench, fewer)
+
+
+def test_run_refuses_a_workdir_that_exists(tmp_path):
+    # a tree left from an earlier set would be run under the new revision's name
+    (tmp_path / "a").mkdir()
+    with pytest.raises(FileExistsError):
+        bench_pairs.main(["run", "--a", "HEAD", "--b", "HEAD", "--workdir", str(tmp_path),
+                          "--out", str(tmp_path / "out")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]

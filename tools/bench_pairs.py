@@ -1,27 +1,31 @@
 """Run the benchmark as interleaved pairs of two trees, and compare the sides.
 
     python3 tools/bench_pairs.py run --a HEAD~1 --b HEAD --workload long \\
-        --pairs 10 --first-seed 101 --seconds 35 --workdir /tmp/pairs --out /tmp/pairs/long
+        --pairs 10 --first-seed 101 --workdir /tmp/pairs --out /tmp/pairs/long
     python3 tools/bench_pairs.py report /tmp/pairs/long.a.json /tmp/pairs/long.b.json
 
-``run`` extracts each revision with ``git archive`` into its own directory
-under ``--workdir`` (``a/`` and ``b/``, so a revision against itself is an
-A/A control from two copies), then for each seed runs ``perfbench/run.py
---trace 0`` once per side and workload, back to back.  Side a runs first
-at even pair numbers and side b at odd ones, so a bias towards the side
-that runs first or second shows as a split in the wins.  Each side's runs
-go to ``OUT.a.json`` and ``OUT.b.json`` in the format ``perfbench/steady.py
-run`` writes (``tools/bench_trajectory.py build --steady`` reads it), and
-each run also records ``ran_first``.  The files are rewritten after every
-run, so a stopped set keeps what it measured.
+``run`` makes ``--workdir``, which must not exist yet, and extracts each
+revision with ``git archive`` into its own directory under it (``a/`` and
+``b/``, so a revision against itself is an A/A control from two copies).
+Both trees' BENCHMARK.json must declare the same ``command``,
+``run_seconds``, ``end_to_end`` metrics and workload names; ``run``
+refuses trees that differ.  It runs that command for ``run_seconds`` with
+``--trace 0``, once per seed, side and workload (all of them, or those
+named by ``--workload``), back to back, each side in its own tree.
+Side a runs first at even pair numbers and side b at odd ones, so a bias
+towards the side that runs first or second shows as a split in the wins.
+Each side's runs go to ``OUT.a.json`` and ``OUT.b.json`` in the format
+``perfbench/steady.py run`` writes (``tools/bench_trajectory.py build
+--steady`` reads it), and each run also records ``ran_first``.  The files
+are rewritten after every run, so a stopped set keeps what it measured.
 
 ``report`` pairs the two files' runs by workload and seed and prints, per
-workload and end-to-end metric: each side's median and quartiles
-(``statistics.quantiles(values, n=4)``, as steady.py reports them), the
-ratio of b's median to a's, in how many pairs b was better (by the
-metric's direction in BENCHMARK.json), split by which side ran first, and
-the distance between the medians over a's quartile distance.  A claimed
-change needs b better in nearly every pair and that distance above 1.
+workload and end-to-end metric: each side's median and quartiles (from
+``perfbench/steady.py``'s ``spread``), the ratio of b's median to a's, in
+how many pairs b was better (by the metric's direction in BENCHMARK.json),
+split by which side ran first, and the distance between the medians over
+a's quartile distance.  A claimed change needs b better in nearly every
+pair and that distance above 1.
 """
 
 from __future__ import annotations
@@ -29,20 +33,19 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import statistics
 import subprocess
 import sys
 import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from steady import spread  # noqa: E402
+
 RUN_TIMEOUT_S = 400
-
-
-def quartiles(values: list) -> tuple[float, float, float]:
-    """(median, q1, q3) of at least two values."""
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return statistics.median(values), q1, q3
+# What must be the same in both trees' BENCHMARK.json for their runs to pair.
+SHARED_KEYS = ("command", "run_seconds", "end_to_end")
 
 
 def schedule(pairs: int, first_seed: int) -> list[tuple[int, tuple[str, str]]]:
@@ -57,8 +60,8 @@ def compare_metric(a_runs: list, b_runs: list, metric: str, better: str) -> dict
     sign = 1 if better == "higher" else -1
     wins = [sign * (y - x) > 0 for x, y in zip(a, b)]
     b_first = [r["ran_first"] for r in b_runs]
-    med_a, q1_a, q3_a = quartiles(a)
-    med_b, q1_b, q3_b = quartiles(b)
+    med_a, q1_a, q3_a, _ = spread(a)
+    med_b, q1_b, q3_b, _ = spread(b)
     iqr_a = q3_a - q1_a
     gap = abs(med_b - med_a)
     return {
@@ -104,17 +107,32 @@ def report_lines(a_doc: dict, b_doc: dict, end_to_end: list) -> list[str]:
     return lines
 
 
+def shared_benchmark(a_bench: dict, b_bench: dict) -> dict:
+    """The benchmark both trees declare, or ValueError naming what differs."""
+    names = [[w["name"] for w in bench["workloads"]] for bench in (a_bench, b_bench)]
+    differ = [k for k in SHARED_KEYS if a_bench[k] != b_bench[k]]
+    differ += ["workloads"] if names[0] != names[1] else []
+    if differ:
+        raise ValueError(f"the two trees' BENCHMARK.json differ in {', '.join(differ)}")
+    return a_bench
+
+
 def _extract(checkout: Path, rev: str, dest: Path) -> None:
     tar = subprocess.run(["git", "-C", str(checkout), "archive", "--format=tar", rev],
                          capture_output=True, check=True).stdout
-    dest.mkdir(parents=True)
+    dest.mkdir()
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+        # filter= exists from Python 3.10.12 and 3.11.4 on; the archive
+        # comes from the local checkout either way.
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(dest, filter="data")
+        else:
+            archive.extractall(dest)
 
 
-def _run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def _run_once(bench: dict, tree: Path, workload: str, seed: int) -> dict:
+    cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
+                              "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree.name} {workload} seed {seed}: exit {proc.returncode}\n"
@@ -124,16 +142,22 @@ def _run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def cmd_run(args) -> int:
     workdir = Path(args.workdir)
+    workdir.mkdir(parents=True)
     trees = {"a": workdir / "a", "b": workdir / "b"}
     for side, rev in (("a", args.a), ("b", args.b)):
-        if not trees[side].exists():
-            _extract(Path(args.checkout), rev, trees[side])
-    docs = {side: {"run_seconds": args.seconds, "rev": rev, "runs": {w: [] for w in args.workload}}
+        _extract(Path(args.checkout), rev, trees[side])
+    bench = shared_benchmark(*(json.loads((trees[s] / "BENCHMARK.json").read_text()) for s in "ab"))
+    names = [w["name"] for w in bench["workloads"]]
+    workloads = args.workload or names
+    unknown = sorted(set(workloads) - set(names))
+    if unknown:
+        raise SystemExit(f"not a workload of the benchmark: {', '.join(unknown)}")
+    docs = {side: {"run_seconds": bench["run_seconds"], "rev": rev, "runs": {w: [] for w in workloads}}
             for side, rev in (("a", args.a), ("b", args.b))}
     for seed, order in schedule(args.pairs, args.first_seed):
-        for workload in args.workload:
+        for workload in workloads:
             for side in order:
-                result = _run_once(trees[side], workload, seed, args.seconds)
+                result = _run_once(bench, trees[side], workload, seed)
                 result["seed"] = seed
                 result["ran_first"] = side == order[0]
                 docs[side]["runs"][workload].append(result)
@@ -141,7 +165,6 @@ def cmd_run(args) -> int:
                 metrics = "  ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
                 print(f"{workload:7s} seed {seed:4d} {side}  failed {result['failed']}/"
                       f"{result['attempted']}  {metrics}", flush=True)
-    bench = json.loads((trees["a"] / "BENCHMARK.json").read_text())
     print("\n".join(report_lines(docs["a"], docs["b"], bench["end_to_end"])))
     return 0
 
@@ -160,11 +183,10 @@ def main(argv=None) -> int:
     run.add_argument("--a", required=True, help="revision of side a (the parent)")
     run.add_argument("--b", required=True, help="revision of side b (the change)")
     run.add_argument("--checkout", default=str(ROOT), help="the git checkout to archive from")
-    run.add_argument("--workload", action="append", required=True,
-                     choices=("long", "scan", "verify"))
+    run.add_argument("--workload", action="append",
+                     help="a workload of the benchmark (repeatable; default: all of them)")
     run.add_argument("--pairs", type=int, default=10)
     run.add_argument("--first-seed", type=int, default=101)
-    run.add_argument("--seconds", type=float, default=35)
     run.add_argument("--workdir", required=True, help="a new directory for the two trees")
     run.add_argument("--out", required=True, help="prefix of the two result files")
     run.set_defaults(func=cmd_run)
