@@ -156,32 +156,34 @@ def _node(schema, root: dict, refs: dict):
     return node
 
 
-def _type(name, schema, root, refs):
-    _need(isinstance(name, str) and name in _TYPES, "type", name)
-    test = _TYPES[name]
+def _type(value, schema, root, refs):
+    # one name, or a non-empty list of distinct names
+    names = [value] if isinstance(value, str) else value
+    known = isinstance(names, list) and all(isinstance(n, str) and n in _TYPES for n in names)
+    _need(known and 0 < len(set(names)) == len(names), "type", value)
+    tests = [_TYPES[n] for n in names]
+    # a single name keeps its own test, with no loop over alternatives
+    test = tests[0] if len(tests) == 1 else lambda x: any(t(x) for t in tests)
+    label = ", ".join(map(repr, names))
 
     def check(x):
         if not test(x):
-            raise _Invalid("type", f"{x!r} is not of type {name!r}")
+            raise _Invalid("type", f"{x!r} is not of type {label}")
 
     return check
 
 
-def _enum(values, schema, root, refs, keyword="enum"):
-    _need(isinstance(values, list) and values, keyword, values)
+def _enum(values, schema, root, refs):
+    _need(isinstance(values, list) and values, "enum", values)
     values = tuple(values)
-    _need(all(v is None or type(v) in (str, int, float) for v in values), keyword, values)
+    _need(all(v is None or type(v) in (str, int, float) for v in values), "enum", values)
 
     def check(x):
         # jsonschema's equal() on scalars: True and False never equal 1 and 0
         if x is True or x is False or x not in values:
-            raise _Invalid(keyword, f"{x!r} is not one of {list(values)!r}")
+            raise _Invalid("enum", f"{x!r} is not one of {list(values)!r}")
 
     return check
-
-
-def _const(value, schema, root, refs):
-    return _enum([value], schema, root, refs, "const")
 
 
 def _bound(keyword, fails, relation):
@@ -278,24 +280,6 @@ def _length(keyword, fails, relation):
     return make
 
 
-def _one_of(subs, schema, root, refs):
-    _need(isinstance(subs, list) and subs, "oneOf", subs)
-    arms = tuple(_node(sub, root, refs) for sub in subs)
-
-    def check(x):
-        valid = 0
-        for arm in arms:
-            try:
-                arm(x)
-            except _Invalid:
-                continue
-            valid += 1
-        if valid != 1:
-            raise _Invalid("oneOf", f"{x!r} is valid under {valid} of {len(arms)} subschemas")
-
-    return check
-
-
 def _ref(ref, schema, root, refs):
     # A flat local pointer (#/$defs/name), compiled once however often it is
     # referenced.  A self-referring definition recurses here at compile time.
@@ -312,7 +296,6 @@ def _ref(ref, schema, root, refs):
 _KEYWORDS = {
     "type": _type,
     "enum": _enum,
-    "const": _const,
     "minimum": _bound("minimum", operator.lt, "less than"),
     "maximum": _bound("maximum", operator.gt, "greater than"),
     "pattern": _pattern,
@@ -322,7 +305,6 @@ _KEYWORDS = {
     "items": _items,
     "minItems": _length("minItems", operator.lt, "fewer than"),
     "maxItems": _length("maxItems", operator.gt, "more than"),
-    "oneOf": _one_of,
     "$ref": _ref,
 }
 

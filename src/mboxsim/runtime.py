@@ -75,9 +75,9 @@ class ExperimentConfig:
     """Everything that determines a run.  Frozen: reports echo it verbatim.
 
     Exactly one settings source must be given: an explicit tuple of
-    (a, b) pairs, or random_settings > 0 for a seeded draw.  workers only
-    changes how the work is scheduled, never what is computed, so it is
-    deliberately absent from the report echo.
+    (a, b) pairs of unit 3-vectors, or random_settings > 0 for a seeded
+    draw.  workers only changes how the work is scheduled, never what is
+    computed, so it is deliberately absent from the report echo.
     """
 
     protocol: str
@@ -103,11 +103,14 @@ class ExperimentConfig:
             raise ValueError("provide exactly one of explicit settings or random_settings")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        frozen = tuple(
-            (tuple(float(x) for x in a), tuple(float(x) for x in b))
-            for a, b in self.settings
-        )
-        object.__setattr__(self, "settings", frozen)
+        frozen = []
+        for si, pair in enumerate(self.settings):
+            try:
+                a, b = (tuple(as_unit_vector(v).tolist()) for v in pair)
+                frozen.append((a, b))
+            except ValueError as exc:
+                raise ValueError(f"explicit setting {si}: {exc}") from None
+        object.__setattr__(self, "settings", tuple(frozen))
 
     @property
     def settings_source(self) -> str:
@@ -117,17 +120,15 @@ class ExperimentConfig:
 
 
 def resolve_settings(config: ExperimentConfig) -> tuple:
-    """Materialize the settings list as unit-vector pairs."""
+    """Materialize the settings list as unit-vector pairs; explicit ones were
+    validated when the config was built."""
     if config.random_settings:
         g = seeded_generator(config.seed)
         return tuple(
             (sample_unit_sphere(g), sample_unit_sphere(g))
             for _ in range(config.random_settings)
         )
-    return tuple(
-        (as_unit_vector(np.array(a)), as_unit_vector(np.array(b)))
-        for a, b in config.settings
-    )
+    return tuple((np.array(a), np.array(b)) for a, b in config.settings)
 
 
 def load_settings_csv(path) -> tuple:
@@ -272,6 +273,12 @@ def _stats_from_batch(out) -> ChunkStats:
 # It only schedules work; the stream's layout is CHUNK.
 SUB_BLOCK = 16384
 
+# The cores this process may run on: sample_settings' default worker count.
+if hasattr(os, "sched_getaffinity"):
+    _CORES = len(os.sched_getaffinity(0))
+else:
+    _CORES = os.cpu_count() or 1
+
 
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
@@ -288,19 +295,18 @@ def sample_settings(
     protocol: str,
     rounds: int,
     seed: int,
-    workers: int = 1,
-    first_index: int = 0,
+    workers: int = _CORES,
 ) -> list[ChunkStats]:
     """Histogram rounds [0, rounds) of each (a, b) in pairs, chunk by chunk.
 
-    Pair i reads the addressed stream of (seed, first_index + i), so its
-    histogram equals, integer for integer, that of setting first_index + i
-    in a run_experiment with the same seed.  A chunk is drawn and run as
-    SUB_BLOCK-row sub-blocks, so its working set stays a few MiB.  The
-    chunks run on the kept pool when workers > 1 and the request spans two
-    or more chunks, else in order on the calling thread; merging is an
-    integer add, so neither the sub-block size nor the worker count can
-    change any count.
+    Pair i reads the addressed stream of (seed, i), so its histogram equals,
+    integer for integer, that of setting i in a run_experiment with the same
+    seed.  A chunk is drawn and run as SUB_BLOCK-row sub-blocks, so its
+    working set stays a few MiB.  The chunks run on the kept pool when
+    workers > 1 (by default every usable core) and the request spans two or
+    more chunks, else in order on the calling thread; merging is an integer
+    add, so neither the sub-block size nor the worker count can change any
+    count.
     """
 
     def run_chunk(task):
@@ -308,7 +314,7 @@ def sample_settings(
         stats = ChunkStats()
         for pos in range(start, end, SUB_BLOCK):
             rr = RoundRandomness.from_uniform_block(
-                round_uniform_block(seed, first_index + i, pos, min(SUB_BLOCK, end - pos))
+                round_uniform_block(seed, i, pos, min(SUB_BLOCK, end - pos))
             )
             stats.add(_stats_from_batch(run_batch(param, a, b, rr, strategy, protocol)))
         return i, stats

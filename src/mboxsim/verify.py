@@ -4,8 +4,9 @@ Three kinds of evidence live here, kept deliberately separate:
 
 * statistical estimates from sampled rounds (sign-variable means, always
   with standard errors), histogrammed by runtime.sample_settings, the
-  sampler behind every report, on every usable core, so a suite's rounds
-  are those a run_experiment at the same seed and setting index samples;
+  sampler behind every report, at its default worker count (every usable
+  core), so a suite's rounds are those a run_experiment at the same seed
+  and setting index samples;
 * exact oracles that bypass sampling entirely: sign-tuple enumeration for
   the direction averages, product-grid quadrature for the one-bit kernel
   (an n x n node grid summed exactly by sorting and counting),
@@ -24,7 +25,6 @@ are plain arrays in quantum's outcome order (+,+), (+,-), (-,+), (-,-).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,13 +99,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260816
-
-# The cores this process may run on; a Monte Carlo request that spans two or
-# more chunks runs on all of them.
-if hasattr(os, "sched_getaffinity"):
-    _CORES = len(os.sched_getaffinity(0))
-else:
-    _CORES = os.cpu_count() or 1
 
 # The protocols whose rounds take a box branch: the oracles' domain.
 _BRANCH_PROTOCOLS = ("p1", "p2")
@@ -300,14 +293,16 @@ def realized_joint(
     correlated_flip, sign_a and sign_b reflect it back, and the two branches
     weigh 1/2 each.  No rounds are sampled.
     """
-    if protocol not in _BRANCH_PROTOCOLS:
-        raise ValueError(f"protocol must be 'p1' or 'p2', got {protocol!r}")
     a1, b1, sign_a, sign_b = symmetrize(a, b)
-    spec = flip_spec(param, a1, b1, protocol)
     q_per_p = 2 * compare_bit(a1[2], b1[2]) - 1
+    # The branch averages go first: their checks refuse tb and p2 at gamma = 0
+    # in the words the engine uses.
+    averages = [
+        exact_mu_average(param, a1, b1, strategy, p, p * q_per_p, protocol) for p in (1, -1)
+    ]
+    spec = flip_spec(param, a1, b1, protocol)
     moments = [0.0, 0.0, 0.0]
-    for p in (1, -1):
-        c = exact_mu_average(param, a1, b1, strategy, p, p * q_per_p, protocol)
+    for c in averages:
         # a mean of unit-vector dot products can round past +-1
         c = min(1.0, max(-1.0, c))
         for k, m in enumerate(flip_moments_exact(c, spec.f_a, spec.f_b)):
@@ -331,7 +326,7 @@ def mc_round_moments(
     seed: int,
 ) -> dict:
     """MC means of the pre-flip outputs alpha0, beta0 and the final alpha, beta."""
-    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed, _CORES)
+    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed)
     return {key: sign_mean_estimate(stats.sign_sum(key), rounds) for key in _CELL_SIGNS}
 
 
@@ -351,7 +346,7 @@ def mc_branch_correlations(
     two); with the box-bit pairing only two of the four combinations can
     occur at a fixed setting pair.
     """
-    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed, _CORES)
+    [stats] = sample_settings(param, [(a, b)], strategy, protocol, rounds, seed)
     return {
         branch: sign_mean_estimate(total, n)
         for branch, (n, total) in stats.branches.items()
@@ -471,10 +466,11 @@ def suite_kernel(
 ) -> list[CheckResult]:
     """Kernel triangle: MC, quadrature, and the analytic value u.v agree.
 
-    Each pair samples `rounds` tb rounds (default 200 000).  The aligned
-    check reads setting index 0 of the seed's round streams and pair i reads
-    index i + 1, so each pair's rounds are those a tb run of run_experiment
-    would sample there.
+    Each pair samples `rounds` tb rounds (default 200 000).  Pair i reads
+    setting index i of the seed's round streams, so its rounds are those a tb
+    run of run_experiment would sample there.  The aligned check's 100 rounds
+    read index 0 too: at u = v every round gives alpha = beta = +1, whatever
+    the uniforms, so sharing pair 0's stream cannot bias either check.
     """
     # A standard error needs two rounds; the quadrature needs 1000 nodes.
     if rounds < 2:
@@ -488,7 +484,7 @@ def suite_kernel(
     exact_one = quadrature_kernel([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], n_nodes=1000)
     pointwise = abs(exact_one - 1.0)
     u0 = sample_unit_sphere(g)
-    [aligned] = sample_settings(param, [(u0, u0)], strategy, "tb", 100, seed, _CORES)
+    [aligned] = sample_settings(param, [(u0, u0)], strategy, "tb", 100, seed)
     if aligned.sign_sum("alpha", "beta") != 100:
         pointwise = math.inf
     checks = [
@@ -503,7 +499,7 @@ def suite_kernel(
     pairs.append((np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])))
     worst_z = 0.0
     worst_quad = 0.0
-    sampled = sample_settings(param, pairs, strategy, "tb", rounds, seed, _CORES, 1)
+    sampled = sample_settings(param, pairs, strategy, "tb", rounds, seed)
     for (u, v), stats in zip(pairs, sampled):
         est = sign_mean_estimate(stats.sign_sum("alpha", "beta"), rounds)
         analytic = float(u @ v)

@@ -438,7 +438,14 @@ class TestReportCheck:
         "multipleOf": (("properties", "config", "properties", "gamma"), "multipleOf", 0.5),
         "format": (("properties", "config", "properties", "settings_source"), "format", "uri"),
         "additionalProperties {}": (("properties", "summary"), "additionalProperties", {}),
-        "type list": (("properties", "config", "properties", "gamma"), "type", ["number", "null"]),
+        "empty type list": (("properties", "config", "properties", "gamma"), "type", []),
+        "type list with a repeat": (
+            ("properties", "config", "properties", "gamma"), "type", ["number", "number"],
+        ),
+        "oneOf": (
+            ("$defs", "record", "properties", "pre_flip"), "oneOf", [{"type": "null"}, {}],
+        ),
+        "const": (("properties", "config", "properties", "stream"), "const", STREAM),
         "enum with a bool": (
             ("$defs", "record", "properties", "branches", "items", "properties", "p"),
             "enum", [True, 1],
@@ -493,7 +500,7 @@ class TestReportCheck:
             payload = json.loads((Path(tmp) / "r.json").read_text())
         assert self.IS_VALID(payload)
         cli._report_validator()(payload)
-        # both arms of pre_flip's oneOf; at rounds = 1, a branch seen once
+        # both of pre_flip's types, null and object; at rounds = 1, a branch seen once
         for record in payload["records"]:
             assert (record["pre_flip"] is None) == (rounds == 1)
             branched = 0 if protocol == "tb" else rounds

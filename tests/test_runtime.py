@@ -141,9 +141,17 @@ class TestResolveSettings:
         assert not np.array_equal(one[0][0], other[0][0])
 
     def test_explicit_must_be_unit(self):
-        config = tb_config(settings=(((0.0, 0.0, 2.0), (1.0, 0.0, 0.0)),))
-        with pytest.raises(ValueError):
-            resolve_settings(config)
+        with pytest.raises(ValueError, match="explicit setting 0: vector norm 2"):
+            tb_config(settings=(((0.0, 0.0, 2.0), (1.0, 0.0, 0.0)),))
+
+    @pytest.mark.parametrize("settings", [
+        ((1, 2),),  # numbers, not vectors
+        (((0.0, 0.0, 1.0), (1.0, 0.0)),),  # b has two entries
+        (((0.0, 0.0, 1.0),) * 3,),  # three vectors
+    ])
+    def test_explicit_must_be_pairs_of_3_vectors(self, settings):
+        with pytest.raises(ValueError, match="explicit setting 0"):
+            tb_config(settings=settings)
 
 
 class TestLoadSettingsCsv:
@@ -244,30 +252,29 @@ class TestRunExperiment:
 
 
 class TestSampleSettings:
-    def test_first_index_addresses_the_setting_stream(self, monkeypatch):
-        # pair i of a call reads setting first_index + i, so sampling the
-        # last setting alone reproduces run_experiment's histogram of it
+    def test_pair_index_addresses_the_setting_stream(self):
+        # pair i of a call reads setting i, so sampling the first k + 1
+        # settings in one call reproduces run_experiment's record k
         k = 2
         config = ExperimentConfig(
             protocol="p2", gamma=PI8, rounds=3000, seed=17,
-            settings=(), random_settings=k + 1, completion="ortho",
+            settings=(), random_settings=k + 2, completion="ortho",
         )
-        seen = []
-
-        def recorded(*args, **kwargs):
-            seen.append(sample_settings(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(runtime, "sample_settings", recorded)
         report = run_experiment(config)
-        [in_run] = seen
-        pair = resolve_settings(config)[k]
-        [alone] = sample_settings(
-            EntanglementParam(PI8), [pair], Completion.ORTHO, "p2", 3000, 17, first_index=k
+        pairs = resolve_settings(config)
+        sampled = sample_settings(
+            EntanglementParam(PI8), pairs[: k + 1], Completion.ORTHO, "p2", 3000, 17
         )
-        assert np.array_equal(alone.hist, in_run[k].hist)
-        assert alone.counts == report.records[k]["counts"]
-        assert not np.array_equal(alone.hist, in_run[k - 1].hist)
+        assert sampled[k].counts == report.records[k]["counts"]
+        assert sampled[k].branches == {
+            (b["p"], b["q"]): (b["n"], round(b["corr_mean"] * b["n"]))
+            for b in report.records[k]["branches"]
+        }
+        # the same pair sampled first reads setting 0's stream instead
+        [first] = sample_settings(
+            EntanglementParam(PI8), [pairs[k]], Completion.ORTHO, "p2", 3000, 17
+        )
+        assert not np.array_equal(first.hist, sampled[k].hist)
 
     def test_worker_count_is_invisible(self):
         # CHUNK + 5 rounds make two chunks per pair, so the pool has four tasks

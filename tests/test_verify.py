@@ -657,6 +657,13 @@ class TestRealizedJoint:
         realized_joint(EntanglementParam(PI8), *self.settings()[0], Completion.ORTHO, protocol)
         assert calls.count("alice_direction_rows") == calls.count("bob_direction_rows") == 1
 
+    def test_refuses_what_the_engine_refuses_in_its_words(self):
+        a, b = self.settings()[0]
+        with pytest.raises(ValueError, match="protocol 2 requires gamma > 0"):
+            realized_joint(EntanglementParam(0.0), a, b, Completion.NORMALIZE, "p2")
+        with pytest.raises(ValueError, match="protocol must be 'p1' or 'p2', got 'tb'"):
+            realized_joint(EntanglementParam(PI8), a, b, Completion.NORMALIZE, "tb")
+
     def test_matches_run_experiment(self):
         # every cell of the sampled full joint against the exact one, 4 sigma
         param = EntanglementParam(PI8)

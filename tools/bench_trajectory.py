@@ -57,6 +57,11 @@ KNOWN_MISREADINGS = {
         "divides by direction-table rows (one table of 2 x 2^k rows per batch), "
         "not by sampled rounds"
     ),
+    "runtime.chunk_calls": (
+        "counts round_uniform_block calls, and since 0.15.0 each draws one "
+        "16 384-row sub-block, so a full 65 536-row chunk counts about four "
+        "(BENCH_0.16.0.json reads 32.0 per long operation of about 8 chunks)"
+    ),
 }
 
 
