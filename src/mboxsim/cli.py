@@ -26,12 +26,11 @@ import numpy as np
 from jsonschema import SchemaError, ValidationError
 
 from .geometry import Completion
-from .protocols import symmetrize
+from .protocols import PROTOCOL_IDS, symmetrize
 from .quantum import DegenerateAxisError, EntanglementParam
 from .runtime import (
     ExperimentConfig,
     load_settings_csv,
-    report_to_json_dict,
     run_experiment,
     write_report,
 )
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run an experiment and write a report")
-    sim.add_argument("--protocol", required=True, choices=("p1", "p2", "tb"))
+    sim.add_argument("--protocol", required=True, choices=PROTOCOL_IDS)
     sim.add_argument("--gamma", required=True, type=float, help="state angle in radians")
     sim.add_argument(
         "--settings",
@@ -404,7 +403,7 @@ def cmd_simulate(args, parser) -> int:
             **source,
         )
         report = run_experiment(config)
-        _report_validator()(report_to_json_dict(report))
+        _report_validator()(report)
         write_report(report, args.out, args.csv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -413,8 +412,8 @@ def cmd_simulate(args, parser) -> int:
         print(f"internal error: report failed schema self-check: {exc.message}", file=sys.stderr)
         return 1
     print(
-        f"wrote {args.out}: {len(report.records)} settings x {config.rounds} rounds, "
-        f"max TV distance {report.max_tv:.6f}"
+        f"wrote {args.out}: {len(report['records'])} settings x {config.rounds} rounds, "
+        f"max TV distance {report['summary']['max_tv']:.6f}"
     )
     return 0
 

@@ -12,8 +12,9 @@ and hands the chunks of a request that spans two or more of them to one
 kept thread pool.
 
 The report format lives here too: a record's sample and comparison fields,
-the record itself, the JSON document and its CSV projection.  This module
-imports nothing from verify; verify samples through it.
+the record itself, the JSON document (what run_experiment returns) and its
+CSV projection.  This module imports nothing from verify; verify samples
+through it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .quantum import (
 
 __all__ = [
     "ChunkStats",
-    "ComparisonReport",
     "EstimateWithError",
     "ExperimentConfig",
     "compare",
@@ -336,8 +336,8 @@ def sample_settings(
     return stats
 
 
-def run_experiment(config: ExperimentConfig) -> ComparisonReport:
-    """Run every (setting, round) cell and aggregate per setting.
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run every (setting, round) cell and return the JSON report document.
 
     The work is split into fixed chunks whose randomness is addressed by
     (seed, setting, chunk); merging uses integer sums only, so worker count
@@ -345,6 +345,9 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     target goes through quantum.checked_distribution before any round is
     sampled, so a target that is not a distribution raises its ValueError,
     naming the setting's index, a and b, at once.
+
+    The document is what write_report writes: {"config", "summary",
+    "records"}, with one _record dict per setting.
     """
     param = EntanglementParam(config.gamma)
     settings = resolve_settings(config)
@@ -362,8 +365,24 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         param, settings, Completion(config.completion), config.protocol,
         config.rounds, config.seed, config.workers,
     )
-    records = (_record(a, b, t, stats) for (a, b), t, stats in zip(settings, targets, agg))
-    return ComparisonReport(config=config, records=tuple(records))
+    records = [_record(a, b, t, stats) for (a, b), t, stats in zip(settings, targets, agg)]
+    return {
+        "config": {
+            "stream": STREAM,
+            "protocol": config.protocol,
+            "gamma": config.gamma,
+            "completion": config.completion,
+            "seed": config.seed,
+            "rounds": config.rounds,
+            "settings_source": config.settings_source,
+        },
+        "summary": {
+            "n_settings": len(records),
+            "max_tv": max((r["tv"] for r in records), default=0.0),
+            "max_abs_z": max((r["max_abs_z"] for r in records), default=0.0),
+        },
+        "records": records,
+    }
 
 
 def estimate_joint_from_counts(counts) -> dict:
@@ -420,45 +439,10 @@ def _record(a, b, target: np.ndarray, stats: ChunkStats) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """A run's config and its per-setting records.
-
-    Each record is the very dict the JSON report lists under "records";
-    run_experiment builds it once, and the JSON and CSV writers only read it.
-    """
-
-    config: ExperimentConfig
-    records: tuple[dict, ...]
-
-    @property
-    def max_tv(self) -> float:
-        return max((r["tv"] for r in self.records), default=0.0)
-
-    @property
-    def max_abs_z(self) -> float:
-        return max((r["max_abs_z"] for r in self.records), default=0.0)
-
-
-def report_to_json_dict(report: ComparisonReport) -> dict:
-    config = report.config
-    return {
-        "config": {
-            "stream": STREAM,
-            "protocol": config.protocol,
-            "gamma": config.gamma,
-            "completion": config.completion,
-            "seed": config.seed,
-            "rounds": config.rounds,
-            "settings_source": config.settings_source,
-        },
-        "summary": {
-            "n_settings": len(report.records),
-            "max_tv": report.max_tv,
-            "max_abs_z": report.max_abs_z,
-        },
-        "records": list(report.records),
-    }
+def report_to_json_dict(report: dict) -> dict:
+    """run_experiment's document, unchanged: perfbench/ still calls this.
+    The benchmark's next change deletes it."""
+    return report
 
 
 _CSV_HEADER = [
@@ -470,10 +454,10 @@ _CSV_HEADER = [
 ]
 
 
-def report_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
+def report_csv_rows(report: dict) -> tuple[list[str], list[list]]:
     """Flat per-setting rows for the CSV sibling: a projection of the JSON records."""
     rows = []
-    for rec in report.records:
+    for rec in report["records"]:
         pre = rec["pre_flip"]
         rows.append(
             rec["a"]
@@ -486,8 +470,8 @@ def report_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
     return list(_CSV_HEADER), rows
 
 
-def write_report(report: ComparisonReport, out_path, csv_path=None) -> dict:
-    """Serialize the report to JSON (and optionally CSV); returns the dict.
+def write_report(report: dict, out_path, csv_path=None) -> None:
+    """Write run_experiment's report document as JSON (and optionally CSV).
 
     json.dumps with sorted keys and repr floats keeps the bytes a pure
     function of the report content.  The JSON is one line and a newline:
@@ -496,8 +480,7 @@ def write_report(report: ComparisonReport, out_path, csv_path=None) -> dict:
     every file this call opened is removed again before the OSError
     propagates: no half a report.
     """
-    payload = report_to_json_dict(report)
-    text = json.dumps(payload, sort_keys=True) + "\n"
+    text = json.dumps(report, sort_keys=True) + "\n"
     opened = []
     try:
         with open(out_path, "w") as fh:
@@ -515,4 +498,3 @@ def write_report(report: ComparisonReport, out_path, csv_path=None) -> dict:
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
-    return payload

@@ -85,3 +85,45 @@ def test_run_refuses_a_workdir_that_exists(tmp_path):
         bench_pairs.main(["run", "--a", "HEAD", "--b", "HEAD", "--workdir", str(tmp_path),
                           "--out", str(tmp_path / "out")])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    # a refused set extracts no tree and spends no run time
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused set extracted or ran something")
+
+    monkeypatch.setattr(bench_pairs, "_extract", fail)
+    monkeypatch.setattr(bench_pairs, "_run_once", fail)
+
+
+def test_run_refuses_an_out_directory_that_does_not_exist(tmp_path, nothing_runs):
+    workdir = tmp_path / "w"
+    with pytest.raises(SystemExit, match="does not exist"):
+        bench_pairs.main(["run", "--a", "HEAD", "--b", "HEAD", "--workdir", str(workdir),
+                          "--out", str(tmp_path / "missing" / "long")])
+    assert not workdir.exists()
+
+
+def test_run_refuses_fewer_than_two_pairs(tmp_path, nothing_runs):
+    workdir = tmp_path / "w"
+    with pytest.raises(SystemExit, match="--pairs"):
+        bench_pairs.main(["run", "--a", "HEAD", "--b", "HEAD", "--pairs", "1",
+                          "--workdir", str(workdir), "--out", str(tmp_path / "long")])
+    assert not workdir.exists()
+
+
+def test_run_accepts_an_out_prefix_inside_the_workdir_it_makes(tmp_path, monkeypatch):
+    # the module docstring's example puts --out under --workdir
+    class Extracted(Exception):
+        pass
+
+    def extract(checkout, rev, dest):
+        raise Extracted
+
+    monkeypatch.setattr(bench_pairs, "_extract", extract)
+    workdir = tmp_path / "w"
+    with pytest.raises(Extracted):
+        bench_pairs.main(["run", "--a", "HEAD", "--b", "HEAD", "--workdir", str(workdir),
+                          "--out", str(workdir / "long")])
+    assert workdir.is_dir()

@@ -22,7 +22,6 @@ from mboxsim.runtime import (
     CHUNK,
     SETTINGS_CSV_HEADER,
     ExperimentConfig,
-    report_to_json_dict,
     run_experiment,
 )
 
@@ -401,7 +400,7 @@ def small_report(protocol, rounds) -> dict:
     config = ExperimentConfig(
         protocol=protocol, gamma=0.7853981634, rounds=rounds, seed=5, random_settings=1
     )
-    return json.loads(json.dumps(report_to_json_dict(run_experiment(config))))
+    return json.loads(json.dumps(run_experiment(config)))
 
 
 class TestReportCheck:
@@ -631,6 +630,18 @@ class TestOracle:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, vec", [("--a", "nan,0,1"), ("--b", "0,inf,0")])
+    def test_non_finite_vector_exits_2(self, capsys, flag, vec):
+        args = {"--a": "0,0,1", "--b": "0,0,1", flag: vec}
+        argv = [
+            "oracle", "mu-average", "--protocol", "p1", "--gamma", str(PI8),
+            "--a", args["--a"], "--b", args["--b"], "--branch", "pq+",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{flag} is not a direction" in capsys.readouterr().err
 
     def test_p2_needs_entanglement(self):
         argv = [

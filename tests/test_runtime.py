@@ -24,7 +24,6 @@ from mboxsim.runtime import (
     SETTINGS_CSV_HEADER,
     load_settings_csv,
     report_csv_rows,
-    report_to_json_dict,
     resolve_settings,
     round_uniform_block,
     run_experiment,
@@ -191,6 +190,18 @@ class TestLoadSettingsCsv:
         with pytest.raises(ValueError, match="not a direction"):
             load_settings_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, name",
+        [("nan,0,1,1,0,0", "a"), ("0,0,1,inf,0,0", "b"), ("0,-inf,0,1,0,0", "a"),
+         ("0,0,1,0,NaN,1", "b")],
+    )
+    def test_non_finite_field_is_not_a_direction(self, tmp_path, row, name):
+        path = self.write(
+            tmp_path / "s.csv", [",".join(SETTINGS_CSV_HEADER), "0,0,1,1,0,0", row]
+        )
+        with pytest.raises(ValueError, match=f"^settings CSV line 3: {name} is not a direction$"):
+            load_settings_csv(path)
+
     def test_normalizes_with_warning(self, tmp_path):
         path = self.write(tmp_path / "s.csv", [",".join(SETTINGS_CSV_HEADER), "0,0,1.01,1,0,0"])
         with pytest.warns(UserWarning, match="normalizing"):
@@ -209,19 +220,20 @@ class TestRunExperiment:
             protocol="p1", gamma=PI8, rounds=1, seed=3, settings=Z_PAIR
         )
         report = run_experiment(config)
-        assert len(report.records) == 1
-        rec = report.records[0]
+        [rec] = report["records"]
         assert sum(rec["counts"]) == 1
         assert rec["pre_flip"] is None
-        assert report_to_json_dict(report)["records"] == [rec]
+        assert report["summary"] == {
+            "n_settings": 1, "max_tv": rec["tv"], "max_abs_z": rec["max_abs_z"],
+        }
 
     def test_deterministic(self):
         config = ExperimentConfig(
             protocol="p2", gamma=PI8, rounds=5000, seed=11,
             settings=(), random_settings=2, completion="ortho",
         )
-        one = json.dumps(report_to_json_dict(run_experiment(config)), sort_keys=True)
-        two = json.dumps(report_to_json_dict(run_experiment(config)), sort_keys=True)
+        one = json.dumps(run_experiment(config), sort_keys=True)
+        two = json.dumps(run_experiment(config), sort_keys=True)
         assert one == two
 
     def test_worker_count_is_invisible(self):
@@ -233,22 +245,19 @@ class TestRunExperiment:
         )
         serial = run_experiment(ExperimentConfig(**kwargs, workers=1))
         threaded = run_experiment(ExperimentConfig(**kwargs, workers=4))
-        assert json.dumps(report_to_json_dict(serial), sort_keys=True) == json.dumps(
-            report_to_json_dict(threaded), sort_keys=True
-        )
+        assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
     def test_tb_statistics_match_target(self):
         config = tb_config(rounds=50_000)
-        report = run_experiment(config)
-        rec = report.records[0]
+        rec = run_experiment(config)["records"][0]
         assert rec["target"] == pytest.approx([0.25] * 4)
         assert rec["max_abs_z"] <= 5.0
 
     def test_settings_echoed(self):
         report = run_experiment(tb_config())
-        assert report.records[0]["a"] == [0.0, 0.0, 1.0]
-        assert report.records[0]["b"] == [1.0, 0.0, 0.0]
-        assert report.config.settings_source == "explicit:1"
+        assert report["records"][0]["a"] == [0.0, 0.0, 1.0]
+        assert report["records"][0]["b"] == [1.0, 0.0, 0.0]
+        assert report["config"]["settings_source"] == "explicit:1"
 
 
 class TestSampleSettings:
@@ -265,10 +274,10 @@ class TestSampleSettings:
         sampled = sample_settings(
             EntanglementParam(PI8), pairs[: k + 1], Completion.ORTHO, "p2", 3000, 17
         )
-        assert sampled[k].counts == report.records[k]["counts"]
+        assert sampled[k].counts == report["records"][k]["counts"]
         assert sampled[k].branches == {
             (b["p"], b["q"]): (b["n"], round(b["corr_mean"] * b["n"]))
-            for b in report.records[k]["branches"]
+            for b in report["records"][k]["branches"]
         }
         # the same pair sampled first reads setting 0's stream instead
         [first] = sample_settings(
@@ -432,14 +441,29 @@ class TestWriteReport:
         report = run_experiment(config)
         out = tmp_path / "r.json"
         csv_path = tmp_path / "r.csv"
-        payload = write_report(report, out, csv_path)
+        write_report(report, out, csv_path)
         on_disk = json.loads(out.read_text())
-        assert on_disk == payload
         jsonschema.validate(on_disk, report_schema())
         header, rows = report_csv_rows(report)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == ",".join(header)
         assert len(lines) == 1 + len(rows) == 4
+
+    @pytest.mark.parametrize(
+        "protocol, rounds", [("p1", 1), ("p1", 3000), ("p2", 3000), ("tb", 3000)]
+    )
+    def test_written_file_is_the_returned_document(self, tmp_path, protocol, rounds):
+        # run_experiment returns the document itself, one-round report
+        # (pre_flip null) included: the file reads back equal to it
+        config = ExperimentConfig(
+            protocol=protocol, gamma=PI8, rounds=rounds, seed=21,
+            settings=(), random_settings=2, completion="ortho",
+        )
+        report = run_experiment(config)
+        out = tmp_path / "r.json"
+        write_report(report, out)
+        assert report == json.loads(out.read_text())
+        assert (report["records"][0]["pre_flip"] is None) == (rounds == 1)
 
     def test_payload_bytes_are_stable(self, tmp_path):
         report = run_experiment(tb_config())

@@ -542,7 +542,7 @@ class TestSharedStream:
                 protocol=protocol, gamma=PI8, rounds=rounds, seed=seed,
                 completion=strategy.value, settings=((a, b),),
             ))
-            rec = report.records[0]
+            rec = report["records"][0]
             pp, pm, mp, mm = rec["counts"]
             moments = mc_round_moments(param, a, b, strategy, protocol, rounds, seed)
             for name in ("alpha0", "beta0"):
@@ -676,7 +676,7 @@ class TestRealizedJoint:
                     protocol=protocol, gamma=PI8, rounds=rounds, seed=DEFAULT_SEED + 48,
                     completion=strategy.value, settings=settings,
                 ))
-                for (a, b), rec in zip(settings, report.records):
+                for (a, b), rec in zip(settings, report["records"]):
                     exact = realized_joint(param, a, b, strategy, protocol)
                     freq = np.array(rec["counts"]) / rounds
                     sigma = np.maximum(np.sqrt(exact * (1.0 - exact) / rounds), 1.0 / rounds)

@@ -4,9 +4,11 @@
         --pairs 10 --first-seed 101 --workdir /tmp/pairs --out /tmp/pairs/long
     python3 tools/bench_pairs.py report /tmp/pairs/long.a.json /tmp/pairs/long.b.json
 
-``run`` makes ``--workdir``, which must not exist yet, and extracts each
-revision with ``git archive`` into its own directory under it (``a/`` and
-``b/``, so a revision against itself is an A/A control from two copies).
+``run`` first refuses a ``--pairs`` below 2 (a workload pairs at least two
+seeds) and an ``--out`` whose directory neither exists nor is ``--workdir``.
+It makes ``--workdir``, which must not exist yet, and extracts each revision
+with ``git archive`` into its own directory under it (``a/`` and ``b/``, so
+a revision against itself is an A/A control from two copies).
 Both trees' BENCHMARK.json must declare the same ``command``,
 ``run_seconds``, ``end_to_end`` metrics and workload names; ``run``
 refuses trees that differ.  It runs that command for ``run_seconds`` with
@@ -142,6 +144,12 @@ def _run_once(bench: dict, tree: Path, workload: str, seed: int) -> dict:
 
 def cmd_run(args) -> int:
     workdir = Path(args.workdir)
+    # Refuse what would fail only after the first run, or print an empty report.
+    if args.pairs < 2:
+        raise SystemExit(f"--pairs must be at least 2 to pair seeds, got {args.pairs}")
+    out_dir = Path(args.out).parent
+    if not (out_dir.is_dir() or out_dir.resolve() == workdir.resolve()):
+        raise SystemExit(f"--out's directory does not exist: {out_dir}")
     workdir.mkdir(parents=True)
     trees = {"a": workdir / "a", "b": workdir / "b"}
     for side, rev in (("a", args.a), ("b", args.b)):

@@ -11,16 +11,16 @@
 ``build`` only reads what the benchmark printed: the JSON document that
 ``steady.py run`` writes (untraced runs per workload) and the last stdout
 line of one traced ``run.py`` run per workload.  Per workload it keeps each
-end-to-end metric's values, median and quartiles
-(``statistics.quantiles(values, n=4)``, as steady.py reports them), the
-attempted and failed operation counts, and the traced run's per-layer
-metrics.  It adds the host (usable cores, CPU model, numpy version), the
+end-to-end metric that the checkout's BENCHMARK.json names, with its
+values, median and quartiles (``statistics.quantiles(values, n=4)``, as
+steady.py reports them), the attempted and failed operation counts, and
+the traced run's per-layer metrics.  It adds the host (usable cores, CPU model, numpy version), the
 checkout's git HEAD and package version, and the per-layer metrics known to
 misread at this benchmark, each with the reason.  Run it on the host that
 made the runs.
 
 ``delta`` prints, per workload, each end-to-end median and each per-layer
-value of the second file as a ratio to the first.
+value that both files hold, the second file's as a ratio to the first's.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-
-END_TO_END = ("setup_s", "rounds_per_s", "op_ms_p50", "op_ms_p90", "peak_rss_mb")
 
 # Per-layer metrics that the benchmark at this version is known to misread.
 KNOWN_MISREADINGS = {
@@ -84,8 +82,14 @@ def _package_version(checkout: Path) -> str:
     return re.search(r'^__version__ = "([^"]+)"$', text, re.M).group(1)
 
 
-def build(steady: dict, traced: list, version: str, git_head: str) -> dict:
-    """The trajectory document; traced is a list of (workload, seed, result)."""
+def _end_to_end_names(checkout: Path) -> list[str]:
+    bench = json.loads((checkout / "BENCHMARK.json").read_text())
+    return [m["name"] for m in bench["end_to_end"]]
+
+
+def build(steady: dict, traced: list, version: str, git_head: str, end_to_end: list) -> dict:
+    """The trajectory document; traced is a list of (workload, seed, result),
+    end_to_end the names of the end-to-end metrics to keep."""
     workloads = {}
     for name, runs in steady["runs"].items():
         workloads[name] = {
@@ -97,7 +101,7 @@ def build(steady: dict, traced: list, version: str, git_head: str) -> dict:
             "end_to_end": {
                 m: {"unit": runs[0]["metrics"][m]["unit"],
                     **_quartiles([r["metrics"][m]["value"] for r in runs])}
-                for m in END_TO_END
+                for m in end_to_end
             },
         }
     for name, seed, result in traced:
@@ -130,8 +134,9 @@ def delta(old: dict, new: dict) -> list:
         w_old = old["workloads"].get(name)
         if w_old is None:
             continue
-        pairs = [(m, w_old["end_to_end"][m]["median"], w_new["end_to_end"][m]["median"])
-                 for m in END_TO_END]
+        e2e_old = w_old["end_to_end"]
+        pairs = [(m, e2e_old[m]["median"], e["median"])
+                 for m, e in w_new["end_to_end"].items() if m in e2e_old]
         layers_old = w_old.get("traced", {}).get("per_layer", {})
         layers_new = w_new.get("traced", {}).get("per_layer", {})
         pairs += [(m, layers_old[m], v) for m, v in layers_new.items() if m in layers_old]
@@ -166,8 +171,9 @@ def main(argv=None) -> int:
     traced = [(w, int(seed), _last_json_line(path)) for w, seed, path in args.traced]
     head = subprocess.run(["git", "-C", args.checkout, "rev-parse", "HEAD"],
                           capture_output=True, text=True, check=True).stdout.strip()
+    checkout = Path(args.checkout)
     doc = build(json.loads(Path(args.steady).read_text()), traced,
-                _package_version(Path(args.checkout)), head)
+                _package_version(checkout), head, _end_to_end_names(checkout))
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
