@@ -4,8 +4,9 @@ Both entangled-state protocols follow the same skeleton per round:
 
 1. symmetrize the settings so a_z, b_z >= 0 (outputs are de-symmetrized at
    the end);
-2. feed (a_z, b_z) to the comparison box; Alice keeps her sign p, Bob reads
-   his bit inverted into a branch sign q so that p == q exactly when
+2. feed (a_z, b_z) to the comparison box, boxes.outcome_from_uniform, in
+   one call per batch; Alice's bit m gives her sign p = 2m - 1, and Bob
+   inverts his bit n into a branch sign q = 1 - 2n, so p == q exactly when
    a_z <= b_z;
 3. each party builds a direction vector from sign-weighted sums of its
    setting, an alternate axis, and a completion vector.  The protocols read
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import compare_bit
+from .boxes import outcome_from_uniform
 from .geometry import (
     Completion,
     as_unit_vector,
@@ -506,11 +507,11 @@ def run_batch(
     # symmetrize validates both settings
     a1, b1, sign_a, sign_b = symmetrize(a, b)
 
-    # Box stage: one call per round on (a_z, b_z). Bob inverts his bit into a
-    # branch sign, so p == q exactly when a_z <= b_z (ties land there too).
-    bit = compare_bit(a1[2], b1[2])
-    p = np.int8(1) - (rr.box_u >= 0.5).astype(np.int8) * np.int8(2)
-    q = (p * (2 * bit - 1)).astype(np.int8)
+    # Box stage: one box use per round on (a_z, b_z), one call per batch.
+    # Alice's sign is p = 2m - 1; Bob inverts his bit into the branch sign
+    # q = 1 - 2n, so p == q exactly when a_z <= b_z (ties land there too).
+    m, n = outcome_from_uniform(a1[2], b1[2], rr.box_u)
+    p, q = 2 * m - 1, 1 - 2 * n
 
     u_rows, v_rows = round_directions(param, a1, b1, p, q, rr.signs, strategy, protocol)
     alpha0, cbit, beta0 = _kernel(

@@ -425,19 +425,16 @@ def claim_residual_report(n_settings: int = 100, seed: int = DEFAULT_SEED) -> di
 
 def suite_mbox(rounds: int = 200_000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Exhaustive XOR contract on a 21x21 input grid, plus output uniformity
-    over `rounds` box calls (default 200 000)."""
+    over `rounds` box coins (default 200 000), each part one box call."""
     if rounds < 1:
         raise ValueError(f"need rounds >= 1, got {rounds}")
     g = seeded_generator(seed)
     grid = np.linspace(0.0, 1.0, 21)
-    bad = 0
-    for x in grid.tolist():
-        for y in grid.tolist():
-            want = 1 if x <= y else 0
-            for u in (0.25, 0.75):
-                out = outcome_from_uniform(x, y, u)
-                if (out.m ^ out.n) != want or out.m != (1 if u < 0.5 else 0):
-                    bad += 1
+    # The grid increases strictly, so [x_i <= y_j] is [i <= j]; the coins
+    # 0.25 and 0.75 must give m = 1 and m = 0.
+    m, n = outcome_from_uniform(grid[:, None, None], grid[None, :, None], [0.25, 0.75])
+    at_or_below = np.triu(np.ones((grid.size, grid.size), dtype=bool))[:, :, None]
+    bad = np.count_nonzero(((m ^ n) != at_or_below) | (m != [1, 0]))
     checks = [
         CheckResult(
             "mbox-xor-grid",
@@ -445,14 +442,14 @@ def suite_mbox(rounds: int = 200_000, seed: int = DEFAULT_SEED) -> list[CheckRes
             f"{bad} violations over {grid.size * grid.size} inputs x 2 coins",
         )
     ]
-    u = g.random(rounds)
-    ones = sum(outcome_from_uniform(0.3, 0.7, float(ui)).m for ui in u.tolist())
+    m, _ = outcome_from_uniform(0.3, 0.7, g.random(rounds))
+    ones = np.count_nonzero(m)
     z = abs(ones / rounds - 0.5) / (0.5 / math.sqrt(rounds))
     checks.append(
         CheckResult(
             "mbox-m-uniform",
             z <= 4.0,
-            f"mean {ones / rounds:.6f} over {rounds} calls, z = {z:.2f}",
+            f"mean {ones / rounds:.6f} over {rounds} coins, z = {z:.2f}",
         )
     )
     return checks

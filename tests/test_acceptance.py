@@ -16,8 +16,9 @@ import math
 import time
 
 import numpy as np
+import pytest
 
-from mboxsim.boxes import outcome_from_uniform
+from mboxsim import protocols
 from mboxsim.geometry import Completion, sample_unit_sphere
 from mboxsim.protocols import RoundRandomness, round_uniform_block, run_batch
 from mboxsim.quantum import EntanglementParam
@@ -203,12 +204,40 @@ def _mirrored_coin(rr: RoundRandomness) -> RoundRandomness:
 
 
 def _box_mismatches(out, a, b, box_u) -> int:
-    """Rows whose (p, q) is not (box.p, -box.q) from the scalar box."""
-    bad = 0
-    for p, q, u in zip(out.p.tolist(), out.q.tolist(), box_u.tolist()):
-        box = outcome_from_uniform(abs(a[2]), abs(b[2]), u)
-        bad += (p, q) != (box.p, -box.q)
-    return bad
+    """Rows whose branch signs (p, q) break the box contract of boxes' docstring.
+
+    Written from the docstring, not by calling the box that run_batch calls:
+    Alice's bit is m = [u < 1/2], so p = +1 exactly where u < 1/2; Bob's bit
+    n = m XOR [|a_z| <= |b_z|] is inverted into q, so q = p exactly when
+    |a_z| <= |b_z|, a tie included.
+    """
+    p = np.where(box_u < 0.5, 1, -1)
+    q = p if abs(a[2]) <= abs(b[2]) else -p
+    return int(np.count_nonzero((out.p != p) | (out.q != q)))
+
+
+def _tie_as_false(x, y, u):
+    m = (np.asarray(u) < 0.5).astype(np.int8)
+    return m, m ^ (np.asarray(x) < np.asarray(y))
+
+
+def _coin_inverted(x, y, u):
+    m = (np.asarray(u) >= 0.5).astype(np.int8)
+    return m, m ^ (np.asarray(x) <= np.asarray(y))
+
+
+@pytest.mark.parametrize("mutant", [_tie_as_false, _coin_inverted])
+def test_criterion_09_box_check_fails_on_mutant_boxes(monkeypatch, mutant):
+    # criterion 9's box statement must see, on a tie |a_z| == |b_z|, a box
+    # that counts the tie as false or reads its coin upside down
+    a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, -0.8])
+    param = EntanglementParam(PI8)
+    rr = RoundRandomness.from_uniform_block(round_uniform_block(DEFAULT_SEED + 45, 0, 0, 256))
+    for box in (protocols.outcome_from_uniform, mutant):
+        monkeypatch.setattr(protocols, "outcome_from_uniform", box)
+        for protocol in ("p1", "p2"):
+            out = run_batch(param, a, b, rr, Completion.NORMALIZE, protocol)
+            assert _box_mismatches(out, a, b, rr.box_u) == (0 if box is not mutant else 256)
 
 
 def test_criterion_09_resource_budget(criterion):
@@ -285,7 +314,7 @@ def test_criterion_09_resource_budget(criterion):
     detail = (
         f"{batches} batches x {rows} rows, 12 cases (2 gammas x 2 completions x 3 protocols, "
         f"{len(pairs)} pairs incl. a tie); Bob compared >= {worst_share:.0%} of each batch's rows; "
-        f"box contract on {box_rows} rows; {elapsed:.1f}s (budget 30s)"
+        f"box signs held to the contract as boxes words it on {box_rows} rows; {elapsed:.1f}s (budget 30s)"
     )
     if problems:
         detail += f"; {len(problems)} failures, first: {', '.join(problems[:3])}"

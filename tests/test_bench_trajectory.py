@@ -48,7 +48,7 @@ def test_build_keeps_medians_quartiles_counts_and_layers():
     assert set(doc["known_misreadings"]) == {
         "cli.validate_ms_per_op", "runtime.unexited_threads_per_op",
         "protocols.directions_ns_per_round", "geometry.complete_ns_per_round",
-        "runtime.chunk_calls",
+        "runtime.chunk_calls", "boxes.outcome_ns_per_call", "boxes.outcome_calls",
     }
 
 

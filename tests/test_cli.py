@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -401,6 +402,55 @@ def small_report(protocol, rounds) -> dict:
         protocol=protocol, gamma=0.7853981634, rounds=rounds, seed=5, random_settings=1
     )
     return json.loads(json.dumps(run_experiment(config)))
+
+
+def _numpy_umath():
+    """numpy's C core module, which names the SIMD targets numpy dispatches to."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            return importlib.import_module(name)
+        except ImportError:
+            pass
+    return None
+
+
+# Checks in the child that numpy took the targets as disabled, then runs the
+# golden digests there.
+_NO_DISPATCH_CHILD = (
+    "import importlib, sys\n"
+    "import pytest\n"
+    "features = importlib.import_module(sys.argv[1]).__cpu_features__\n"
+    "on = [t for t in sys.argv[2].split() if features.get(t)]\n"
+    "assert not on, f'still enabled: {on}'\n"
+    "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[3]]))\n"
+)
+
+
+def test_golden_digests_hold_without_simd_dispatch():
+    # lambda's azimuth uses numpy's float32 cos and sin, which numpy picks by
+    # CPU feature.  The report must stay a function of the config alone, so
+    # TestGoldenReports runs again in a child whose numpy may use none of the
+    # dispatched targets this CPU has; only the child's environment changes.
+    umath = _numpy_umath()
+    dispatch = getattr(umath, "__cpu_dispatch__", [])
+    features = getattr(umath, "__cpu_features__", {})
+    targets = [t for t in dispatch if features.get(t)]
+    if not targets:
+        pytest.skip("this CPU has none of the SIMD targets numpy dispatches to")
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_DISPATCH_CHILD, umath.__name__, " ".join(targets),
+         f"{__file__}::TestGoldenReports"],
+        env=env, capture_output=True, text=True, cwd=Path(__file__).parents[1],
+    )
+    assert done.returncode == 0, f"disabled {targets}:\n{done.stdout[-3000:]}{done.stderr[-2000:]}"
+    summary = done.stdout.strip().splitlines()[-1]
+    assert re.fullmatch(r"\d+ passed in .*", summary), summary
 
 
 class TestReportCheck:

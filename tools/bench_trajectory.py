@@ -60,6 +60,15 @@ KNOWN_MISREADINGS = {
         "16 384-row sub-block, so a full 65 536-row chunk counts about four "
         "(BENCH_0.16.0.json reads 32.0 per long operation of about 8 chunks)"
     ),
+    "boxes.outcome_ns_per_call": (
+        "since 0.19.0 each verify.outcome_from_uniform call is a whole array "
+        "(suite_mbox's grid or its coins), not one coin, so ns per call is not "
+        "comparable with earlier files"
+    ),
+    "boxes.outcome_calls": (
+        "since 0.19.0 suite_mbox makes two array calls per pass, not one call "
+        "per coin, so the count no longer follows the coins drawn"
+    ),
 }
 
 
