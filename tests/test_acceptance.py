@@ -233,11 +233,11 @@ def test_criterion_09_box_check_fails_on_mutant_boxes(monkeypatch, mutant):
     a, b = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, -0.8])
     param = EntanglementParam(PI8)
     rr = RoundRandomness.from_uniform_block(round_uniform_block(DEFAULT_SEED + 45, 0, 0, 256))
-    for box in (protocols.outcome_from_uniform, mutant):
+    for box, mismatches in ((protocols.outcome_from_uniform, 0), (mutant, 256)):
         monkeypatch.setattr(protocols, "outcome_from_uniform", box)
         for protocol in ("p1", "p2"):
             out = run_batch(param, a, b, rr, Completion.NORMALIZE, protocol)
-            assert _box_mismatches(out, a, b, rr.box_u) == (0 if box is not mutant else 256)
+            assert _box_mismatches(out, a, b, rr.box_u) == mismatches
 
 
 def test_criterion_09_resource_budget(criterion):
