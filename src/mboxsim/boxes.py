@@ -22,9 +22,10 @@ import numpy as np
 __all__ = ["compare_bit", "outcome_from_uniform"]
 
 
-def compare_bit(x: float, y: float) -> int:
-    """The bit the box correlates on, for one pair: 1 iff x <= y (equality counts)."""
-    return 1 if x <= y else 0
+def compare_bit(x, y):
+    """The bit the box correlates on: 1 iff x <= y (equality counts), as int8,
+    elementwise."""
+    return np.less_equal(x, y).astype(np.int8)
 
 
 def _check_entries(name: str, v: np.ndarray, closed: bool) -> None:
@@ -51,4 +52,4 @@ def outcome_from_uniform(x, y, u) -> tuple[np.ndarray, np.ndarray]:
     _check_entries("y", y, closed=True)
     _check_entries("box uniform", u, closed=False)
     m = np.less(u, 0.5).view(np.int8)
-    return m, m ^ (x <= y)
+    return m, m ^ compare_bit(x, y)

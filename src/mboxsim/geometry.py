@@ -1,7 +1,8 @@
 """Unit-sphere primitives shared by the protocols and their verification oracles.
 
-Vectors are plain numpy arrays: single vectors have shape (3,), and the
-completion rule used by the round engine works on row-stacked (n, 3) arrays.
+Vectors are plain numpy arrays: single vectors have shape (3,), and blocks
+of them, one per row, shape (n, 3).  The completion rule used by the round
+engine and the exact formulas in quantum work on such blocks.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -27,6 +28,7 @@ __all__ = [
     "Z_HAT",
     "as_unit_vector",
     "complete_rows",
+    "first_outside",
     "sample_unit_sphere",
     "sgn",
     "sign_array",
@@ -86,15 +88,24 @@ def sign_array(x: np.ndarray) -> np.ndarray:
 
 
 def as_unit_vector(v) -> np.ndarray:
-    """Validate and return ``v`` as a float (3,) array with unit norm.
+    """Validate and return ``v`` as a float array of unit 3-vectors: one
+    vector, shape (3,), or a block of rows, shape (n, 3).
 
-    Raises ValueError when the norm deviates from 1 by more than 1e-9;
+    Raises ValueError when a norm deviates from 1 by more than 1e-9;
     callers that want to accept approximately-unit input should normalize
-    explicitly before calling.
+    explicitly before calling.  A block is checked in one pass, and its
+    first refused row raises the message that row alone would.
     """
     arr = np.asarray(v, dtype=float)
+    if arr.ndim == 2 and arr.shape[1] == 3:
+        x, y, z = arr.T
+        # NaN and inf give a norm that fails the comparison
+        refused = ~(np.abs(np.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9)
+        if refused.any():
+            as_unit_vector(arr[np.argmax(refused)])
+        return arr
     if arr.shape != (3,):
-        raise ValueError(f"expected shape (3,), got {arr.shape}")
+        raise ValueError(f"expected shape (3,) or (n, 3), got {arr.shape}")
     # Checked on Python floats: for three entries this is several times
     # faster than np.isfinite and np.linalg.norm.
     x, y, z = arr.tolist()
@@ -104,6 +115,15 @@ def as_unit_vector(v) -> np.ndarray:
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"vector norm {norm} deviates from 1 by more than 1e-09")
     return arr
+
+
+def first_outside(x, low: float, high: float):
+    """The first entry of x, a number or an array, outside [low, high], NaN
+    included, or None."""
+    if not isinstance(x, np.ndarray):
+        return None if low <= x <= high else x
+    refused = ~((x >= low) & (x <= high))
+    return x.reshape(-1)[np.argmax(refused)] if refused.any() else None
 
 
 def unit_vector_from_uniforms(u1, u2):

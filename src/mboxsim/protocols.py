@@ -53,7 +53,7 @@ from .geometry import (
     Completion,
     as_unit_vector,
     complete_rows,
-    sgn,
+    first_outside,
     sign_array,
 )
 from .quantum import (
@@ -167,15 +167,17 @@ def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -
 
 @dataclass(frozen=True)
 class FlipSpec:
-    """Flip probabilities for the correlated -1 -> +1 post-processing."""
+    """Flip probabilities for the correlated -1 -> +1 post-processing: one
+    pair for a whole batch, or arrays of them, one pair per cell."""
 
-    f_a: float
-    f_b: float
+    f_a: float | np.ndarray
+    f_b: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name, f in (("f_a", self.f_a), ("f_b", self.f_b)):
-            if not 0.0 <= f <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {f}")
+            bad = first_outside(f, 0.0, 1.0)
+            if bad is not None:
+                raise ValueError(f"{name} must lie in [0, 1], got {bad}")
 
 
 def _lambda_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -252,24 +254,26 @@ class BatchOutcome:
 
 
 def symmetrize(a, b):
-    """Reflect settings into the upper hemisphere.
+    """Reflect settings into the upper hemisphere, elementwise over blocks.
 
-    Returns (a', b', sign_a, sign_b) with a' = sign_a * a, sign_a = sgn(a_z),
-    so a'_z >= 0.  Callers multiply Alice's (Bob's) final output by sign_a
-    (sign_b) to undo the reflection.
+    Returns (a', b', sign_a, sign_b) with a' = sign_a * a, sign_a = sgn(a_z)
+    as int8, so a'_z >= 0.  Callers multiply Alice's (Bob's) final output by
+    sign_a (sign_b) to undo the reflection.
     """
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    sign_a = sgn(a[2])
-    sign_b = sgn(b[2])
-    return sign_a * a, sign_b * b, sign_a, sign_b
+    sign_a = sign_array(a[..., 2])
+    sign_b = sign_array(b[..., 2])
+    return sign_a[..., None] * a, sign_b[..., None] * b, sign_a, sign_b
 
 
 def flip_spec(param: EntanglementParam, a1: np.ndarray, b1: np.ndarray, protocol: str) -> FlipSpec:
-    """Flip weights at symmetrized settings: c*a_z, c*b_z for p1, F(a_z), F(b_z) for p2."""
+    """Flip weights at symmetrized settings: c*a_z, c*b_z for p1, F(a_z), F(b_z)
+    for p2; arrays of them for blocks of settings."""
+    a_z, b_z = a1.T[2], b1.T[2]
     if protocol == "p1":
-        return FlipSpec(param.cos2g * a1[2], param.cos2g * b1[2])
-    return FlipSpec(epr2_flip_probability(param, a1[2]), epr2_flip_probability(param, b1[2]))
+        return FlipSpec(param.cos2g * a_z, param.cos2g * b_z)
+    return FlipSpec(epr2_flip_probability(param, a_z), epr2_flip_probability(param, b_z))
 
 
 def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
@@ -278,7 +282,8 @@ def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
     Alice flips a -1 when r < f_a, Bob when r < f_b; sharing r makes the two
     events nested rather than independent, which is what turns a zero-marginal
     correlation C0 into moments (f_a, f_b, f_min + (1 - f_max) C0).  Works
-    elementwise on sign arrays and uniforms of one shape and returns the
+    elementwise on sign arrays and uniforms of one shape, with spec's
+    probabilities scalars or arrays of that shape too, and returns the
     flipped (alpha, beta) arrays.  run_batch applies the same rule, _flip, to
     whole batches without the input checks.
     """

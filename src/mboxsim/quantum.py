@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import compare_bit
-from .geometry import as_unit_vector, sgn
+from .geometry import as_unit_vector, first_outside, sign_array
 
 __all__ = [
     "DegenerateAxisError",
@@ -72,34 +72,76 @@ class EntanglementParam:
         object.__setattr__(self, "sin2g", math.sin(2.0 * self.gamma))
 
 
-def _joint_from_moments(mean_a: float, mean_b: float, corr: float) -> np.ndarray:
-    """The joint law of (alpha, beta) with these means and correlation."""
+# ---------------------------------------------------------------------------
+# Array form.  Every formula below takes one setting, a (3,) vector or a
+# scalar z, or a block of them, (n, 3) rows or an (n,) array, and evaluates
+# the block in one pass, with masks where a setting's case is chosen.  One
+# setting's components are Python floats and its masks Python bools, so the
+# same expressions cost a one-setting call no more than scalar code would.
+# ---------------------------------------------------------------------------
+
+
+def _columns(v: np.ndarray):
+    """x, y and z of validated settings: floats for one, columns for a block."""
+    return v.tolist() if v.ndim == 1 else v.T
+
+
+def _select(mask, x, y):
+    """np.where(mask, x, y), with a Python bool's choice made directly."""
+    return np.where(mask, x, y) if isinstance(mask, np.ndarray) else (x if mask else y)
+
+
+def _any(mask) -> bool:
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def _value(x):
+    """One setting's result as a float, a block's as its array."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _joint_from_moments(mean_a, mean_b, corr) -> np.ndarray:
+    """The joint law of (alpha, beta) with these means and correlation: (4,)
+    for one setting's moments, a row of four per setting for columns."""
     return np.array([
         0.25 * (1.0 + mean_a + mean_b + corr),
         0.25 * (1.0 + mean_a - mean_b - corr),
         0.25 * (1.0 - mean_a + mean_b - corr),
         0.25 * (1.0 - mean_a - mean_b + corr),
-    ])
+    ]).T
+
+
+def _refused(probs: np.ndarray):
+    """Per row of four, whether it is not a distribution: a sum more than
+    1e-9 from 1, or an entry below -1e-12."""
+    return (abs(probs.sum(axis=-1) - 1.0) > 1e-9) | (probs.min(axis=-1) < -1e-12)
 
 
 def checked_distribution(probs) -> np.ndarray:
-    """The four entries with float-noise negatives clipped to 0, or ValueError
-    if they are not a distribution: a sum more than 1e-9 from 1, or an entry
-    below -1e-12."""
+    """The entries with float-noise negatives clipped to 0, or ValueError if
+    a row of four is not a distribution (see _refused); the error names the
+    first such row's fault."""
     probs = np.asarray(probs, dtype=float)
-    if abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-    if float(probs.min()) < -1e-12:
-        raise ValueError(f"negative probability entry {probs.min()}")
-    return np.clip(probs, 0.0, None)
+    refused = _refused(probs)
+    if _any(refused):
+        row = probs.reshape(-1, 4)[np.argmax(refused)]
+        if abs(float(row.sum()) - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {row.sum()}, not 1")
+        raise ValueError(f"negative probability entry {row.min()}")
+    # the values of np.clip(probs, 0.0, None), -0.0 -> 0.0 and NaN included,
+    # at a fraction of its cost
+    return np.maximum(probs, 0.0)
 
 
-def correlation(param: EntanglementParam, a, b) -> float:
+def _correlation(param: EntanglementParam, a: np.ndarray, b: np.ndarray):
+    ax, ay, az = _columns(a)
+    bx, by, bz = _columns(b)
+    return az * bz + param.sin2g * (ax * bx - ay * by)
+
+
+def correlation(param: EntanglementParam, a, b):
     """Quantum correlation <alpha beta> for settings a, b."""
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    s = param.sin2g
-    return float(a[2] * b[2] + s * (a[0] * b[0] - a[1] * b[1]))
+    return _value(_correlation(param, as_unit_vector(a), as_unit_vector(b)))
 
 
 def joint_qm(param: EntanglementParam, a, b) -> np.ndarray:
@@ -107,18 +149,24 @@ def joint_qm(param: EntanglementParam, a, b) -> np.ndarray:
     a = as_unit_vector(a)
     b = as_unit_vector(b)
     c = param.cos2g
-    return _joint_from_moments(c * a[2], c * b[2], correlation(param, a, b))
+    corr = _correlation(param, a, b)
+    return _joint_from_moments(c * _columns(a)[2], c * _columns(b)[2], corr)
+
+
+_HALF_TURN = np.array([1.0, -1.0, -1.0])
 
 
 def rotate_pi_about_x(v) -> np.ndarray:
     """Half-turn about the x axis: (x, y, z) -> (x, -y, -z)."""
-    v = np.asarray(v, dtype=float)
-    return np.array([v[0], -v[1], -v[2]])
+    return np.asarray(v, dtype=float) * _HALF_TURN
 
 
-def _guard_denominator(c: float, z: float) -> float:
+def _guard_denominator(c: float, z):
     den = 1.0 - c * z
-    if den < 1e-9:
+    degenerate = den < 1e-9
+    if _any(degenerate):
+        i = np.argmax(degenerate)
+        den, z = np.reshape(den, -1)[i], np.reshape(z, -1)[i]
         raise DegenerateAxisError(
             f"axis construction degenerate: 1 - c*z = {den} (c={c}, z={z})"
         )
@@ -130,10 +178,10 @@ def aux_axis(param: EntanglementParam, v) -> np.ndarray:
 
     Alice applies it to a in protocol 1, Bob to b in both protocols.
     """
-    v = as_unit_vector(v)
+    x, y, z = _columns(as_unit_vector(v))
     c, s = param.cos2g, param.sin2g
-    den = _guard_denominator(c, v[2])
-    return np.array([s * v[0], s * v[1], v[2] - c]) / den
+    den = _guard_denominator(c, z)
+    return (np.array([s * x, s * y, z - c]) / den).T
 
 
 def aux_axis_alice_nl(param: EntanglementParam, a) -> np.ndarray:
@@ -178,46 +226,60 @@ def slice_threshold(param: EntanglementParam) -> float:
     return (1.0 - s) / c
 
 
-def in_slice(param: EntanglementParam, z: float) -> bool:
-    """Whether a z component falls in the unbiased band (boundary counts as inside)."""
+def in_slice(param: EntanglementParam, z):
+    """Whether a z component falls in the unbiased band (boundary counts as
+    inside), elementwise."""
     return abs(z) <= slice_threshold(param)
 
 
-def epr2_local_bias(param: EntanglementParam, z: float) -> float:
+def _band_terms(param: EntanglementParam, z):
+    """The local bias f(z) and the flip weight F(z), elementwise, with z
+    checked first: decomposition scalars need gamma > 0 and z in [-1, 1]."""
+    _require_entangled(param)
+    if not isinstance(z, float):
+        z = np.asarray(z, dtype=float)
+    bad = first_outside(z, -1.0, 1.0)
+    if bad is not None:
+        raise ValueError(f"z must lie in [-1, 1], got {bad}")
+    c, s = param.cos2g, param.sin2g
+    om = 1.0 - s
+    if om <= 0.0:
+        zero = np.zeros_like(z)
+        return zero, zero
+    inside = in_slice(param, z)
+    cz = c * z
+    ratio = cz / om
+    sign = _select(z >= 0.0, 1.0, -1.0)
+    f = _select(inside, _clip_unit(ratio), sign)
+    return f, _select(inside, 0.0, (cz - om * sign) / s)
+
+
+def epr2_local_bias(param: EntanglementParam, z):
     """Marginal bias f(z) of the local part: sgn(z) * min(1, c|z|/(1-s)).
 
     Identically 0 at g = pi/4, where the local weight vanishes and the bias is
     immaterial.
     """
-    _require_entangled(param)
-    if not -1.0 <= z <= 1.0:
-        raise ValueError(f"z must lie in [-1, 1], got {z}")
-    c, s = param.cos2g, param.sin2g
-    om = 1.0 - s
-    if om <= 0.0:
-        return 0.0
-    if in_slice(param, z):
-        return float(np.clip(c * z / om, -1.0, 1.0))
-    return float(sgn(z))
+    return _value(_band_terms(param, z)[0])
 
 
-def epr2_flip_probability(param: EntanglementParam, z: float) -> float:
+def epr2_flip_probability(param: EntanglementParam, z):
     """Flip weight F(z) of the nonlocal part: (c z - (1-s) f(z))/s.
 
     Exactly 0.0 inside the band (branching, not cancellation) and identically
     0.0 at g = pi/4.
     """
-    _require_entangled(param)
-    if not -1.0 <= z <= 1.0:
-        raise ValueError(f"z must lie in [-1, 1], got {z}")
-    c, s = param.cos2g, param.sin2g
-    om = 1.0 - s
-    if om <= 0.0 or in_slice(param, z):
-        return 0.0
-    return (c * z - om * float(sgn(z))) / s
+    return _value(_band_terms(param, z)[1])
 
 
-def epr2_correlation(param: EntanglementParam, a, b) -> float:
+def _epr2_correlation(param: EntanglementParam, a: np.ndarray, b: np.ndarray, fa, fb):
+    ax, ay, az = _columns(a)
+    bx, by, bz = _columns(b)
+    s = param.sin2g
+    return ax * bx - ay * by + (az * bz - (1.0 - s) * fa * fb) / s
+
+
+def epr2_correlation(param: EntanglementParam, a, b):
     """Correlation G of the nonlocal part.
 
     G = ax bx - ay by + [az bz - (1-s) f(az) f(bz)] / s; inside the band this
@@ -226,11 +288,9 @@ def epr2_correlation(param: EntanglementParam, a, b) -> float:
     _require_entangled(param)
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    s = param.sin2g
-    om = 1.0 - s
-    fa = epr2_local_bias(param, a[2])
-    fb = epr2_local_bias(param, b[2])
-    return float(a[0] * b[0] - a[1] * b[1] + (a[2] * b[2] - om * fa * fb) / s)
+    fa, _ = _band_terms(param, _columns(a)[2])
+    fb, _ = _band_terms(param, _columns(b)[2])
+    return _value(_epr2_correlation(param, a, b, fa, fb))
 
 
 def joint_nl(param: EntanglementParam, a, b) -> np.ndarray:
@@ -239,11 +299,9 @@ def joint_nl(param: EntanglementParam, a, b) -> np.ndarray:
     checked_distribution refuses."""
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    return _joint_from_moments(
-        epr2_flip_probability(param, a[2]),
-        epr2_flip_probability(param, b[2]),
-        epr2_correlation(param, a, b),
-    )
+    fa, flip_a = _band_terms(param, _columns(a)[2])
+    fb, flip_b = _band_terms(param, _columns(b)[2])
+    return _joint_from_moments(flip_a, flip_b, _epr2_correlation(param, a, b, fa, fb))
 
 
 def joint_local_product(param: EntanglementParam, a, b) -> np.ndarray:
@@ -251,13 +309,24 @@ def joint_local_product(param: EntanglementParam, a, b) -> np.ndarray:
     _require_entangled(param)
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    fa = epr2_local_bias(param, a[2])
-    fb = epr2_local_bias(param, b[2])
+    fa, _ = _band_terms(param, _columns(a)[2])
+    fb, _ = _band_terms(param, _columns(b)[2])
     return _joint_from_moments(fa, fb, fa * fb)
 
 
-def branch_pairing(param: EntanglementParam, a, b, same_branch: bool, protocol: str, axis):
-    """The two vectors one branch of p1 or p2 pairs, at symmetrized settings.
+def _axis_where(use, param: EntanglementParam, v: np.ndarray, base: np.ndarray, axis):
+    """Rows of axis(param, v) where use holds and rows of base elsewhere.  The
+    axis is built, and its denominator guarded, only on the rows that take it."""
+    if not isinstance(use, np.ndarray):
+        return axis(param, v) if use else base
+    out = np.array(base, dtype=float)
+    out[use] = axis(param, v[use])
+    return out
+
+
+def branch_pairing(param: EntanglementParam, a, b, same_branch, protocol: str, axis):
+    """The two vectors one branch of p1 or p2 pairs, at symmetrized settings,
+    elementwise over blocks of settings; same_branch is one flag or one per row.
 
     axis maps a setting to its alternate axis: aux_axis for the claimed
     closed form, flip_exact_axis for the exact flip identity; the two differ
@@ -267,19 +336,28 @@ def branch_pairing(param: EntanglementParam, a, b, same_branch: bool, protocol: 
     inside only pairs Alice's nonlocal axis with the half-turned b; both
     outside choose between those two by same_branch.
     """
+    other_branch = _select(same_branch, False, True)
     if protocol == "p1":
-        return (a, axis(param, b)) if same_branch else (axis(param, a), b)
-    a_in = in_slice(param, a[2])
-    b_in = in_slice(param, b[2])
-    b_rot = rotate_pi_about_x(b)
-    if a_in and b_in:
-        return a, b_rot
-    if a_in or (not b_in and same_branch):
-        return a, axis(param, b)
-    return aux_axis_alice_nl(param, a), b_rot
+        return (
+            _axis_where(other_branch, param, a, a, axis),
+            _axis_where(same_branch, param, b, b, axis),
+        )
+    a_in = in_slice(param, _columns(a)[2])
+    b_in = in_slice(param, _columns(b)[2])
+    a_out = _select(a_in, False, True)
+    b_out = _select(b_in, False, True)
+    return (
+        _axis_where(a_out & (b_in | other_branch), param, a, a, aux_axis_alice_nl),
+        _axis_where(b_out & (a_in | same_branch), param, b, rotate_pi_about_x(b), axis),
+    )
 
 
-def pre_flip_correlation(param: EntanglementParam, a, b, protocol: str) -> float:
+def _clip_unit(v):
+    """np.clip(v, -1.0, 1.0) for non-NaN v."""
+    return _select(v > 1.0, 1.0, _select(v < -1.0, -1.0, v))
+
+
+def pre_flip_correlation(param: EntanglementParam, a, b, protocol: str):
     """Pre-flip correlation that the protocol's flip maps exactly onto its target.
 
     For p1 the (c a_z, c b_z) flip lands on the quantum correlation C, for p2
@@ -289,9 +367,11 @@ def pre_flip_correlation(param: EntanglementParam, a, b, protocol: str) -> float
     """
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    if a[2] < 0.0 or b[2] < 0.0:
+    az, bz = _columns(a)[2], _columns(b)[2]
+    if _any(az < 0.0) or _any(bz < 0.0):
         raise ValueError("settings must be symmetrized (a_z, b_z >= 0)")
-    x, y = branch_pairing(param, a, b, compare_bit(a[2], b[2]) == 1, protocol, flip_exact_axis)
+    x, y = branch_pairing(param, a, b, compare_bit(az, bz) == 1, protocol, flip_exact_axis)
     # A dot product of unit vectors, clamped: rounding can carry it just
     # past +-1, and the flip algebra rejects correlations outside [-1, 1].
-    return min(1.0, max(-1.0, float(x @ y)))
+    # vecdot gives each row the bits of x @ y on that row alone.
+    return _value(_clip_unit(np.vecdot(x, y)))

@@ -34,6 +34,7 @@ from .boxes import compare_bit, outcome_from_uniform
 from .geometry import (
     Completion,
     as_unit_vector,
+    first_outside,
     sample_unit_sphere,
     sign_array,
     spherical_grid,
@@ -56,8 +57,12 @@ from .protocols import (  # noqa: F401
 )
 from .quantum import (
     EntanglementParam,
+    _any,
+    _columns,
     _joint_from_moments,
+    _refused,
     _require_entangled,
+    _value,
     aux_axis,
     branch_pairing,
     checked_distribution,
@@ -158,17 +163,18 @@ def quadrature_kernel(u, v, n_nodes: int = 10_000) -> float:
     return total / (n_nodes * n_nodes)
 
 
-def _branch_settings(a, b, p: int, q: int, protocol_id: str):
-    """Validated unit settings for one branch (p, q) of p1 or p2; they must
-    already be symmetrized (both z >= 0)."""
+def _branch_settings(a, b, p, q, protocol_id: str):
+    """Validated unit settings, one pair or blocks of pairs, for branch (p, q)
+    of p1 or p2, one branch or one per row; the settings must already be
+    symmetrized (both z >= 0)."""
     if protocol_id not in _BRANCH_PROTOCOLS:
         raise ValueError(f"protocol must be 'p1' or 'p2', got {protocol_id!r}")
     for name, value in (("p", p), ("q", q)):
-        if value not in (-1, 1):
+        if _any((value != 1) & (value != -1)):
             raise ValueError(f"{name} must be +1 or -1, got {value!r}")
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    if a[2] < 0.0 or b[2] < 0.0:
+    if _any(_columns(a)[2] < 0.0) or _any(_columns(b)[2] < 0.0):
         raise ValueError("settings must be symmetrized (z >= 0); reflect first")
     return a, b
 
@@ -215,54 +221,69 @@ def branch_correlation_claim(
     This is the scalar product the construction is said to average to once
     the sign bundle integrates out: branch_pairing with aux_axis on branch
     p == q.  exact_mu_average measures how close a realizable completion
-    actually gets.
+    actually gets.  Blocks of settings, with one branch or one per row,
+    give one claim per row.
     """
     a, b = _branch_settings(a, b, p, q, protocol_id)
     x, y = branch_pairing(param, a, b, p == q, protocol_id, aux_axis)
-    return float(x @ y)
+    return _value(np.vecdot(x, y))
 
 
-# The four (alpha0, beta0) cells of each of the three bands, in band order.
-_FLIP_A0 = np.array([-1, -1, 1, 1] * 3)
-_FLIP_B0 = np.array([-1, 1, -1, 1] * 3)
+# A band's four (alpha0, beta0) cells, and alpha0 * beta0 on them.
+_FLIP_A0 = np.array([-1, -1, 1, 1])
+_FLIP_B0 = np.array([-1, 1, -1, 1])
+_FLIP_AB0 = _FLIP_A0 * _FLIP_B0
 
 
-def flip_moments_exact(
-    c0: float, f_a: float, f_b: float
-) -> tuple[Fraction, Fraction, Fraction]:
+def flip_moments_exact(c0, f_a, f_b):
     """Moments (mean alpha, mean beta, mean alpha*beta) after coupled flips.
 
     Computed with no sampling and no tolerance: the shared uniform r only
     matters through which of the bands [0, f_min), [f_min, f_max), [f_max, 1)
-    it falls in, so each band's four pre-flip cells go once through
+    it falls in, so each band's four pre-flip cells go through
     correlated_flip, the flip rule run_batch applies to every sampled round,
     at the band's lower end.  Every float is an integer over a power of two,
     so over the largest of the three denominators D, f_min, f_max and c0 are
     integers and so is each band's width.  A cell weighs width * (1 + alpha0
     beta0 c0)/4, and each moment is one integer sum over 4 D^2.
+
+    One triple of floats gives one tuple of Fractions.  Arrays of triples
+    give a list of such tuples, in order: every band cell of every triple
+    goes through one correlated_flip call, each with its own triple's
+    flip probabilities, and each triple keeps its own integer sums.
     """
-    if not -1.0 <= c0 <= 1.0:
-        raise ValueError(f"pre-flip correlation must lie in [-1, 1], got {c0}")
-    spec = FlipSpec(f_a, f_b)
-    lo = min(f_a, f_b)
-    hi = max(f_a, f_b)
-    ratios = [x.as_integer_ratio() for x in (lo, hi, c0)]
-    d = max(den for _, den in ratios)
-    lo_n, hi_n, c_n = (num * (d // den) for num, den in ratios)
-    bands = [(w, rep) for w, rep in ((lo_n, 0.0), (hi_n - lo_n, lo), (d - hi_n, hi)) if w]
-    n = 4 * len(bands)
-    r = np.array([rep for _, rep in bands for _ in range(4)])
-    alpha, beta = (x.tolist() for x in correlated_flip(_FLIP_A0[:n], _FLIP_B0[:n], spec, r))
-    # Over a band's cells (alpha0*beta0 = +1, -1, -1, +1), sum x + c0 * sum
-    # alpha0*beta0*x is (s*d + t*c_n)/d for the integer sums s and t.
-    nums = [0, 0, 0]
-    for k, (w, _) in enumerate(bands):
-        a, b = alpha[4 * k : 4 * k + 4], beta[4 * k : 4 * k + 4]
-        for j, x in enumerate((a, b, [u * v for u, v in zip(a, b)])):
-            s = x[0] + x[1] + x[2] + x[3]
-            t = x[0] - x[1] - x[2] + x[3]
-            nums[j] += w * (s * d + t * c_n)
-    return tuple(Fraction(num, 4 * d * d) for num in nums)
+    c0, f_a, f_b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (c0, f_a, f_b)))
+    bad = first_outside(c0, -1.0, 1.0)
+    if bad is not None:
+        raise ValueError(f"pre-flip correlation must lie in [-1, 1], got {bad}")
+    FlipSpec(f_a, f_b)
+    scales = []  # (D, c0 * D) per triple
+    bands = []  # (triple, width * D, r, f_a, f_b) per band of nonzero width
+    for i, (c, fa, fb) in enumerate(zip(*(x.ravel().tolist() for x in (c0, f_a, f_b)))):
+        lo, hi = min(fa, fb), max(fa, fb)
+        ratios = [x.as_integer_ratio() for x in (lo, hi, c)]
+        d = max(den for _, den in ratios)
+        lo_n, hi_n, c_n = (num * (d // den) for num, den in ratios)
+        scales.append((d, c_n))
+        bands += [(i, w, r, fa, fb) for w, r in ((lo_n, 0.0), (hi_n - lo_n, lo), (d - hi_n, hi)) if w]
+    if not bands:
+        return []
+    owner, width, r, fa, fb = zip(*bands)
+    n = len(bands)
+    spec = FlipSpec(np.repeat(fa, 4), np.repeat(fb, 4))
+    alpha, beta = correlated_flip(np.tile(_FLIP_A0, n), np.tile(_FLIP_B0, n), spec, np.repeat(r, 4))
+    cells = np.stack([alpha, beta, alpha * beta]).reshape(3, n, 4)
+    # Over a band's cells, sum x + c0 * sum alpha0*beta0*x is (s*d + t*c_n)/d
+    # for the integer sums s and t.
+    s_sums = cells.sum(axis=-1).T.tolist()
+    t_sums = (cells @ _FLIP_AB0).T.tolist()
+    nums = [[0, 0, 0] for _ in scales]
+    for i, w, s, t in zip(owner, width, s_sums, t_sums):
+        d, c_n = scales[i]
+        for j in range(3):
+            nums[i][j] += w * (s[j] * d + t[j] * c_n)
+    moments = [tuple(Fraction(num, 4 * d * d) for num in row) for row, (d, _) in zip(nums, scales)]
+    return moments[0] if c0.ndim == 0 else moments
 
 
 def flip_moments_claim(
@@ -289,23 +310,23 @@ def realized_joint(
     The box coin p is fair and q = p (2[a_z <= b_z] - 1) on the symmetrized
     settings.  Given the branch, the kernel's outputs have zero marginals and
     correlation c_pq = exact_mu_average(p, q), so each branch's pre-flip law
-    is (1 + alpha0 beta0 c_pq)/4.  flip_moments_exact passes it through
-    correlated_flip, sign_a and sign_b reflect it back, and the two branches
-    weigh 1/2 each.  No rounds are sampled.
+    is (1 + alpha0 beta0 c_pq)/4.  One flip_moments_exact call passes both
+    branches through correlated_flip, sign_a and sign_b reflect them back, and
+    the two branches weigh 1/2 each.  No rounds are sampled.
     """
     a1, b1, sign_a, sign_b = symmetrize(a, b)
-    q_per_p = 2 * compare_bit(a1[2], b1[2]) - 1
+    q_per_p = 2 * int(compare_bit(a1[2], b1[2])) - 1
     # The branch averages go first: their checks refuse tb and p2 at gamma = 0
     # in the words the engine uses.
     averages = [
         exact_mu_average(param, a1, b1, strategy, p, p * q_per_p, protocol) for p in (1, -1)
     ]
     spec = flip_spec(param, a1, b1, protocol)
+    # a mean of unit-vector dot products can round past +-1
+    averages = np.clip(averages, -1.0, 1.0)
     moments = [0.0, 0.0, 0.0]
-    for c in averages:
-        # a mean of unit-vector dot products can round past +-1
-        c = min(1.0, max(-1.0, c))
-        for k, m in enumerate(flip_moments_exact(c, spec.f_a, spec.f_b)):
+    for branch in flip_moments_exact(averages, spec.f_a, spec.f_b):
+        for k, m in enumerate(branch):
             moments[k] += 0.5 * float(m)
     mean_a, mean_b, corr = moments
     return _joint_from_moments(sign_a * mean_a, sign_b * mean_b, sign_a * sign_b * corr)
@@ -385,6 +406,18 @@ def claim_residual_report(n_settings: int = 100, seed: int = DEFAULT_SEED) -> di
     if n_settings < 1:
         raise ValueError(f"need n_settings >= 1, got {n_settings}")
     pairs = _reflected_setting_pairs(n_settings, seed)
+    branches = (("pq+", (1, 1)), ("pq-", (1, -1)))
+    # The claims read no completion: one block call per gamma and protocol
+    # covers both branches, as an (n_settings, 2) array.
+    a_block, b_block = (np.array(side * len(branches)) for side in zip(*pairs))
+    q_block = np.repeat([q for _, (_, q) in branches], n_settings)
+    claims = {
+        (gamma, protocol): branch_correlation_claim(
+            EntanglementParam(gamma), a_block, b_block, 1, q_block, protocol
+        ).reshape(len(branches), n_settings).T
+        for gamma in _RESIDUAL_GAMMAS
+        for protocol in _BRANCH_PROTOCOLS
+    }
     by_strategy: dict = {}
     for strategy in Completion:
         per_gamma: dict = {}
@@ -392,20 +425,17 @@ def claim_residual_report(n_settings: int = 100, seed: int = DEFAULT_SEED) -> di
             param = EntanglementParam(gamma)
             per_protocol: dict = {}
             for protocol in _BRANCH_PROTOCOLS:
-                worst = 0.0
-                worst_at = {"branch": "pq+", "setting": 0}
-                for idx, (a, b) in enumerate(pairs):
-                    for label, (p, q) in (("pq+", (1, 1)), ("pq-", (1, -1))):
-                        oracle = exact_mu_average(param, a, b, strategy, p, q, protocol)
-                        claim = branch_correlation_claim(param, a, b, p, q, protocol)
-                        residual = abs(oracle - claim)
-                        if residual > worst:
-                            worst = residual
-                            worst_at = {"branch": label, "setting": idx}
+                oracle = np.array([
+                    [exact_mu_average(param, a, b, strategy, p, q, protocol) for _, (p, q) in branches]
+                    for a, b in pairs
+                ])
+                residual = np.abs(oracle - claims[gamma, protocol])
+                # the first maximum in (setting, branch) order
+                idx, branch = divmod(int(np.argmax(residual)), len(branches))
                 per_protocol[protocol] = {
-                    "max_residual": worst,
-                    "argmax_branch": worst_at["branch"],
-                    "argmax_setting": worst_at["setting"],
+                    "max_residual": float(residual.max()),
+                    "argmax_branch": branches[branch][0],
+                    "argmax_setting": idx,
                 }
             per_gamma[repr(float(gamma))] = per_protocol
         by_strategy[strategy.value] = per_gamma
@@ -522,22 +552,24 @@ def suite_kernel(
 
 
 def suite_flip(trials: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Exact enumeration vs closed-form flip moments, rational arithmetic."""
+    """Exact enumeration vs closed-form flip moments, rational arithmetic.
+
+    Trial i's triple is c0, f_a, f_b = g.uniform(-1, 1), g.random(),
+    g.random() in draw order; the triples and the two corners go through
+    one flip_moments_exact call.
+    """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    g = seeded_generator(seed)
+    u = seeded_generator(seed).random((trials, 3))
+    # g.uniform(-1, 1) is -1 + 2 u of the same draw; the product is exact
+    triples = np.column_stack([-1.0 + 2.0 * u[:, 0], u[:, 1], u[:, 2]])
+    corners = np.array([[0.25, 0.0, 0.0], [-0.5, 1.0, 1.0]])
+    *exact, no_flip, always_flip = flip_moments_exact(*np.concatenate([triples, corners]).T)
     worst = Fraction(0)
-    for _ in range(trials):
-        c0 = float(g.uniform(-1.0, 1.0))
-        f_a = float(g.random())
-        f_b = float(g.random())
-        exact = flip_moments_exact(c0, f_a, f_b)
+    for (c0, f_a, f_b), moments in zip(triples.tolist(), exact):
         claim = flip_moments_claim(c0, f_a, f_b)
-        worst = max(worst, *(abs(e - c) for e, c in zip(exact, claim)))
-    corner_ok = (
-        flip_moments_exact(0.25, 0.0, 0.0) == (0, 0, Fraction(0.25))
-        and flip_moments_exact(-0.5, 1.0, 1.0) == (1, 1, 1)
-    )
+        worst = max(worst, *(abs(e - c) for e, c in zip(moments, claim)))
+    corner_ok = no_flip == (0, 0, Fraction(0.25)) and always_flip == (1, 1, 1)
     return [
         CheckResult(
             "flip-moments-exact",
@@ -556,6 +588,12 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{x:.4g}" for x in v) + ")"
 
 
+def _first_min(values: np.ndarray) -> float:
+    """The first of the smallest values (so 0.0 or -0.0, whichever comes
+    first), or inf for none: a running min's result."""
+    return float(values[np.argmin(values)]) if values.size else math.inf
+
+
 _EPR2_GAMMAS = (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4)
 
 
@@ -567,7 +605,9 @@ def suite_epr2(gamma: float | None = None, grid_n: int = 20) -> list[CheckResult
     the flip probability on the equatorial band (and strict positivity off
     it, when the state is not maximally entangled); and that the coupled-flip
     enumeration applied to the pre-flip correlation lands exactly on the
-    nonlocal correlation, covering all four in/out band cases.
+    nonlocal correlation, covering all four in/out band cases.  Each gamma
+    is one array pass over the grid's pairs: one call of each quantum
+    formula and one flip_moments_exact call.
     """
     if grid_n < 10:
         raise ValueError(f"need grid_n >= 10, got {grid_n}")
@@ -577,47 +617,47 @@ def suite_epr2(gamma: float | None = None, grid_n: int = 20) -> list[CheckResult
         _require_entangled(param)
     a_grid = spherical_grid(grid_n)
     b_grid = spherical_grid(grid_n, phase=0.5)
-    n_pairs = len(a_grid) * len(b_grid)
+    grid_z = np.concatenate([a_grid[:, 2], b_grid[:, 2]])
+    # Every pair of the two grids as one block, a-major: the order in which
+    # the first refused pair is named.
+    a = np.repeat(a_grid, len(b_grid), axis=0)
+    b = np.tile(b_grid, (len(a_grid), 1))
+    n_pairs = len(a)
+    a1, b1, sign_a, sign_b = symmetrize(a, b)
     checks = []
     for gm, param in zip(gammas, params):
         s = param.sin2g
         om = 1.0 - s
         t = slice_threshold(param)
-        max_in_band = max(
-            abs(epr2_flip_probability(param, z)) for z in (0.0, t, -t, t / 2.0, -t / 2.0)
-        )
-        min_outside = math.inf
-        for z in np.concatenate([a_grid[:, 2], b_grid[:, 2]]).tolist():
-            f = epr2_flip_probability(param, z)
-            if in_slice(param, z):
-                max_in_band = max(max_in_band, abs(f))
-            else:
-                min_outside = min(min_outside, f if z > 0 else -f)
+        # The band's edges and midpoints, then every grid z, in one pass.
+        band_z = np.array([0.0, t, -t, t / 2.0, -t / 2.0])
+        f = epr2_flip_probability(param, np.concatenate([band_z, grid_z]))
+        f_grid = f[band_z.size:]
+        inside = in_slice(param, grid_z)
+        max_in_band = float(np.abs(np.concatenate([f[: band_z.size], f_grid[inside]])).max())
+        min_outside = _first_min(np.where(grid_z > 0, f_grid, -f_grid)[~inside])
 
-        max_recon = 0.0
-        min_nl = math.inf
-        max_four_case = 0.0
-        refused = []
-        for a in a_grid:
-            for b in b_grid:
-                a1, b1, sign_a, sign_b = symmetrize(a, b)
-                spec = flip_spec(param, a1, b1, "p2")
-                c0 = pre_flip_correlation(param, a1, b1, "p2")
-                _, _, m_ab = flip_moments_exact(c0, spec.f_a, spec.f_b)
-                predicted = sign_a * sign_b * float(m_ab)
-                max_four_case = max(max_four_case, abs(predicted - epr2_correlation(param, a, b)))
+        spec = flip_spec(param, a1, b1, "p2")
+        c0 = pre_flip_correlation(param, a1, b1, "p2")
+        m_ab = np.array([float(m) for _, _, m in flip_moments_exact(c0, spec.f_a, spec.f_b)])
+        predicted = sign_a * sign_b * m_ab
+        max_four_case = float(np.abs(predicted - epr2_correlation(param, a, b)).max())
 
-                nl = joint_nl(param, a, b)
-                try:
-                    checked_distribution(nl)
-                except ValueError as exc:
-                    # a refused nonlocal part fails the nonnegativity check
-                    refused.append(f"{exc} at a = {_fmt_vec(a)}, b = {_fmt_vec(b)}")
-                    continue
-                qm = joint_qm(param, a, b)
-                local = joint_local_product(param, a, b)
-                max_recon = max(max_recon, float(np.abs(qm - om * local - s * nl).max()))
-                min_nl = min(min_nl, float(nl.min()))
+        nl = joint_nl(param, a, b)
+        refused = _refused(nl)
+        kept = ~refused
+        recon = np.abs(joint_qm(param, a, b) - om * joint_local_product(param, a, b) - s * nl)
+        max_recon = float(recon[kept].max(initial=0.0))
+        min_nl = _first_min(nl[kept].min(axis=-1))
+        n_refused = int(np.count_nonzero(refused))
+        first_refusal = ""
+        if n_refused:
+            # a refused nonlocal part fails the nonnegativity check
+            i = int(np.argmax(refused))
+            try:
+                checked_distribution(nl[i])
+            except ValueError as exc:
+                first_refusal = f"{exc} at a = {_fmt_vec(a[i])}, b = {_fmt_vec(b[i])}"
 
         tag = f"gamma={gm:.6f}"
         outside = f", min outside {min_outside:.3e}" if math.isfinite(min_outside) else ""
@@ -626,13 +666,13 @@ def suite_epr2(gamma: float | None = None, grid_n: int = 20) -> list[CheckResult
             CheckResult(
                 f"epr2-reconstruction[{tag}]",
                 max_recon <= 1e-12,
-                f"max residual {max_recon:.3e} over {n_pairs - len(refused)} pairs",
+                f"max residual {max_recon:.3e} over {n_pairs - n_refused} pairs",
             ),
             CheckResult(
                 f"epr2-nl-nonnegative[{tag}]",
-                not refused,
-                f"{refused[0]}; {len(refused)} of {n_pairs} pairs refused"
-                if refused
+                not n_refused,
+                f"{first_refusal}; {n_refused} of {n_pairs} pairs refused"
+                if n_refused
                 else f"min entry {min_nl:.3e}",
             ),
             CheckResult(
