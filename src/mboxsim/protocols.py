@@ -59,6 +59,8 @@ from .geometry import (
 from .quantum import (
     DegenerateAxisError,
     EntanglementParam,
+    _columns,
+    _select,
     aux_axis,
     aux_axis_alice_nl,
     epr2_flip_probability,
@@ -168,7 +170,8 @@ def round_uniform_block(seed: int, setting_index: int, start: int, count: int) -
 @dataclass(frozen=True)
 class FlipSpec:
     """Flip probabilities for the correlated -1 -> +1 post-processing: one
-    pair for a whole batch, or arrays of them, one pair per cell."""
+    pair for a whole batch, or arrays of them that broadcast against the
+    cells."""
 
     f_a: float | np.ndarray
     f_b: float | np.ndarray
@@ -253,6 +256,9 @@ class BatchOutcome:
         return self.alpha.shape[0]
 
 
+_PLUS, _MINUS = np.int8(1), np.int8(-1)
+
+
 def symmetrize(a, b):
     """Reflect settings into the upper hemisphere, elementwise over blocks.
 
@@ -262,8 +268,8 @@ def symmetrize(a, b):
     """
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    sign_a = sign_array(a[..., 2])
-    sign_b = sign_array(b[..., 2])
+    # sign_array's rule, chosen directly for one setting (run_batch's case)
+    sign_a, sign_b = (_select(_columns(v)[2] >= 0.0, _PLUS, _MINUS) for v in (a, b))
     return sign_a[..., None] * a, sign_b[..., None] * b, sign_a, sign_b
 
 
@@ -282,9 +288,9 @@ def correlated_flip(alpha0, beta0, spec: FlipSpec, r):
     Alice flips a -1 when r < f_a, Bob when r < f_b; sharing r makes the two
     events nested rather than independent, which is what turns a zero-marginal
     correlation C0 into moments (f_a, f_b, f_min + (1 - f_max) C0).  Works
-    elementwise on sign arrays and uniforms of one shape, with spec's
-    probabilities scalars or arrays of that shape too, and returns the
-    flipped (alpha, beta) arrays.  run_batch applies the same rule, _flip, to
+    elementwise on sign arrays, uniforms and spec's probabilities, which
+    broadcast against one another, and returns the flipped (alpha, beta)
+    arrays.  run_batch applies the same rule, _flip, to
     whole batches without the input checks.
     """
     alpha0 = np.asarray(alpha0)

@@ -106,7 +106,12 @@ class ExperimentConfig:
         frozen = []
         for si, pair in enumerate(self.settings):
             try:
-                a, b = (as_unit_vector(v) for v in pair)
+                a, b = (np.asarray(v, dtype=float) for v in pair)
+                for v in (a, b):
+                    # as_unit_vector also takes a block of rows; a setting is one vector
+                    if v.shape != (3,):
+                        raise ValueError(f"expected shape (3,), got {v.shape}")
+                    as_unit_vector(v)
                 # A norm within 1e-9 of 1 lets a component pass +-1, which
                 # the box and the decomposition refuse in mid-run.
                 for name, v in (("a", a), ("b", b)):

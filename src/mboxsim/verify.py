@@ -10,7 +10,9 @@ Three kinds of evidence live here, kept deliberately separate:
 * exact oracles that bypass sampling entirely: sign-tuple enumeration for
   the direction averages, product-grid quadrature for the one-bit kernel
   (an n x n node grid summed exactly by sorting and counting),
-  and rational arithmetic for the flip algebra;
+  and rational arithmetic for the flip algebra, whose band cells, for a
+  whole batch of (c0, f_a, f_b) triples, go through one correlated_flip
+  call;
 * claimed closed forms, recorded as claims and compared against the oracles
   with the residual reported rather than assumed zero.
 
@@ -229,10 +231,11 @@ def branch_correlation_claim(
     return _value(np.vecdot(x, y))
 
 
-# A band's four (alpha0, beta0) cells, and alpha0 * beta0 on them.
+# A band's four (alpha0, beta0) cells.
 _FLIP_A0 = np.array([-1, -1, 1, 1])
 _FLIP_B0 = np.array([-1, 1, -1, 1])
-_FLIP_AB0 = _FLIP_A0 * _FLIP_B0
+# a cell's weight in a band's plain sum s and in its alpha0*beta0 sum t
+_FLIP_S_T = np.stack([np.ones(4, dtype=int), _FLIP_A0 * _FLIP_B0], axis=-1)
 
 
 def flip_moments_exact(c0, f_a, f_b):
@@ -248,41 +251,38 @@ def flip_moments_exact(c0, f_a, f_b):
     beta0 c0)/4, and each moment is one integer sum over 4 D^2.
 
     One triple of floats gives one tuple of Fractions.  Arrays of triples
-    give a list of such tuples, in order: every band cell of every triple
-    goes through one correlated_flip call, each with its own triple's
-    flip probabilities, and each triple keeps its own integer sums.
+    give a list of such tuples, in order: the twelve cells of every triple
+    go through one correlated_flip call, each with its own triple's flip
+    probabilities, and each triple keeps its own integer sums.
     """
     c0, f_a, f_b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (c0, f_a, f_b)))
     bad = first_outside(c0, -1.0, 1.0)
     if bad is not None:
         raise ValueError(f"pre-flip correlation must lie in [-1, 1], got {bad}")
-    FlipSpec(f_a, f_b)
-    scales = []  # (D, c0 * D) per triple
-    bands = []  # (triple, width * D, r, f_a, f_b) per band of nonzero width
-    for i, (c, fa, fb) in enumerate(zip(*(x.ravel().tolist() for x in (c0, f_a, f_b)))):
-        lo, hi = min(fa, fb), max(fa, fb)
-        ratios = [x.as_integer_ratio() for x in (lo, hi, c)]
+    # cells: (triple, band, cell); each triple's spec, and each band's r,
+    # broadcast over what they hold for
+    spec = FlipSpec(f_a[..., None, None], f_b[..., None, None])
+    lo, hi = np.minimum(f_a, f_b), np.maximum(f_a, f_b)
+    starts = np.stack([np.zeros_like(lo), lo, hi], axis=-1)
+    # a band that starts at 1 is empty and weighs 0, so any r in [0, 1) serves
+    r = np.where(starts < 1.0, starts, 0.0)[..., None]
+    alpha, beta = correlated_flip(_FLIP_A0, _FLIP_B0, spec, r)
+    cells = np.stack([alpha, beta, alpha * beta], axis=-2)
+    # Over a band's cells, sum x + c0 * sum alpha0*beta0*x is (s*d + t*c_n)/d
+    # for the integer sums s and t: per triple, (band, moment, (s, t)).
+    sums = (cells @ _FLIP_S_T).reshape(-1, 3, 3, 2)
+    moments = []
+    for c, low, high, triple_sums in zip(c0.ravel().tolist(), lo.ravel().tolist(), hi.ravel().tolist(), sums):
+        b0, b1, b2 = triple_sums.tolist()
+        ratios = [x.as_integer_ratio() for x in (low, high, c)]
         d = max(den for _, den in ratios)
         lo_n, hi_n, c_n = (num * (d // den) for num, den in ratios)
-        scales.append((d, c_n))
-        bands += [(i, w, r, fa, fb) for w, r in ((lo_n, 0.0), (hi_n - lo_n, lo), (d - hi_n, hi)) if w]
-    if not bands:
-        return []
-    owner, width, r, fa, fb = zip(*bands)
-    n = len(bands)
-    spec = FlipSpec(np.repeat(fa, 4), np.repeat(fb, 4))
-    alpha, beta = correlated_flip(np.tile(_FLIP_A0, n), np.tile(_FLIP_B0, n), spec, np.repeat(r, 4))
-    cells = np.stack([alpha, beta, alpha * beta]).reshape(3, n, 4)
-    # Over a band's cells, sum x + c0 * sum alpha0*beta0*x is (s*d + t*c_n)/d
-    # for the integer sums s and t.
-    s_sums = cells.sum(axis=-1).T.tolist()
-    t_sums = (cells @ _FLIP_AB0).T.tolist()
-    nums = [[0, 0, 0] for _ in scales]
-    for i, w, s, t in zip(owner, width, s_sums, t_sums):
-        d, c_n = scales[i]
-        for j in range(3):
-            nums[i][j] += w * (s[j] * d + t[j] * c_n)
-    moments = [tuple(Fraction(num, 4 * d * d) for num in row) for row, (d, _) in zip(nums, scales)]
+        w0, w1, w2 = lo_n, hi_n - lo_n, d - hi_n
+        nums = [
+            (w0 * s0 + w1 * s1 + w2 * s2) * d + (w0 * t0 + w1 * t1 + w2 * t2) * c_n
+            for (s0, t0), (s1, t1), (s2, t2) in zip(b0, b1, b2)
+        ]
+        moments.append(tuple(Fraction(num, 4 * d * d) for num in nums))
     return moments[0] if c0.ndim == 0 else moments
 
 

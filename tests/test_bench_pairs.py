@@ -50,6 +50,36 @@ def test_gap_is_measured_in_a_quartile_distances():
     assert c["wins"] == 4
 
 
+def test_resolved_needs_nine_tenths_of_the_pairs_and_a_gap_above_a_quartile_distance():
+    a_values = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    a = _runs(a_values)
+    # a's quartiles are 11.75 and 17.25 (IQR 5.5), its median 14.5
+
+    def resolved(b_values):
+        return bench_pairs.compare_metric(a, _runs(b_values, b_side=True), "rounds_per_s", "higher")
+
+    nine_far = resolved([v + 8.0 for v in a_values[:9]] + [a_values[9]])  # a tie in pair 10
+    assert (nine_far["wins"], nine_far["gap_over_iqr"] > 1.0) == (9, True)
+    assert nine_far["resolved"]
+    eight_far = resolved([v + 8.0 for v in a_values[:8]] + [5.0, 5.0])
+    assert eight_far["wins"] == 8 and eight_far["gap_over_iqr"] > 1.0
+    assert not eight_far["resolved"]
+    ten_near = resolved([v + 1.0 for v in a_values])  # gap 1.0 of 5.5
+    assert ten_near["wins"] == 10 and not ten_near["resolved"]
+    # a gain in the other direction is not resolved for this metric
+    assert not bench_pairs.compare_metric(a, _runs([v + 8.0 for v in a_values], b_side=True), "rounds_per_s", "lower")["resolved"]
+    lines = bench_pairs.report_lines(
+        {"runs": {"verify": a}}, {"runs": {"verify": _runs([v + 8.0 for v in a_values], b_side=True)}},
+        [{"name": "rounds_per_s", "better": "higher"}],
+    )
+    assert lines[1].endswith("  resolved")
+    lines = bench_pairs.report_lines(
+        {"runs": {"verify": a}}, {"runs": {"verify": _runs([v + 1.0 for v in a_values], b_side=True)}},
+        [{"name": "rounds_per_s", "better": "higher"}],
+    )
+    assert lines[1].endswith("  unresolved")
+
+
 def test_runs_pair_by_seed_over_the_seeds_both_sides_ran():
     a_doc = {"runs": {"long": _runs([1.0, 2.0, 3.0])}}
     b_doc = {"runs": {"long": list(reversed(_runs([5.0, 6.0], first_seed=102, b_side=True)))}}

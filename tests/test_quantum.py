@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mboxsim.geometry import X_HAT, Z_HAT, sample_unit_sphere
+from mboxsim.protocols import flip_spec, symmetrize
 from mboxsim.quantum import (
     DegenerateAxisError,
     EntanglementParam,
@@ -379,3 +382,123 @@ class TestBranchPairing:
         x, _ = branch_pairing(param, outside, outside, False, "p2", aux_axis)
         assert np.array_equal(x, aux_axis_alice_nl(param, outside))
 
+
+
+# ---------------------------------------------------------------------------
+# Array form: row i of a block's result is the one-setting call on pair i,
+# bit for bit, and a block refuses what one of its rows alone refuses.
+# ---------------------------------------------------------------------------
+
+# 1e-6 is near the product state, where aux_axis degenerates at the poles;
+# at pi/4, 1 - s == 0 and the band is the equator alone.
+ARRAY_GAMMAS = (1e-6, PI8 / 2, PI8, 0.3, PI4)
+
+
+def _on_sphere(z, phi):
+    rho = math.sqrt(max(0.0, 1.0 - z * z))
+    return [rho * math.cos(phi), rho * math.sin(phi), z]
+
+
+def _special_z(param):
+    t = slice_threshold(param)
+    return [0.0, -0.0, t, -t, t / 2.0, 1.0, -1.0]
+
+
+@st.composite
+def setting_blocks(draw):
+    """(param, a, b): a gamma and (n, 3) blocks of settings whose z are the
+    band edges, the equator, the poles or any value, a_z == b_z on some rows."""
+    param = EntanglementParam(draw(st.sampled_from(ARRAY_GAMMAS)))
+    z = st.one_of(st.sampled_from(_special_z(param)), st.floats(-1.0, 1.0))
+    phi = st.floats(0.0, 2.0 * math.pi)
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        za = draw(z)
+        zb = za if draw(st.booleans()) else draw(z)
+        a.append(_on_sphere(za, draw(phi)))
+        b.append(_on_sphere(zb, draw(phi)))
+    return param, np.array(a), np.array(b)
+
+
+def corner_blocks():
+    """Every pair of the special z at each gamma, both equal-z orders."""
+    for gamma in ARRAY_GAMMAS:
+        param = EntanglementParam(gamma)
+        zs = _special_z(param)
+        pairs = [(za, zb) for za in zs for zb in zs]
+        a = np.array([_on_sphere(za, 0.3 + k) for k, (za, _) in enumerate(pairs)])
+        b = np.array([_on_sphere(zb, 1.9 - k) for k, (_, zb) in enumerate(pairs)])
+        yield param, a, b
+
+
+def assert_block_is_rows(block_call, row_call, n, same_message=False):
+    """block_call() has the bits of [row_call(i) for i < n]; if a row call
+    raises, the block call raises the same error type (and message)."""
+    try:
+        rows = [row_call(i) for i in range(n)]
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            block_call()
+        if same_message:
+            assert str(info.value) == str(exc)
+        return
+    got = np.asarray(block_call(), dtype=float)
+    want = np.array(rows, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def check_array_forms(param, a, b):
+    n = len(a)
+    for f in (correlation, joint_qm, joint_nl, joint_local_product, epr2_correlation):
+        assert_block_is_rows(lambda: f(param, a, b), lambda i: f(param, a[i], b[i]), n)
+    z = np.concatenate([a[:, 2], b[:, 2]])
+    for f in (epr2_local_bias, epr2_flip_probability, in_slice):
+        assert_block_is_rows(lambda: f(param, z), lambda i: f(param, z.tolist()[i]), len(z))
+    nl = joint_nl(param, a, b)
+    assert_block_is_rows(
+        lambda: checked_distribution(nl), lambda i: checked_distribution(nl[i]), n, same_message=True
+    )
+    a1, b1, _, _ = symmetrize(a, b)
+    for protocol in ("p1", "p2"):
+        assert_block_is_rows(
+            lambda: pre_flip_correlation(param, a1, b1, protocol),
+            lambda i: pre_flip_correlation(param, a1[i], b1[i], protocol),
+            n,
+        )
+
+        def flip_weights(a, b):
+            spec = flip_spec(param, a, b, protocol)
+            return np.stack([spec.f_a, spec.f_b], axis=-1)
+
+        assert_block_is_rows(lambda: flip_weights(a1, b1), lambda i: flip_weights(a1[i], b1[i]), n)
+        same = a1[:, 2] <= b1[:, 2]
+        for axis in (aux_axis, flip_exact_axis):
+            assert_block_is_rows(
+                lambda: np.hstack(branch_pairing(param, a1, b1, same, protocol, axis)),
+                lambda i: np.concatenate(
+                    branch_pairing(param, a1[i], b1[i], bool(same[i]), protocol, axis)
+                ),
+                n,
+            )
+
+
+class TestArrayFormsEqualOneSettingCalls:
+    @settings(max_examples=150, deadline=None)
+    @given(setting_blocks())
+    def test_random_blocks(self, block):
+        check_array_forms(*block)
+
+    @pytest.mark.parametrize("block", list(corner_blocks()), ids=lambda b: f"gamma={b[0].gamma:g}")
+    def test_band_edges_equator_poles_and_equal_z(self, block):
+        check_array_forms(*block)
+
+    def test_a_refused_row_names_itself(self):
+        param = EntanglementParam(PI8)
+        good = [0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="vector norm 2.0 deviates"):
+            joint_nl(param, np.array([good, [0.0, 0.0, 2.0]]), np.array([good, good]))
+        with pytest.raises(ValueError, match=r"z must lie in \[-1, 1\], got 1.5"):
+            epr2_flip_probability(param, np.array([0.5, 1.5, np.nan]))
+        with pytest.raises(ValueError, match=r"z must lie in \[-1, 1\], got nan"):
+            epr2_local_bias(param, np.array([0.5, np.nan]))

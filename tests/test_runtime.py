@@ -152,6 +152,22 @@ class TestResolveSettings:
         with pytest.raises(ValueError, match="explicit setting 0"):
             tb_config(settings=settings)
 
+    def test_explicit_setting_is_one_vector_not_a_block(self):
+        # the quantum formulas take blocks of rows; a config setting does not
+        with pytest.raises(ValueError, match=r"explicit setting 0: expected shape \(3,\), got \(1, 3\)"):
+            tb_config(settings=((((0.0, 0.0, 1.0),), (1.0, 0.0, 0.0)),))
+
+    @pytest.mark.parametrize("protocol", ["p1", "p2"])
+    def test_explicit_component_outside_unit_range_is_refused_when_built(self, protocol):
+        # the norm is within as_unit_vector's 1e-9, but z passes 1: the box
+        # (p1) and the decomposition (p2) would refuse it mid-run
+        z_past_one = (((0.0, 0.0, 1.0 + 5e-10), (1.0, 0.0, 0.0)),)
+        with pytest.raises(ValueError, match=r"explicit setting 0: a has a component 1\.0000000005 outside \[-1, 1\]"):
+            ExperimentConfig(protocol=protocol, gamma=0.3, rounds=100, seed=7, settings=z_past_one)
+        swapped = (tuple(reversed(z_past_one[0])),)
+        with pytest.raises(ValueError, match=r"explicit setting 0: b has a component"):
+            ExperimentConfig(protocol=protocol, gamma=0.3, rounds=100, seed=7, settings=swapped)
+
 
 class TestLoadSettingsCsv:
     def write(self, path, lines):

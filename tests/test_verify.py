@@ -439,6 +439,23 @@ class TestBranchClaim:
         got = branch_correlation_claim(param, a, b, 1, 1, "p2")
         assert got == pytest.approx(float(a @ rotate_pi_about_x(b)))
 
+    def test_block_rows_equal_one_pair_calls(self):
+        # claim_residual_report's claims come from one block call per
+        # gamma and protocol, with q per row
+        pairs = verify._reflected_setting_pairs(12, DEFAULT_SEED)
+        a = np.array([a for a, _ in pairs] * 2)
+        b = np.array([b for _, b in pairs] * 2)
+        q = np.repeat([1, -1], len(pairs))
+        for gamma in (PI8, PI4):
+            param = EntanglementParam(gamma)
+            for protocol in ("p1", "p2"):
+                block = branch_correlation_claim(param, a, b, 1, q, protocol)
+                rows = [
+                    branch_correlation_claim(param, x, y, 1, int(qi), protocol)
+                    for x, y, qi in zip(a, b, q)
+                ]
+                assert block.tobytes() == np.array(rows).tobytes()
+
 
 class TestFlipMoments:
     def test_exact_equals_claim(self):
@@ -498,6 +515,42 @@ class TestFlipMoments:
         checks = {check.name: check for check in suite_flip(trials=50)}
         assert not checks["flip-moments-exact"].passed
 
+    @staticmethod
+    def assert_batch_equals_calls(triples):
+        c0, f_a, f_b = np.array(triples, dtype=float).T
+        got = flip_moments_exact(c0, f_a, f_b)
+        assert got == [flip_moments_exact(*triple) for triple in triples]
+        assert got == [flip_moments_reference(*triple) for triple in triples]
+        assert all(type(m) is Fraction for moments in got for m in moments)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=12))
+    def test_batch_equals_per_triple_calls(self, triples):
+        self.assert_batch_equals_calls(triples)
+
+    def test_batch_corners_equal_per_triple_calls(self):
+        # f = 0 and f = 1 leave one band, f_a == f_b two, c0 = +-1 the
+        # extreme pre-flip laws
+        fs = (0.0, 1.0, 0.375)
+        self.assert_batch_equals_calls(
+            [(c0, f_a, f_b) for c0 in (-1.0, 1.0, 0.25) for f_a in fs for f_b in fs]
+        )
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1.5, 0.5, 0.5), r"pre-flip correlation must lie in \[-1, 1\], got 1.5"),
+        ((-1.25, 0.5, 0.5), r"pre-flip correlation must lie in \[-1, 1\], got -1.25"),
+        ((math.nan, 0.5, 0.5), r"pre-flip correlation must lie in \[-1, 1\], got nan"),
+        ((0.5, -0.125, 0.5), r"f_a must lie in \[0, 1\], got -0.125"),
+        ((0.5, 0.5, 1.5), r"f_b must lie in \[0, 1\], got 1.5"),
+        ((0.5, math.nan, 0.5), r"f_a must lie in \[0, 1\], got nan"),
+    ])
+    def test_batch_refuses_what_one_call_refuses(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            flip_moments_exact(*bad)
+        c0, f_a, f_b = np.array([(0.25, 0.5, 0.75), bad, (0.5, 0.0, 1.0)]).T
+        with pytest.raises(ValueError, match=message):
+            flip_moments_exact(c0, f_a, f_b)
+
     def test_one_flip_rule_call_per_call(self, monkeypatch):
         calls = []
 
@@ -506,7 +559,9 @@ class TestFlipMoments:
             return correlated_flip(*args)
 
         monkeypatch.setattr(verify, "correlated_flip", counted)
-        for c0, f_a, f_b in ((0.5, 0.25, 0.75), (0.5, 0.3, 0.3), (0.25, 0.0, 0.0), (-0.5, 1.0, 1.0)):
+        triples = ((0.5, 0.25, 0.75), (0.5, 0.3, 0.3), (0.25, 0.0, 0.0), (-0.5, 1.0, 1.0))
+        # each triple alone, then all four as one batch
+        for c0, f_a, f_b in triples + (tuple(np.array(triples).T),):
             calls.clear()
             flip_moments_exact(c0, f_a, f_b)
             assert len(calls) == 1
@@ -706,6 +761,42 @@ class TestEpr2Suite:
         assert not nonneg.passed
         assert "negative probability entry -4.79" in nonneg.detail
         assert "a = (0.3122, 0, 0.95)" in nonneg.detail
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record each call of module.name, which still runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestNoLoopPerPair:
+    # The exact suites run each gamma as one array pass, so the number of
+    # formula and flip-rule calls does not grow with the grid or the trials.
+    def test_suite_epr2_calls_do_not_grow_with_the_grid(self, monkeypatch):
+        counts = []
+        for grid_n in (10, 20):
+            nl = count_calls(monkeypatch, verify, "joint_nl")
+            flips = count_calls(monkeypatch, verify, "correlated_flip")
+            suite_epr2(grid_n=grid_n)
+            counts.append((len(nl), len(flips)))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] == (4, 4)
+
+    def test_suite_flip_calls_do_not_grow_with_the_trials(self, monkeypatch):
+        counts = []
+        for trials in (10, 100):
+            flips = count_calls(monkeypatch, verify, "correlated_flip")
+            suite_flip(trials)
+            counts.append(len(flips))
+            monkeypatch.undo()
+        assert counts == [1, 1]
 
 
 class TestClaimResidualReport:

@@ -26,8 +26,10 @@ workload and end-to-end metric: each side's median and quartiles (from
 ``perfbench/steady.py``'s ``spread``), the ratio of b's median to a's, in
 how many pairs b was better (by the metric's direction in BENCHMARK.json),
 split by which side ran first, and the distance between the medians over
-a's quartile distance.  A claimed change needs b better in nearly every
-pair and that distance above 1.
+a's quartile distance.  It ends with ``resolved`` when b was better in at
+least nine tenths of the pairs (ties count for neither side) and that
+distance is above 1, the two things a claimed gain must show, and with
+``unresolved`` otherwise.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ def compare_metric(a_runs: list, b_runs: list, metric: str, better: str) -> dict
         "wins_b_first": sum(w for w, f in zip(wins, b_first) if f),
         "pairs_b_first": sum(b_first),
         "gap_over_iqr": gap / iqr_a if iqr_a else float("inf") if gap else 0.0,
+        "resolved": 10 * sum(wins) >= 9 * len(wins) and gap > iqr_a,
     }
 
 
@@ -105,6 +108,7 @@ def report_lines(a_doc: dict, b_doc: dict, end_to_end: list) -> list[str]:
                 f"  x{c['ratio']:.3f}  b better {c['wins']}/{c['pairs']}"
                 f" (b first {c['wins_b_first']}/{c['pairs_b_first']})"
                 f"  gap/IQR_a {c['gap_over_iqr']:.2f}"
+                f"  {'resolved' if c['resolved'] else 'unresolved'}"
             )
     return lines
 
