@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Completion, as_unit_vector, first_outside, sample_unit_sphere
+from .geometry import Completion, as_unit_vector, sample_unit_sphere
 from .protocols import (
     CHUNK,
     PROTOCOL_IDS,
@@ -112,13 +112,14 @@ class ExperimentConfig:
                     if v.shape != (3,):
                         raise ValueError(f"expected shape (3,), got {v.shape}")
                     as_unit_vector(v)
+                a, b = tuple(a.tolist()), tuple(b.tolist())
                 # A norm within 1e-9 of 1 lets a component pass +-1, which
                 # the box and the decomposition refuse in mid-run.
                 for name, v in (("a", a), ("b", b)):
-                    bad = first_outside(v, -1.0, 1.0)
+                    bad = next((x for x in v if not -1.0 <= x <= 1.0), None)
                     if bad is not None:
                         raise ValueError(f"{name} has a component {bad} outside [-1, 1]")
-                frozen.append((tuple(a.tolist()), tuple(b.tolist())))
+                frozen.append((a, b))
             except ValueError as exc:
                 raise ValueError(f"explicit setting {si}: {exc}") from None
         object.__setattr__(self, "settings", tuple(frozen))

@@ -232,8 +232,8 @@ def branch_correlation_claim(
 
 
 # A band's four (alpha0, beta0) cells.
-_FLIP_A0 = np.array([-1, -1, 1, 1])
-_FLIP_B0 = np.array([-1, 1, -1, 1])
+_FLIP_A0 = np.array([-1, -1, 1, 1], dtype=np.int8)
+_FLIP_B0 = np.array([-1, 1, -1, 1], dtype=np.int8)
 # a cell's weight in a band's plain sum s and in its alpha0*beta0 sum t
 _FLIP_S_T = np.stack([np.ones(4, dtype=int), _FLIP_A0 * _FLIP_B0], axis=-1)
 
